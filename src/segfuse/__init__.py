@@ -22,9 +22,8 @@ from .metrics import ConfusionMatrix, iou_report, miou, per_class_iou
 from .prior import (Aggregation, PriorStack, aggregate_array, aggregate_class,
                     build_prior, log_prior, log_prior_array,
                     normalize_pixels_array, similarity_array, similarity_map)
-from .prompts import (PromptBank, PromptClass, chunk_synonyms,
-                      format_prompt_file, load_prompt_file, parse_prompt_file,
-                      save_prompt_file)
+from .prompts import (PromptBank, PromptClass, format_prompt_file,
+                      load_prompt_file, parse_prompt_file, save_prompt_file)
 from .synth import SyntheticScene, generate_scene
 
 __version__ = "0.1.0"
@@ -36,7 +35,7 @@ __all__ = [
     "PromptFileError", "RunConfig", "ScoreStack", "SegfuseError", "ShapeError",
     "SweepRow", "SyntheticScene", "TensorFormatError", "aggregate_array",
     "aggregate_class", "bilinear_resize", "build_prior", "build_run_config",
-    "canonical_vectors", "chunk_synonyms", "class_slice", "decode",
+    "canonical_vectors", "class_slice", "decode",
     "format_prompt_file", "format_sweep_csv", "fuse", "fuse_and_decode",
     "generate_scene", "iou_report", "load_config_file", "load_embeddings",
     "load_grid", "load_label_map", "load_prompt_file", "log_prior",

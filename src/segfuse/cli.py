@@ -25,12 +25,22 @@ from .prompts import load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
 
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
+    return value
+
+
 def _add_config_options(sub):
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--lambda-prior", type=float, dest="lambda_prior")
     sub.add_argument("--tau-s", type=float, dest="tau_s")
     sub.add_argument("--aggregation", choices=AGGREGATION_KINDS)
-    sub.add_argument("--chunk", type=int)
     sub.add_argument("--background-threshold", type=float, dest="background_threshold")
     sub.add_argument("--normalize-order", choices=("before", "after", "both"),
                      dest="normalize_order")
@@ -57,7 +67,6 @@ def _run_config(args):
         lambda_prior=getattr(args, "lambda_prior", None),
         tau_s=getattr(args, "tau_s", None),
         aggregation=getattr(args, "aggregation", None),
-        chunk=getattr(args, "chunk", None),
         background_threshold=getattr(args, "background_threshold", None),
         normalize_order=getattr(args, "normalize_order", None))
 
@@ -85,7 +94,7 @@ def cmd_prior(args) -> int:
     out_h = args.out_height if args.out_height else features.height
     out_w = args.out_width if args.out_width else features.width
     prior = build_prior(features, store, bank, _aggregation(cfg), out_h, out_w,
-                        chunk=cfg.chunk, normalize_order=cfg.normalize_order)
+                        normalize_order=cfg.normalize_order)
     save_grid(prior.log_pi, args.out)
     return 0
 
@@ -149,7 +158,6 @@ def cmd_sweep(args) -> int:
         aggregations=(_parse_str_list(args.aggregation_grid)
                       if args.aggregation_grid else [cfg.aggregation]),
         feature_sources=sources,
-        chunk=cfg.chunk,
         normalize_order=cfg.normalize_order,
         excluded=args.excluded,
         threads=args.threads)
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     prior.add_argument("--out", required=True)
     prior.add_argument("--out-height", type=int)
     prior.add_argument("--out-width", type=int)
-    prior.add_argument("--threads", type=int, default=1)
+    prior.add_argument("--threads", type=_positive_int, default=1)
     _add_config_options(prior)
     prior.set_defaults(func=cmd_prior)
 
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="logits")
     fusep.add_argument("--background-index", type=int)
     fusep.add_argument("--pgm", help="optional 8-bit PGM export path")
-    fusep.add_argument("--threads", type=int, default=1)
+    fusep.add_argument("--threads", type=_positive_int, default=1)
     _add_config_options(fusep)
     fusep.set_defaults(func=cmd_fuse)
 
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--pred", required=True)
     evalp.add_argument("--classes", type=int, required=True)
     evalp.add_argument("--ignore-index", type=int)
-    evalp.add_argument("--threads", type=int, default=1)
+    evalp.add_argument("--threads", type=_positive_int, default=1)
     evalp.set_defaults(func=cmd_eval)
 
     sweep = commands.add_parser("sweep", help="competition sweep over a seeded scene")
@@ -232,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--excluded", choices=EXCLUDED_MODES, default="ignore",
                        help="how non-competitor gt pixels are scored")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--threads", type=_positive_int, default=1)
     _add_config_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

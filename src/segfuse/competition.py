@@ -100,7 +100,7 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
 
 
 def _run_setting(scene: SyntheticScene, target_class: int, setting, *,
-                 chunk: int, normalize_order: str, excluded: str) -> SweepRow:
+                 normalize_order: str, excluded: str) -> SweepRow:
     p, selection, lam, tau, agg_kind, (source_name, features) = setting
     spec = CompetitionSpec(target_class, p, selection)
     competitors = sorted(select_competitors(scene.embeddings, scene.bank, spec))
@@ -110,7 +110,7 @@ def _run_setting(scene: SyntheticScene, target_class: int, setting, *,
     mode = Aggregation(agg_kind, tau) if agg_kind == "lse" else Aggregation(agg_kind)
     prior = build_prior(features, sub_store, sub_bank, mode,
                         scene.height, scene.width,
-                        chunk=chunk, normalize_order=normalize_order)
+                        normalize_order=normalize_order)
     pred_sub = fuse_and_decode(sub_evidence, prior, FusionConfig(lambda_prior=lam))
     pred = LabelMap(np.asarray(competitors, dtype=np.uint32)[pred_sub.data])
 
@@ -134,7 +134,6 @@ def run_sweep(scene: SyntheticScene, *,
               tau_values: Sequence[float] = (0.10,),
               aggregations: Sequence[str] = ("lse",),
               feature_sources: Mapping[str, DenseGrid] | None = None,
-              chunk: int = 16,
               normalize_order: str = "both",
               excluded: str = "ignore",
               threads: int = 1) -> list[SweepRow]:
@@ -158,7 +157,7 @@ def run_sweep(scene: SyntheticScene, *,
                                       tau_values, aggregations, sources.items()))
 
     def one(setting):
-        return _run_setting(scene, target_class, setting, chunk=chunk,
+        return _run_setting(scene, target_class, setting,
                             normalize_order=normalize_order, excluded=excluded)
 
     if threads > 1:

@@ -16,7 +16,6 @@ class RunConfig:
     lambda_prior: float = 0.7
     tau_s: float = 0.10
     aggregation: str = "lse"
-    chunk: int = 16
     background_threshold: float | None = None
     normalize_order: str = "both"
 
@@ -29,8 +28,6 @@ class RunConfig:
             raise SegfuseError(
                 "bad_config_value",
                 f"aggregation must be one of {AGGREGATION_KINDS}")
-        if self.chunk < 1:
-            raise SegfuseError("bad_config_value", "chunk must be >= 1")
         if self.normalize_order not in NORMALIZE_ORDERS:
             raise SegfuseError(
                 "bad_config_value",
@@ -41,7 +38,6 @@ _PARSERS = {
     "lambda_prior": float,
     "tau_s": float,
     "aggregation": str,
-    "chunk": int,
     "background_threshold": float,
     "normalize_order": str,
 }

@@ -14,6 +14,8 @@ rounded to float32 once, at the output.
 """
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -102,12 +104,21 @@ def _read_payload(f, path, extents, np_dtype):
     count = 1
     for e in extents:
         count *= e
-    buf = f.read(count * np_dtype.itemsize)
-    if len(buf) < count * np_dtype.itemsize:
+    size = count * np_dtype.itemsize
+    # Check the promise against the file size before reading, so that a
+    # forged header cannot make the reader allocate what it claims.  A pipe
+    # has no size to check.
+    st = os.fstat(f.fileno())
+    if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < size:
         raise TensorFormatError(
             "payload_truncated",
-            f"{path}: payload has {len(buf)} bytes, header promises "
-            f"{count * np_dtype.itemsize}")
+            f"{path}: payload has {st.st_size - f.tell()} bytes, header "
+            f"promises {size}")
+    buf = f.read(size)
+    if len(buf) < size:
+        raise TensorFormatError(
+            "payload_truncated",
+            f"{path}: payload has {len(buf)} bytes, header promises {size}")
     if f.read(1):
         raise TensorFormatError("payload_excess", f"{path}: trailing bytes after payload")
     return np.frombuffer(buf, dtype=np_dtype).reshape(extents).copy()
@@ -149,33 +160,43 @@ def save_label_map(labels: LabelMap, path) -> None:
     _write_file(path, DTYPE_U32, labels.data)
 
 
-def resize_bilinear_array(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Float64 bilinear resize of an (H, W, D) array, half-pixel centers.
+def bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-pixel-center bilinear taps along one axis: (i0, i1, frac).
 
-    Source coordinate for output row i is (i + 0.5) * H / out_h - 0.5, clamped
-    to [0, H - 1]; channels are interpolated independently.
+    Output index i samples source coordinate (i + 0.5) * n_in / n_out - 0.5,
+    clamped to [0, n_in - 1]; it blends sources i0 and i1 = min(i0 + 1,
+    n_in - 1) with weight frac on i1.
+    """
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    return i0, np.minimum(i0 + 1, n_in - 1), pos - i0
+
+
+def interpolate_axis(src: np.ndarray, taps, axis: int) -> np.ndarray:
+    """Blend src along one axis with `bilinear_taps` output (or a slice of it)."""
+    i0, i1, frac = taps
+    frac = frac.reshape((-1,) + (1,) * (src.ndim - axis - 1))
+    out = np.take(src, i0, axis=axis)
+    out *= 1.0 - frac
+    far = np.take(src, i1, axis=axis)
+    far *= frac
+    out += far
+    return out
+
+
+def resize_bilinear_array(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Float64 bilinear resize of an (H, W[, D]) array, half-pixel centers.
+
+    Separable: rows are blended first, then columns, with the taps of
+    `bilinear_taps`; channels are interpolated independently.  Identity dims
+    return the float64 input itself, not a copy.
     """
     src = np.asarray(src, dtype=np.float64)
     h, w = src.shape[0], src.shape[1]
     if (out_h, out_w) == (h, w):
-        return src.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[:, None]
-    fx = (xs - x0)[None, :]
-    if src.ndim == 3:
-        fy = fy[:, :, None]
-        fx = fx[:, :, None]
-    return (
-        src[np.ix_(y0, x0)] * (1.0 - fy) * (1.0 - fx)
-        + src[np.ix_(y0, x1)] * (1.0 - fy) * fx
-        + src[np.ix_(y1, x0)] * fy * (1.0 - fx)
-        + src[np.ix_(y1, x1)] * fy * fx
-    )
+        return src
+    rows = interpolate_axis(src, bilinear_taps(h, out_h), axis=0)
+    return interpolate_axis(rows, bilinear_taps(w, out_w), axis=1)
 
 
 def bilinear_resize(grid: DenseGrid, out_h: int, out_w: int) -> DenseGrid:

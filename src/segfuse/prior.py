@@ -5,6 +5,13 @@ evidence resolution, dot them against every synonym embedding, pool each
 class's synonym scores, then log-softmax across classes.  All arithmetic runs
 in float64 and is rounded to float32 once, at the grid boundary; log-domain
 reductions use max subtraction so large-magnitude inputs stay finite.
+
+`build_prior` runs the pipeline over tiles of output rows, so the resized
+features and the similarity tensor never exist at full resolution.  The tile
+height comes from the output shape alone.  Every similarity product is one
+BLAS call per output row, whatever the tile height: OpenBLAS gives a row of
+a taller product different last bits, so per-row calls are what keep the
+output bytes independent of the tile height.
 """
 from __future__ import annotations
 
@@ -16,13 +23,16 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
-from .grid import DenseGrid, resize_bilinear_array
-from .prompts import PromptBank, chunk_synonyms
+from .grid import DenseGrid, bilinear_taps, interpolate_axis
+from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.10
-DEFAULT_CHUNK = 16
+# Budget for one tile row-block of the largest float64 intermediate
+# (out_w * max(D, N) * 8 bytes per output row).  Small tiles keep the working
+# set in cache; the tile never goes below one row.
+_TILE_BYTES = 1 << 20
 
 AGGREGATION_KINDS = ("lse", "average", "max")
 NORMALIZE_ORDERS = ("before", "after", "both")
@@ -81,22 +91,54 @@ def similarity_array(feats: np.ndarray, embedding: np.ndarray) -> np.ndarray:
     return np.einsum("hwd,d->hw", feats, embedding)
 
 
+def _pool_in_place(u: np.ndarray, mode: Aggregation) -> np.ndarray:
+    """Pool the last axis of a scratch array, overwriting it for lse."""
+    if mode.kind == "average":
+        return u.mean(axis=-1)
+    if mode.kind == "max":
+        return u.max(axis=-1)
+    u /= mode.tau_s
+    peak = u.max(axis=-1, keepdims=True)
+    u -= peak
+    np.exp(u, out=u)
+    return peak[..., 0] + np.log(u.sum(axis=-1))
+
+
+def _segments_by_length(offsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group class segments by synonym count: (class indices, (k, m) columns).
+
+    Classes with m synonyms are pooled together as one (..., k, m) block, so
+    each class still reduces its own m scores in file order.
+    """
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for ci, (start, count) in enumerate(offsets):
+        groups.setdefault(count, []).append((ci, start))
+    return [(np.array([ci for ci, _ in members]),
+             np.array([start for _, start in members])[:, None] + np.arange(count))
+            for count, members in groups.items()]
+
+
+def _pool_segments(sims: np.ndarray, segments, n_classes: int,
+                   mode: Aggregation) -> np.ndarray:
+    """Pool every class's synonym columns of (..., N) scores into (..., C)."""
+    pooled = np.empty(sims.shape[:-1] + (n_classes,))
+    for classes, columns in segments:
+        pooled[..., classes] = _pool_in_place(sims[..., columns], mode)
+    return pooled
+
+
 def aggregate_array(u: np.ndarray, mode: Aggregation) -> np.ndarray:
     """Pool synonym scores along the last axis.
 
     lse computes log sum_j exp(u_j / tau_s) with max subtraction; average and
     max operate on the raw scores.  Reduction order is the synonym file order.
+    This is the one-segment case of the pooling `build_prior` runs.
     """
     u = np.asarray(u, dtype=np.float64)
-    if u.shape[-1] == 0:
+    m = u.shape[-1]
+    if m == 0:
         raise SegfuseError("empty_synonym_set", "cannot aggregate zero synonyms")
-    if mode.kind == "average":
-        return u.mean(axis=-1)
-    if mode.kind == "max":
-        return u.max(axis=-1)
-    scaled = u / mode.tau_s
-    peak = scaled.max(axis=-1, keepdims=True)
-    return peak[..., 0] + np.log(np.exp(scaled - peak).sum(axis=-1))
+    return _pool_segments(u, _segments_by_length(((0, m),)), 1, mode)[..., 0]
 
 
 def log_prior_array(u: np.ndarray) -> np.ndarray:
@@ -144,18 +186,23 @@ def log_prior(aggregated: DenseGrid) -> PriorStack:
     return PriorStack(DenseGrid(log_pi.astype(np.float32)), aggregated)
 
 
+def _tile_rows(out_h: int, out_w: int, dim: int, n_vectors: int) -> int:
+    """Output rows per tile; a function of the shape only."""
+    return max(1, min(out_h, _TILE_BYTES // (out_w * max(dim, n_vectors) * 8)))
+
+
 def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
                 mode: Aggregation, out_h: int, out_w: int, *,
-                chunk: int = DEFAULT_CHUNK,
                 normalize_order: str = "both") -> PriorStack:
     """Full semantic-prior pipeline for one image.
 
     Features are unit-normalized, bilinearly resized to out_h x out_w (the
-    structural evidence resolution), matched against every synonym embedding
-    in batches of `chunk`, pooled per class with `mode`, and cross-class
-    normalized.  `normalize_order` picks whether pixel normalization happens
-    before the resize, after it, or both (interpolated vectors shrink below
-    unit norm, so the default re-normalizes).
+    structural evidence resolution), matched against every synonym embedding,
+    pooled per class with `mode`, and cross-class normalized.
+    `normalize_order` picks whether pixel normalization happens before the
+    resize, after it, or both (interpolated vectors shrink below unit norm,
+    so the default re-normalizes).  Work runs over row tiles in bounded
+    memory; the output bytes do not depend on the tile height.
     """
     if normalize_order not in NORMALIZE_ORDERS:
         raise ValueError(f"normalize_order must be one of {NORMALIZE_ORDERS}")
@@ -168,33 +215,40 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     if store.num_classes != bank.num_classes:
         raise ShapeError(
             f"store has {store.num_classes} classes, bank has {bank.num_classes}")
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
 
-    feats = features.data.astype(np.float64)
+    src = features.data.astype(np.float64)
     zero_pixels = 0
     if normalize_order in ("before", "both"):
-        feats, n = normalize_pixels_array(feats)
-        zero_pixels += n
-    feats = resize_bilinear_array(feats, out_h, out_w)
-    if normalize_order in ("after", "both"):
-        feats, n = normalize_pixels_array(feats)
-        zero_pixels += n
+        src, zero_pixels = normalize_pixels_array(src)
+    renormalize = normalize_order in ("after", "both")
+    identity = (out_h, out_w) == (features.height, features.width)
+    taps_y = bilinear_taps(features.height, out_h)
+    taps_x = bilinear_taps(features.width, out_w)
+
+    vectors_t = store.vectors.astype(np.float64).T
+    segments = _segments_by_length(store.offsets)
+    n_classes = store.num_classes
+    log_pi = np.empty((out_h, out_w, n_classes), dtype=np.float32)
+    aggregated = np.empty((out_h, out_w, n_classes), dtype=np.float32)
+    step = _tile_rows(out_h, out_w, store.dim, store.num_vectors)
+    for r0 in range(0, out_h, step):
+        rows = slice(r0, min(r0 + step, out_h))
+        if identity:
+            tile = src[rows]
+        else:
+            tile = interpolate_axis(src, [t[rows] for t in taps_y], axis=0)
+            tile = interpolate_axis(tile, taps_x, axis=1)
+        if renormalize:
+            tile, n = normalize_pixels_array(tile)
+            zero_pixels += n
+        # (rows, out_w, D) @ (D, N) is one BLAS product per output row.
+        pooled = _pool_segments(tile @ vectors_t, segments, n_classes, mode)
+        log_pi[rows] = log_prior_array(pooled)
+        aggregated[rows] = pooled
     if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
                        zero_pixels)
-
-    vectors = store.vectors.astype(np.float64)
-    flat_rows = {pair: store.offsets[pair[0]][0] + pair[1]
-                 for pair in bank.flat_pairs()}
-    sims = np.empty((out_h, out_w, store.num_vectors), dtype=np.float64)
-    for batch in chunk_synonyms(bank, chunk):
-        rows = np.array([flat_rows[pair] for pair in batch], dtype=np.int64)
-        sims[:, :, rows] = np.einsum("hwd,nd->hwn", feats, vectors[rows])
-
-    pooled = np.empty((out_h, out_w, store.num_classes), dtype=np.float64)
-    for ci, (start, count) in enumerate(store.offsets):
-        pooled[:, :, ci] = aggregate_array(sims[:, :, start:start + count], mode)
-
-    log_pi = log_prior_array(pooled)
-    return PriorStack(DenseGrid(log_pi.astype(np.float32)),
-                      DenseGrid(pooled.astype(np.float32)),
+    return PriorStack(DenseGrid(log_pi), DenseGrid(aggregated),
                       zero_norm_pixels=zero_pixels)

@@ -92,10 +92,3 @@ def save_prompt_file(bank: PromptBank, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(format_prompt_file(bank))
 
-
-def chunk_synonyms(bank: PromptBank, chunk: int) -> list[list[tuple[int, int]]]:
-    """Partition the flat (class, synonym) order into batches of size <= chunk."""
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    flat = bank.flat_pairs()
-    return [flat[i:i + chunk] for i in range(0, len(flat), chunk)]

@@ -58,12 +58,11 @@ def test_prior_matches_library_bitwise(tmp_path):
     assert main(["prior", "--features", str(scene_dir / "features.cft1"),
                  "--embeddings", str(scene_dir / "embeddings.cft1"),
                  "--prompts", str(scene_dir / "prompts.txt"),
-                 "--out", str(out), "--tau-s", "0.2", "--chunk", "3"]) == 0
+                 "--out", str(out), "--tau-s", "0.2"]) == 0
     bank = load_prompt_file(scene_dir / "prompts.txt")
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
-    stack = build_prior(features, store, bank, Aggregation.lse(0.2), 12, 12,
-                        chunk=3)
+    stack = build_prior(features, store, bank, Aggregation.lse(0.2), 12, 12)
     assert load_grid(out).data.tobytes() == stack.log_pi.data.tobytes()
 
 
@@ -93,6 +92,25 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["prior", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+_THREADED_COMMANDS = {
+    "prior": ["prior", "--features", "f", "--embeddings", "e", "--prompts", "p",
+              "--out", "o"],
+    "fuse": ["fuse", "--evidence", "e", "--presence", "p", "--prior", "q",
+             "--out", "o"],
+    "eval": ["eval", "--gt", "g", "--pred", "p", "--classes", "2"],
+    "sweep": ["sweep", "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_THREADED_COMMANDS))
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+def test_non_positive_threads_is_usage_error(command, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_THREADED_COMMANDS[command] + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def _full_chain(tmp_path, extra_fuse_args=()):
@@ -268,7 +286,7 @@ def test_eval_ignore_index(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path):
     scene_dir = _gen(tmp_path)
     config = tmp_path / "run.conf"
-    config.write_text("# settings\ntau_s = 0.25\nchunk = 2\n")
+    config.write_text("# settings\ntau_s = 0.25\n")
     out_conf = tmp_path / "a.cft1"
     out_flag = tmp_path / "b.cft1"
     base = ["prior", "--features", str(scene_dir / "features.cft1"),
@@ -278,24 +296,24 @@ def test_config_file_and_flag_precedence(tmp_path):
     bank = load_prompt_file(scene_dir / "prompts.txt")
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
-    expect = build_prior(features, store, bank, Aggregation.lse(0.25), 12, 12,
-                         chunk=2)
+    expect = build_prior(features, store, bank, Aggregation.lse(0.25), 12, 12)
     assert load_grid(out_conf).data.tobytes() == expect.log_pi.data.tobytes()
     # explicit flag wins over the config value
     assert main(base + ["--out", str(out_flag), "--config", str(config),
                         "--tau-s", "0.1"]) == 0
     expect_flag = build_prior(features, store, bank, Aggregation.lse(0.1),
-                              12, 12, chunk=2)
+                              12, 12)
     assert load_grid(out_flag).data.tobytes() == expect_flag.log_pi.data.tobytes()
 
 
 def test_bad_config_key_exit_1(tmp_path, capsys):
     scene_dir = _gen(tmp_path)
     config = tmp_path / "run.conf"
-    config.write_text("speed = 11\n")
-    code = main(["prior", "--features", str(scene_dir / "features.cft1"),
-                 "--embeddings", str(scene_dir / "embeddings.cft1"),
-                 "--prompts", str(scene_dir / "prompts.txt"),
-                 "--out", str(tmp_path / "o.cft1"), "--config", str(config)])
-    assert code == 1
-    assert "unknown_config_key" in capsys.readouterr().err
+    for line in ("speed = 11\n", "chunk = 16\n"):
+        config.write_text(line)
+        code = main(["prior", "--features", str(scene_dir / "features.cft1"),
+                     "--embeddings", str(scene_dir / "embeddings.cft1"),
+                     "--prompts", str(scene_dir / "prompts.txt"),
+                     "--out", str(tmp_path / "o.cft1"), "--config", str(config)])
+        assert code == 1
+        assert "unknown_config_key" in capsys.readouterr().err

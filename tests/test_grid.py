@@ -1,12 +1,20 @@
 """CFT1 round trips, malformed-file handling and bilinear resampling."""
+import contextlib
+import io
+import math
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from segfuse import (DenseGrid, LabelMap, ShapeError, TensorFormatError,
-                     bilinear_resize, load_grid, load_label_map, save_grid,
-                     save_label_map)
+                     bilinear_resize, load_grid, load_label_map,
+                     resize_bilinear_array, save_grid, save_label_map)
+from segfuse.cli import main
 
 import oracle
 
@@ -60,6 +68,42 @@ def test_truncated_payload(tmp_path):
     with pytest.raises(TensorFormatError) as err:
         load_grid(path)
     assert err.value.code == "payload_truncated"
+
+
+def test_oversized_header_rejected_before_reading(tmp_path):
+    # 26 bytes on disk, 60000 x 60000 x 4 bytes promised.
+    path = tmp_path / "huge.cft1"
+    path.write_bytes(b"CFT1" + struct.pack("<BBII", 2, 2, 60000, 60000) + bytes(12))
+    with pytest.raises(TensorFormatError) as err:
+        load_label_map(path)
+    assert err.value.code == "payload_truncated"
+    assert "14400000000" in str(err.value)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dtype=st.sampled_from([1, 2]), ndim=st.sampled_from([2, 3]),
+       extents=st.lists(st.integers(1, 2**32 - 1), min_size=3, max_size=3),
+       payload=st.binary(max_size=64))
+@example(dtype=2, ndim=2, extents=[60000, 60000, 1], payload=bytes(12))
+def test_short_payload_header_fuzz_exits_1(dtype, ndim, extents, payload):
+    extents = extents[:ndim]
+    promised = math.prod(extents) * 4
+    payload = payload[:max(0, promised - 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.cft1")
+        with open(path, "wb") as f:
+            f.write(b"CFT1" + struct.pack("<BB", dtype, ndim))
+            f.write(struct.pack("<" + "I" * ndim, *extents) + payload)
+        if dtype == 2:
+            argv = ["eval", "--gt", path, "--pred", path, "--classes", "2"]
+        else:
+            argv = ["fuse", "--evidence", path, "--presence", path,
+                    "--prior", path, "--out", os.path.join(tmp, "o.cft1")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 1
+    assert err.getvalue().startswith("segfuse: error: ")
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -175,6 +219,22 @@ def test_resize_identity_is_pass_through():
     data = rng.standard_normal((6, 5, 3)).astype(np.float32)
     out = bilinear_resize(DenseGrid(data), 6, 5)
     assert np.array_equal(out.data, data)
+
+
+def test_resize_array_identity_returns_input():
+    data = np.random.default_rng(4).standard_normal((3, 4, 2))
+    assert resize_bilinear_array(data, 3, 4) is data
+
+
+def test_resize_array_matches_reference_in_float64():
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        h, w, d = rng.integers(1, 9, size=3)
+        oh, ow = rng.integers(1, 13, size=2)
+        data = rng.standard_normal((h, w, d))
+        out = resize_bilinear_array(data, int(oh), int(ow))
+        ref = oracle.bilinear(data, int(oh), int(ow))
+        assert np.abs(out - ref).max() < 1e-14
 
 
 def test_resize_matches_reference_on_random_grids():

@@ -1,5 +1,8 @@
 """Similarity, synonym aggregation and log-prior behavior."""
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from segfuse import (Aggregation, DenseGrid, SegfuseError, ShapeError,
                      aggregate_array, aggregate_class, build_prior, log_prior,
                      log_prior_array, normalize_pixels_array, parse_prompt_file,
                      similarity_map, store_from_array)
+from segfuse import prior as prior_module
 
 import oracle
 
@@ -241,7 +245,7 @@ def test_build_prior_matches_reference():
     bank, store, feats = _scene_pieces(rng, 8, 8, 16, [3, 1, 2, 3])
     for kind in ("lse", "average", "max"):
         mode = Aggregation(kind, 0.1) if kind == "lse" else Aggregation(kind)
-        stack = build_prior(feats, store, bank, mode, 8, 8, chunk=4)
+        stack = build_prior(feats, store, bank, mode, 8, 8)
         ref_log_pi, _, _ = oracle.pipeline(
             feats.data, store.vectors, store.offsets,
             np.zeros((8, 8, 4)), np.zeros(4),
@@ -260,13 +264,68 @@ def test_build_prior_resize_path_matches_reference():
     assert np.abs(stack.log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
 
 
-def test_build_prior_chunk_size_is_irrelevant():
+def test_build_prior_tile_height_is_irrelevant(monkeypatch):
     rng = np.random.default_rng(103)
-    bank, store, feats = _scene_pieces(rng, 6, 5, 10, [3, 2, 4])
-    stacks = [build_prior(feats, store, bank, Aggregation.lse(0.1), 6, 5, chunk=c)
-              for c in (1, 2, 16, 100)]
-    for other in stacks[1:]:
-        assert np.array_equal(stacks[0].log_pi.data, other.log_pi.data)
+    bank, store, feats = _scene_pieces(rng, 9, 8, 32, [3, 2, 4, 1])
+    for out_h, out_w in ((9, 8), (13, 11)):  # identity, then upsampling
+        row_bytes = out_w * max(store.dim, store.num_vectors) * 8
+        for kind in ("lse", "average", "max"):
+            mode = Aggregation(kind, 0.1) if kind == "lse" else Aggregation(kind)
+            for order in ("before", "after", "both"):
+                outputs = set()
+                for rows in (1, 2, 7, out_h):
+                    monkeypatch.setattr(prior_module, "_TILE_BYTES",
+                                        rows * row_bytes)
+                    assert prior_module._tile_rows(
+                        out_h, out_w, store.dim, store.num_vectors) == rows
+                    # also compare the float64 pooled scores, before rounding
+                    pooled = []
+
+                    def record(u, pooled=pooled):
+                        pooled.append(u)
+                        return log_prior_array(u)
+
+                    monkeypatch.setattr(prior_module, "log_prior_array", record)
+                    stack = build_prior(feats, store, bank, mode, out_h, out_w,
+                                        normalize_order=order)
+                    outputs.add((np.concatenate(pooled).tobytes(),
+                                 stack.log_pi.data.tobytes(),
+                                 stack.aggregated_u.data.tobytes()))
+                assert len(outputs) == 1, (out_h, kind, order)
+
+
+_ROW_PRODUCT_SCRIPT = """
+import numpy as np
+rng = np.random.default_rng(7)
+for rows, width, dim, n in ((4, 256, 512, 300), (9, 64, 64, 60), (5, 8, 12, 5),
+                            (3, 1, 33, 7), (6, 7, 10, 1)):
+    tile = rng.standard_normal((rows, width, dim))
+    vectors_t = rng.standard_normal((n, dim)).T
+    stacked = tile @ vectors_t
+    for r in range(rows):
+        assert stacked[r].tobytes() == (tile[r] @ vectors_t).tobytes(), (rows, width, r)
+    for r0 in range(0, rows, 2):
+        assert (stacked[r0:r0 + 2].tobytes()
+                == (tile[r0:r0 + 2] @ vectors_t).tobytes()), (rows, width, r0)
+print("ok")
+"""
+
+
+def test_stacked_matmul_is_one_product_per_row():
+    """The BLAS property the tile invariance of `build_prior` rests on.
+
+    A (rows, W, D) @ (D, N) product must give every row the bytes of that
+    row's own (W, D) @ (D, N) product, at any BLAS thread count, so that a
+    tile of any height reproduces the same rows.
+    """
+    cpus = len(os.sched_getaffinity(0))
+    for threads in sorted({1, min(2, cpus)}):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        done = subprocess.run([sys.executable, "-c", _ROW_PRODUCT_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, (threads, done.stderr)
+        assert done.stdout.strip() == "ok"
 
 
 def test_build_prior_normalize_orders():

@@ -1,9 +1,8 @@
-"""Prompt file parsing, validation and synonym chunking."""
+"""Prompt file parsing and validation."""
 import numpy as np
 import pytest
 
-from segfuse import (PromptFileError, chunk_synonyms, format_prompt_file,
-                     parse_prompt_file)
+from segfuse import PromptFileError, format_prompt_file, parse_prompt_file
 
 
 def test_single_canonical():
@@ -102,37 +101,3 @@ def test_serialization_round_trip_random_banks():
         text = format_prompt_file(bank)
         assert format_prompt_file(parse_prompt_file(text)) == text
 
-
-# --- chunking ----------------------------------------------------------------
-
-def test_chunk_smaller_than_batch():
-    bank = parse_prompt_file("a, b, c\n")
-    batches = chunk_synonyms(bank, 16)
-    assert batches == [[(0, 0), (0, 1), (0, 2)]]
-
-
-def test_chunk_sizes_16_16_1():
-    lines = []
-    for i in range(11):  # 11 classes x 3 synonyms = 33 pairs
-        lines.append(f"c{i}, c{i}x, c{i}y")
-    bank = parse_prompt_file("\n".join(lines))
-    batches = chunk_synonyms(bank, 16)
-    assert [len(b) for b in batches] == [16, 16, 1]
-
-
-def test_chunking_is_a_pure_partition():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        bank = _random_bank(rng, int(rng.integers(1, 10)))
-        chunk = int(rng.integers(1, 20))
-        batches = chunk_synonyms(bank, chunk)
-        flat = [pair for batch in batches for pair in batch]
-        assert flat == bank.flat_pairs()
-        assert all(len(b) <= chunk for b in batches)
-        assert all(len(b) > 0 for b in batches)
-
-
-def test_chunk_requires_positive():
-    bank = parse_prompt_file("cat\n")
-    with pytest.raises(ValueError):
-        chunk_synonyms(bank, 0)
