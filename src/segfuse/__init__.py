@@ -21,7 +21,8 @@ from .grid import (DenseGrid, LabelMap, bilinear_resize, load_grid,
 from .metrics import ConfusionMatrix, iou_report, miou, per_class_iou
 from .prior import (Aggregation, PriorStack, aggregate_array, aggregate_class,
                     build_prior, log_prior, log_prior_array,
-                    normalize_pixels_array, similarity_array, similarity_map)
+                    normalize_pixels_array, pooled_scores, similarity_array,
+                    similarity_map)
 from .prompts import (PromptBank, PromptClass, format_prompt_file,
                       load_prompt_file, parse_prompt_file, save_prompt_file)
 from .synth import SyntheticScene, generate_scene
@@ -40,7 +41,7 @@ __all__ = [
     "generate_scene", "iou_report", "load_config_file", "load_embeddings",
     "load_grid", "load_label_map", "load_prompt_file", "log_prior",
     "log_prior_array", "miou", "normalize_pixels_array", "normalize_rows",
-    "parse_config_text", "parse_prompt_file", "per_class_iou",
+    "parse_config_text", "parse_prompt_file", "per_class_iou", "pooled_scores",
     "resize_bilinear_array", "restrict_to_classes", "run_sweep", "save_grid",
     "save_label_map", "save_prompt_file", "select_competitors",
     "similarity_array", "similarity_map", "store_from_array", "to_logit",

@@ -36,6 +36,12 @@ def _positive_int(text):
     return value
 
 
+def _add_threads_option(sub):
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="accepted and unused: reserved for scheduling prior "
+                          "tiles; outputs never depend on it")
+
+
 def _add_config_options(sub):
     sub.add_argument("--config", help="key = value config file")
     sub.add_argument("--lambda-prior", type=float, dest="lambda_prior")
@@ -159,8 +165,7 @@ def cmd_sweep(args) -> int:
                       if args.aggregation_grid else [cfg.aggregation]),
         feature_sources=sources,
         normalize_order=cfg.normalize_order,
-        excluded=args.excluded,
-        threads=args.threads)
+        excluded=args.excluded)
     write_sweep_csv(rows, args.out)
     return 0
 
@@ -197,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     prior.add_argument("--out", required=True)
     prior.add_argument("--out-height", type=int)
     prior.add_argument("--out-width", type=int)
-    prior.add_argument("--threads", type=_positive_int, default=1)
+    _add_threads_option(prior)
     _add_config_options(prior)
     prior.set_defaults(func=cmd_prior)
 
@@ -210,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="logits")
     fusep.add_argument("--background-index", type=int)
     fusep.add_argument("--pgm", help="optional 8-bit PGM export path")
-    fusep.add_argument("--threads", type=_positive_int, default=1)
+    _add_threads_option(fusep)
     _add_config_options(fusep)
     fusep.set_defaults(func=cmd_fuse)
 
@@ -219,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--pred", required=True)
     evalp.add_argument("--classes", type=int, required=True)
     evalp.add_argument("--ignore-index", type=int)
-    evalp.add_argument("--threads", type=_positive_int, default=1)
+    _add_threads_option(evalp)
     evalp.set_defaults(func=cmd_eval)
 
     sweep = commands.add_parser("sweep", help="competition sweep over a seeded scene")
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--excluded", choices=EXCLUDED_MODES, default="ignore",
                        help="how non-competitor gt pixels are scored")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--threads", type=_positive_int, default=1)
+    _add_threads_option(sweep)
     _add_config_options(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

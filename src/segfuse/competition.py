@@ -3,15 +3,16 @@
 For a target class and a ratio p, the competitor set is the target plus the
 ceil(p * (C - 1)) non-target classes ranked by canonical-embedding cosine
 similarity (descending for "easy" negatives, ascending for "hard" ones).  A
-sweep re-runs the restricted pipeline for every setting combination and
-reports mIoU against the ground truth with non-competitor pixels either
-ignored or merged into a background class.
+sweep runs the restricted pipeline for every setting combination and reports
+mIoU against the ground truth with non-competitor pixels either ignored or
+merged into a background class.  Intra-class pooling never looks at the other
+classes, so the sweep pools once over every class and runs only the
+inter-class steps (log-softmax, fusion, decode) on the competitors' columns.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,7 +22,7 @@ from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
 from .fusion import EvidenceBundle, FusionConfig, fuse_and_decode
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import Aggregation, build_prior
+from .prior import Aggregation, log_prior_array, pooled_scores
 from .prompts import PromptBank, PromptClass
 from .synth import SyntheticScene
 
@@ -76,6 +77,14 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     return [spec.target_class] + negatives[:k]
 
 
+def _restrict_evidence(evidence: EvidenceBundle,
+                       kept: Sequence[int]) -> EvidenceBundle:
+    return EvidenceBundle(
+        DenseGrid(np.ascontiguousarray(evidence.mask_evidence.data[:, :, kept])),
+        evidence.evidence_kind,
+        evidence.presence[kept])
+
+
 def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
                         evidence: EvidenceBundle,
                         classes: Sequence[int]) -> tuple[PromptBank,
@@ -92,38 +101,11 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
         row_blocks.append(store.vectors[start:start + count])
     sub_bank = PromptBank(tuple(new_classes))
     sub_store = store_from_array(np.concatenate(row_blocks, axis=0), sub_bank)
-    sub_evidence = EvidenceBundle(
-        DenseGrid(np.ascontiguousarray(evidence.mask_evidence.data[:, :, kept])),
-        evidence.evidence_kind,
-        evidence.presence[kept])
-    return sub_bank, sub_store, sub_evidence
+    return sub_bank, sub_store, _restrict_evidence(evidence, kept)
 
 
-def _run_setting(scene: SyntheticScene, target_class: int, setting, *,
-                 normalize_order: str, excluded: str) -> SweepRow:
-    p, selection, lam, tau, agg_kind, (source_name, features) = setting
-    spec = CompetitionSpec(target_class, p, selection)
-    competitors = sorted(select_competitors(scene.embeddings, scene.bank, spec))
-    sub_bank, sub_store, sub_evidence = restrict_to_classes(
-        scene.bank, scene.embeddings, scene.evidence, competitors)
-
-    mode = Aggregation(agg_kind, tau) if agg_kind == "lse" else Aggregation(agg_kind)
-    prior = build_prior(features, sub_store, sub_bank, mode,
-                        scene.height, scene.width,
-                        normalize_order=normalize_order)
-    pred_sub = fuse_and_decode(sub_evidence, prior, FusionConfig(lambda_prior=lam))
-    pred = LabelMap(np.asarray(competitors, dtype=np.uint32)[pred_sub.data])
-
-    in_set = np.isin(scene.gt.data, np.asarray(competitors, dtype=np.uint32))
-    n = scene.num_classes
-    if excluded == "ignore":
-        cm = ConfusionMatrix(n, ignore_index=n)
-        gt = LabelMap(np.where(in_set, scene.gt.data, np.uint32(n)))
-    else:  # merge-background: excluded gt pixels become an extra class n
-        cm = ConfusionMatrix(n + 1)
-        gt = LabelMap(np.where(in_set, scene.gt.data, np.uint32(n)))
-    cm.accumulate(gt, pred)
-    return SweepRow(p, selection, lam, tau, agg_kind, source_name, miou(cm))
+def _aggregation(kind: str, tau: float) -> Aggregation:
+    return Aggregation(kind, tau) if kind == "lse" else Aggregation(kind)
 
 
 def run_sweep(scene: SyntheticScene, *,
@@ -135,14 +117,15 @@ def run_sweep(scene: SyntheticScene, *,
               aggregations: Sequence[str] = ("lse",),
               feature_sources: Mapping[str, DenseGrid] | None = None,
               normalize_order: str = "both",
-              excluded: str = "ignore",
-              threads: int = 1) -> list[SweepRow]:
+              excluded: str = "ignore") -> list[SweepRow]:
     """Evaluate every axis combination on one scene.
 
     Rows come out in lexicographic axis order (p, selection, lambda_prior,
     tau_s, aggregation, feature_source) with each axis in its given order.
-    Settings are independent, so they may run on a thread pool; results are
-    collected in submission order and do not depend on the thread count.
+    Pooled class scores depend only on (feature source, aggregation), never
+    on who competes, so they are built once each over every class.  Each
+    (p, selection) group then log-softmaxes its competitors' columns, and
+    every setting in it only fuses, decodes and scores.
     """
     if excluded not in EXCLUDED_MODES:
         raise ValueError(f"excluded must be one of {EXCLUDED_MODES}")
@@ -153,17 +136,42 @@ def run_sweep(scene: SyntheticScene, *,
         if len(axis) == 0:
             raise ValueError(f"sweep axis '{axis_name}' is empty")
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
-    settings = list(itertools.product(p_values, selections, lambda_values,
-                                      tau_values, aggregations, sources.items()))
+    fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
+    modes = {(tau, kind): _aggregation(kind, tau)
+             for tau in tau_values for kind in aggregations}
+    pooled = {(name, mode): pooled_scores(features, scene.embeddings,
+                                          scene.bank, mode, scene.height,
+                                          scene.width,
+                                          normalize_order=normalize_order)
+              for name, features in sources.items()
+              for mode in dict.fromkeys(modes.values())}
 
-    def one(setting):
-        return _run_setting(scene, target_class, setting,
-                            normalize_order=normalize_order, excluded=excluded)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, settings))
-    return [one(s) for s in settings]
+    n = scene.num_classes
+    # merge-background scores excluded gt pixels as an extra class n.
+    cm_args = (n, n) if excluded == "ignore" else (n + 1, None)
+    rows = []
+    competitors = None
+    for p, selection in itertools.product(p_values, selections):
+        group = sorted(select_competitors(
+            scene.embeddings, scene.bank,
+            CompetitionSpec(target_class, p, selection)))
+        if group != competitors:
+            competitors = group
+            evidence = _restrict_evidence(scene.evidence, competitors)
+            kept = np.asarray(competitors, dtype=np.uint32)
+            gt = LabelMap(np.where(np.isin(scene.gt.data, kept),
+                                   scene.gt.data, np.uint32(n)))
+            log_pis = {key: DenseGrid(log_prior_array(u[..., competitors])
+                                      .astype(np.float32))
+                       for key, u in pooled.items()}
+        for lam, tau, kind, name in itertools.product(
+                lambda_values, tau_values, aggregations, sources):
+            prior = log_pis[name, modes[tau, kind]]
+            pred = fuse_and_decode(evidence, prior, fusions[lam])
+            cm = ConfusionMatrix(*cm_args)
+            cm.accumulate(gt, LabelMap(kept[pred.data]))
+            rows.append(SweepRow(p, selection, lam, tau, kind, name, miou(cm)))
+    return rows
 
 
 SWEEP_CSV_HEADER = "p,selection,lambda_prior,tau_s,aggregation,feature_source,miou"

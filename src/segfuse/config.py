@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SegfuseError
+from .fusion import check_lambda_prior
 from .prior import AGGREGATION_KINDS, NORMALIZE_ORDERS
 
 
@@ -20,8 +21,7 @@ class RunConfig:
     normalize_order: str = "both"
 
     def __post_init__(self):
-        if self.lambda_prior < 0:
-            raise SegfuseError("bad_config_value", "lambda_prior must be >= 0")
+        check_lambda_prior(self.lambda_prior)
         if not self.tau_s > 0:
             raise SegfuseError("bad_config_value", "tau_s must be > 0")
         if self.aggregation not in AGGREGATION_KINDS:

@@ -12,6 +12,7 @@ pixels whose best score falls below a threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ class EvidenceBundle:
                 f"presence has {self.presence.shape[0]} entries for {c} classes")
         if self.evidence_kind == "probabilities":
             data = self.mask_evidence.data
-            if data.min() < 0.0 or data.max() > 1.0:
+            # Written so that NaN, which fails every comparison, is rejected.
+            if not (data.min() >= 0.0 and data.max() <= 1.0):
                 raise SegfuseError(
                     "probability_out_of_range",
                     "probability evidence must lie in [0, 1]")
@@ -63,10 +65,24 @@ class Background:
     """Reject pixels whose best score is below `threshold` to a reserved index.
 
     `index` defaults to C, the first index past the foreground classes.
+    A threshold of -inf rejects nothing and +inf rejects everything; NaN is
+    refused, because no score compares below it.
     """
 
     threshold: float
     index: int | None = None
+
+    def __post_init__(self):
+        if math.isnan(self.threshold):
+            raise SegfuseError("bad_background_threshold",
+                               "background threshold must not be NaN")
+
+
+def check_lambda_prior(value: float) -> None:
+    """The one check on a prior weight: finite and >= 0 (NaN fails too)."""
+    if not 0.0 <= value < math.inf:
+        raise SegfuseError("bad_lambda_prior",
+                           f"lambda_prior must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +91,7 @@ class FusionConfig:
     background: Background | None = None
 
     def __post_init__(self):
-        if self.lambda_prior < 0.0:
-            raise ValueError(f"lambda_prior must be >= 0, got {self.lambda_prior}")
+        check_lambda_prior(self.lambda_prior)
 
 
 @dataclass

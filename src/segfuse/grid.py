@@ -28,6 +28,8 @@ DTYPE_F32 = 1
 DTYPE_U32 = 2
 
 _DTYPE_NP = {DTYPE_F32: np.dtype("<f4"), DTYPE_U32: np.dtype("<u4")}
+# Read size for inputs without a file size, such as pipes and FIFOs.
+_STREAM_CHUNK = 1 << 20
 
 
 @dataclass
@@ -105,16 +107,25 @@ def _read_payload(f, path, extents, np_dtype):
     for e in extents:
         count *= e
     size = count * np_dtype.itemsize
-    # Check the promise against the file size before reading, so that a
-    # forged header cannot make the reader allocate what it claims.  A pipe
-    # has no size to check.
+    # A forged header must not make the reader allocate what it claims.  A
+    # regular file's size is checked before the one read; a pipe has no size,
+    # so it is read in bounded chunks and memory grows only with the bytes
+    # that actually arrive.
     st = os.fstat(f.fileno())
-    if stat.S_ISREG(st.st_mode) and st.st_size - f.tell() < size:
-        raise TensorFormatError(
-            "payload_truncated",
-            f"{path}: payload has {st.st_size - f.tell()} bytes, header "
-            f"promises {size}")
-    buf = f.read(size)
+    if stat.S_ISREG(st.st_mode):
+        left = st.st_size - f.tell()
+        if left < size:
+            raise TensorFormatError(
+                "payload_truncated",
+                f"{path}: payload has {left} bytes, header promises {size}")
+        buf = f.read(size)
+    else:
+        buf = bytearray()
+        while len(buf) < size:
+            chunk = f.read(min(_STREAM_CHUNK, size - len(buf)))
+            if not chunk:
+                break
+            buf += chunk
     if len(buf) < size:
         raise TensorFormatError(
             "payload_truncated",

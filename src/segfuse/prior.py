@@ -7,7 +7,8 @@ in float64 and is rounded to float32 once, at the grid boundary; log-domain
 reductions use max subtraction so large-magnitude inputs stay finite.
 
 `build_prior` runs the pipeline over tiles of output rows, so the resized
-features and the similarity tensor never exist at full resolution.  The tile
+features and the similarity tensor never exist at full resolution;
+`pooled_scores` runs the same tiles and stops before the log-softmax.  The tile
 height comes from the output shape alone.  Every similarity product is one
 BLAS call per output row, whatever the tile height: OpenBLAS gives a row of
 a taller product different last bits, so per-row calls are what keep the
@@ -191,19 +192,9 @@ def _tile_rows(out_h: int, out_w: int, dim: int, n_vectors: int) -> int:
     return max(1, min(out_h, _TILE_BYTES // (out_w * max(dim, n_vectors) * 8)))
 
 
-def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
-                mode: Aggregation, out_h: int, out_w: int, *,
-                normalize_order: str = "both") -> PriorStack:
-    """Full semantic-prior pipeline for one image.
-
-    Features are unit-normalized, bilinearly resized to out_h x out_w (the
-    structural evidence resolution), matched against every synonym embedding,
-    pooled per class with `mode`, and cross-class normalized.
-    `normalize_order` picks whether pixel normalization happens before the
-    resize, after it, or both (interpolated vectors shrink below unit norm,
-    so the default re-normalizes).  Work runs over row tiles in bounded
-    memory; the output bytes do not depend on the tile height.
-    """
+def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
+                        bank: PromptBank, out_h: int, out_w: int,
+                        normalize_order: str) -> None:
     if normalize_order not in NORMALIZE_ORDERS:
         raise ValueError(f"normalize_order must be one of {NORMALIZE_ORDERS}")
     if features.data.ndim != 3:
@@ -218,6 +209,14 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
 
+
+def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
+                  out_h: int, out_w: int, normalize_order: str):
+    """Yield (rows, float64 pooled scores, zero-norm pixels) per row tile.
+
+    This is the one kernel behind `build_prior` and `pooled_scores`.  Each
+    tile's zero-norm count covers the pixels counted since the previous tile.
+    """
     src = features.data.astype(np.float64)
     zero_pixels = 0
     if normalize_order in ("before", "both"):
@@ -229,10 +228,8 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
 
     vectors_t = store.vectors.astype(np.float64).T
     segments = _segments_by_length(store.offsets)
-    n_classes = store.num_classes
-    log_pi = np.empty((out_h, out_w, n_classes), dtype=np.float32)
-    aggregated = np.empty((out_h, out_w, n_classes), dtype=np.float32)
     step = _tile_rows(out_h, out_w, store.dim, store.num_vectors)
+    total = 0
     for r0 in range(0, out_h, step):
         rows = slice(r0, min(r0 + step, out_h))
         if identity:
@@ -244,11 +241,54 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
             tile, n = normalize_pixels_array(tile)
             zero_pixels += n
         # (rows, out_w, D) @ (D, N) is one BLAS product per output row.
-        pooled = _pool_segments(tile @ vectors_t, segments, n_classes, mode)
+        yield rows, _pool_segments(tile @ vectors_t, segments,
+                                   store.num_classes, mode), zero_pixels
+        total += zero_pixels
+        zero_pixels = 0
+    if total:
+        logger.warning("%d zero-norm feature pixels mapped to the zero vector",
+                       total)
+
+
+def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
+                mode: Aggregation, out_h: int, out_w: int, *,
+                normalize_order: str = "both") -> PriorStack:
+    """Full semantic-prior pipeline for one image.
+
+    Features are unit-normalized, bilinearly resized to out_h x out_w (the
+    structural evidence resolution), matched against every synonym embedding,
+    pooled per class with `mode`, and cross-class normalized.
+    `normalize_order` picks whether pixel normalization happens before the
+    resize, after it, or both (interpolated vectors shrink below unit norm,
+    so the default re-normalizes).  Work runs over row tiles in bounded
+    memory; the output bytes do not depend on the tile height.
+    """
+    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
+    shape = (out_h, out_w, store.num_classes)
+    log_pi = np.empty(shape, dtype=np.float32)
+    aggregated = np.empty(shape, dtype=np.float32)
+    zero_pixels = 0
+    for rows, pooled, n in _pooled_tiles(features, store, mode, out_h, out_w,
+                                         normalize_order):
         log_pi[rows] = log_prior_array(pooled)
         aggregated[rows] = pooled
-    if zero_pixels:
-        logger.warning("%d zero-norm feature pixels mapped to the zero vector",
-                       zero_pixels)
+        zero_pixels += n
     return PriorStack(DenseGrid(log_pi), DenseGrid(aggregated),
                       zero_norm_pixels=zero_pixels)
+
+
+def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
+                  mode: Aggregation, out_h: int, out_w: int, *,
+                  normalize_order: str = "both") -> np.ndarray:
+    """Float64 (out_h, out_w, C) pooled class scores, before the log-softmax.
+
+    Same inputs and kernel as `build_prior`.  A class's pooled score depends
+    only on its own synonyms, so a caller comparing class subsets slices
+    columns of one full array and log-softmaxes each slice.
+    """
+    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
+    out = np.empty((out_h, out_w, store.num_classes))
+    for rows, pooled, _ in _pooled_tiles(features, store, mode, out_h, out_w,
+                                         normalize_order):
+        out[rows] = pooled
+    return out

@@ -162,6 +162,30 @@ def test_fuse_background_saturating_threshold(tmp_path):
     assert (labels.data == 4).all()
 
 
+@pytest.mark.parametrize("extra, code", [
+    (("--lambda-prior", "inf"), "bad_lambda_prior"),
+    (("--lambda-prior", "nan"), "bad_lambda_prior"),
+    (("--background-threshold", "nan"), "bad_background_threshold"),
+])
+def test_fuse_non_finite_parameter_exit_1(tmp_path, capsys, extra, code):
+    scene_dir, prior_path, labels_path = _full_chain(tmp_path)
+    capsys.readouterr()
+    assert main(["fuse", "--evidence", str(scene_dir / "mask_logits.cft1"),
+                 "--presence", str(scene_dir / "presence.cft1"),
+                 "--prior", str(prior_path), "--out", str(labels_path),
+                 *extra]) == 1
+    assert code in capsys.readouterr().err
+
+
+def test_sweep_nan_lambda_grid_exit_1(tmp_path, capsys):
+    assert main(["sweep", "--seed", "3", "--height", "8", "--width", "8",
+                 "--dim", "8", "--classes", "4", "--synonyms", "2",
+                 "--p", "0,1", "--lambda-grid", "0.5,nan",
+                 "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert "bad_lambda_prior" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_fuse_pgm_export(tmp_path):
     scene_dir, prior_path, labels_path = _full_chain(tmp_path)
     pgm = tmp_path / "view.pgm"

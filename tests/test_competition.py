@@ -1,15 +1,18 @@
 """Competitor selection and the restricted-competition sweep."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from segfuse import (Aggregation, CompetitionSpec, ConfusionMatrix,
-                     EvidenceBundle, FusionConfig, LabelMap,
+from segfuse import (Aggregation, CompetitionSpec, ConfusionMatrix, DenseGrid,
+                     EvidenceBundle, FusionConfig, LabelMap, SweepRow,
                      build_prior, format_sweep_csv, fuse_and_decode,
-                     generate_scene, parse_prompt_file, per_class_iou,
-                     restrict_to_classes, run_sweep, select_competitors,
-                     store_from_array)
+                     generate_scene, log_prior_array, miou, parse_prompt_file,
+                     per_class_iou, pooled_scores, restrict_to_classes,
+                     run_sweep, select_competitors, store_from_array)
+from segfuse import competition
+from segfuse import prior as prior_module
 
 from scenes import confusable_scene
 
@@ -128,9 +131,107 @@ def test_sweep_is_deterministic():
     assert _sweep(scene) == _sweep(scene)
 
 
-def test_sweep_thread_count_does_not_change_rows():
+_GRID = dict(target_class=0, p_values=[0.0, 0.3, 0.6, 1.0],
+             selections=["easy", "hard"], lambda_values=[0.3, 0.9],
+             tau_values=[0.05, 0.1], aggregations=["lse", "average", "max"])
+
+
+def _mode(kind, tau):
+    return Aggregation(kind, tau) if kind == "lse" else Aggregation(kind)
+
+
+def test_sweep_pools_once_per_source_and_aggregation(monkeypatch):
     scene = generate_scene(3, 12, 12, 12, 5, 3, 0.3, 0.7)
-    assert _sweep(scene, threads=1) == _sweep(scene, threads=8)
+    other = generate_scene(4, 12, 12, 12, 5, 3, 0.3, 1.2)
+    built = []
+
+    def counting(features, store, bank, mode, *args, **kwargs):
+        built.append((id(features), mode))
+        return pooled_scores(features, store, bank, mode, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_sweep must not build a full prior")
+
+    monkeypatch.setattr(competition, "pooled_scores", counting)
+    monkeypatch.setattr(prior_module, "build_prior", forbidden)
+    monkeypatch.setattr(competition, "build_prior", forbidden, raising=False)
+    rows = run_sweep(scene, feature_sources={"primary": scene.features,
+                                             "other": other.features}, **_GRID)
+    assert len(rows) == 4 * 2 * 2 * 2 * 3 * 2
+    # two sources x {lse(0.05), lse(0.1), average, max}: average and max
+    # ignore tau, so they are pooled once across the tau axis
+    assert len(built) == len(set(built)) == 2 * 4
+
+
+def test_sweep_labels_are_log_softmax_of_pooled_columns(monkeypatch):
+    scene = generate_scene(8, 14, 13, 10, 6, 3, 0.3, 0.6)
+    labels = []
+
+    def record(evidence, prior, cfg):
+        out = fuse_and_decode(evidence, prior, cfg)
+        labels.append(out.data)
+        return out
+
+    monkeypatch.setattr(competition, "fuse_and_decode", record)
+    rows = run_sweep(scene, **_GRID)
+    assert len(labels) == len(rows)
+    pooled = {}
+    for row, got in zip(rows, labels):
+        mode = _mode(row.aggregation, row.tau_s)
+        if mode not in pooled:
+            pooled[mode] = pooled_scores(scene.features, scene.embeddings,
+                                         scene.bank, mode, 14, 13)
+        comp = sorted(select_competitors(
+            scene.embeddings, scene.bank, CompetitionSpec(0, row.p, row.selection)))
+        log_pi = log_prior_array(pooled[mode][..., comp]).astype(np.float32)
+        evidence = EvidenceBundle(
+            DenseGrid(scene.evidence.mask_evidence.data[:, :, comp]),
+            "logits", scene.evidence.presence[comp])
+        want = fuse_and_decode(evidence, DenseGrid(log_pi),
+                               FusionConfig(row.lambda_prior))
+        assert np.array_equal(got, want.data), row
+
+
+def _restricted_reference(scene, sources, excluded, normalize_order):
+    """The sweep written out through a full restricted prior per setting."""
+    n = scene.num_classes
+    rows = []
+    for p, sel, lam, tau, kind, (name, features) in itertools.product(
+            _GRID["p_values"], _GRID["selections"], _GRID["lambda_values"],
+            _GRID["tau_values"], _GRID["aggregations"], sources.items()):
+        comp = sorted(select_competitors(scene.embeddings, scene.bank,
+                                         CompetitionSpec(0, p, sel)))
+        bank, store, evidence = restrict_to_classes(
+            scene.bank, scene.embeddings, scene.evidence, comp)
+        prior = build_prior(features, store, bank, _mode(kind, tau),
+                            scene.height, scene.width,
+                            normalize_order=normalize_order)
+        sub = fuse_and_decode(evidence, prior, FusionConfig(lam))
+        pred = LabelMap(np.asarray(comp, dtype=np.uint32)[sub.data])
+        gt = LabelMap(np.where(np.isin(scene.gt.data, comp), scene.gt.data, n))
+        cm = (ConfusionMatrix(n, ignore_index=n) if excluded == "ignore"
+              else ConfusionMatrix(n + 1))
+        cm.accumulate(gt, pred)
+        rows.append(SweepRow(p, sel, lam, tau, kind, name, miou(cm)))
+    return rows
+
+
+@pytest.mark.parametrize("excluded", ["ignore", "merge-background"])
+@pytest.mark.parametrize("seed, shape, normalize_order", [
+    (3, (12, 12, 12, 5, 3, None), "both"),
+    (8, (14, 13, 10, 6, 3, None), "before"),
+    (15, (16, 16, 12, 7, 4, 6), "after"),   # 6x6 features upsampled
+])
+def test_sweep_matches_restricted_prior_reference(seed, shape, normalize_order,
+                                                  excluded):
+    h, w, dim, c, m, fsize = shape
+    scene = generate_scene(seed, h, w, dim, c, m, 0.3, 0.6, fsize, fsize)
+    other = generate_scene(seed + 1, h, w, dim, c, m, 0.3, 1.2, fsize, fsize)
+    sources = {"primary": scene.features, "other": other.features}
+    rows = run_sweep(scene, feature_sources=sources, excluded=excluded,
+                     normalize_order=normalize_order, **_GRID)
+    assert rows == _restricted_reference(scene, sources, excluded,
+                                         normalize_order)
 
 
 def test_sweep_row_order_is_lexicographic():

@@ -54,6 +54,14 @@ def test_probability_range_validated():
     assert err.value.code == "probability_out_of_range"
 
 
+def test_nan_probability_rejected():
+    values = np.full((2, 2, 2), 0.5)
+    values[1, 0, 1] = np.nan
+    with pytest.raises(SegfuseError) as err:
+        _bundle(values, kind="probabilities")
+    assert err.value.code == "probability_out_of_range"
+
+
 # --- fuse --------------------------------------------------------------------
 
 def test_degenerate_fusion_returns_mask_logits():
@@ -139,6 +147,19 @@ def test_background_rejection_threshold():
     labels = decode(_scores(values), FusionConfig(background=Background(0.0)))
     assert labels.data[0, 0] == 0
     assert labels.data[0, 1] == 2
+
+
+@pytest.mark.parametrize("lam", [-0.5, math.inf, math.nan])
+def test_lambda_prior_must_be_finite_and_non_negative(lam):
+    with pytest.raises(SegfuseError) as err:
+        FusionConfig(lambda_prior=lam)
+    assert err.value.code == "bad_lambda_prior"
+
+
+def test_nan_background_threshold_rejected():
+    with pytest.raises(SegfuseError) as err:
+        Background(math.nan)
+    assert err.value.code == "bad_background_threshold"
 
 
 def test_background_index_collision():

@@ -5,6 +5,7 @@ import math
 import os
 import struct
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -78,6 +79,28 @@ def test_oversized_header_rejected_before_reading(tmp_path):
         load_label_map(path)
     assert err.value.code == "payload_truncated"
     assert "14400000000" in str(err.value)
+
+
+def test_oversized_header_through_fifo_exits_1(tmp_path, capsys):
+    # A FIFO has no size to check: the reader must stop at EOF, not
+    # allocate the 14.4 GB the header promises.
+    fifo = tmp_path / "gt.fifo"
+    os.mkfifo(fifo)
+    pred = tmp_path / "pred.cft1"
+    save_label_map(LabelMap(np.zeros((2, 2), dtype=np.uint32)), pred)
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(b"CFT1" + struct.pack("<BBII", 2, 2, 60000, 60000) + bytes(12))
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    code = main(["eval", "--gt", str(fifo), "--pred", str(pred), "--classes", "2"])
+    writer.join(timeout=10)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "payload_truncated" in err and "14400000000" in err
+    assert "Traceback" not in err
 
 
 @settings(max_examples=60, deadline=None,
