@@ -15,12 +15,12 @@ from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
 from .config import build_run_config, load_config_file
 from .embeddings import load_embeddings
 from .errors import SegfuseError, ShapeError
-from .fusion import (Background, EvidenceBundle, FusionConfig, fuse_and_decode,
-                     write_pgm)
+from .fusion import (EVIDENCE_KINDS, Background, EvidenceBundle, FusionConfig,
+                     fuse_and_decode, write_pgm)
 from .grid import (DenseGrid, load_grid, load_label_map, save_grid,
                    save_label_map)
 from .metrics import ConfusionMatrix, iou_report
-from .prior import AGGREGATION_KINDS, Aggregation, build_prior
+from .prior import AGGREGATION_KINDS, NORMALIZE_ORDERS, Aggregation, build_prior
 from .prompts import load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
@@ -42,14 +42,21 @@ def _add_threads_option(sub):
                           "tiles; outputs never depend on it")
 
 
-def _add_config_options(sub):
+# Flags that override a config key; each command takes only those it reads.
+_CONFIG_FLAGS = {
+    "lambda_prior": {"type": float},
+    "tau_s": {"type": float},
+    "aggregation": {"choices": AGGREGATION_KINDS},
+    "background_threshold": {"type": float},
+    "normalize_order": {"choices": NORMALIZE_ORDERS},
+}
+
+
+def _add_config_options(sub, *keys):
     sub.add_argument("--config", help="key = value config file")
-    sub.add_argument("--lambda-prior", type=float, dest="lambda_prior")
-    sub.add_argument("--tau-s", type=float, dest="tau_s")
-    sub.add_argument("--aggregation", choices=AGGREGATION_KINDS)
-    sub.add_argument("--background-threshold", type=float, dest="background_threshold")
-    sub.add_argument("--normalize-order", choices=("before", "after", "both"),
-                     dest="normalize_order")
+    for key in keys:
+        sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                         **_CONFIG_FLAGS[key])
 
 
 def _add_scene_options(sub):
@@ -69,17 +76,7 @@ def _add_scene_options(sub):
 def _run_config(args):
     file_values = load_config_file(args.config) if args.config else {}
     return build_run_config(
-        file_values,
-        lambda_prior=getattr(args, "lambda_prior", None),
-        tau_s=getattr(args, "tau_s", None),
-        aggregation=getattr(args, "aggregation", None),
-        background_threshold=getattr(args, "background_threshold", None),
-        normalize_order=getattr(args, "normalize_order", None))
-
-
-def _aggregation(cfg):
-    return (Aggregation("lse", cfg.tau_s) if cfg.aggregation == "lse"
-            else Aggregation(cfg.aggregation))
+        file_values, **{key: getattr(args, key, None) for key in _CONFIG_FLAGS})
 
 
 def _load_presence(path, n_classes):
@@ -99,7 +96,8 @@ def cmd_prior(args) -> int:
     store = load_embeddings(args.embeddings, bank)
     out_h = args.out_height if args.out_height else features.height
     out_w = args.out_width if args.out_width else features.width
-    prior = build_prior(features, store, bank, _aggregation(cfg), out_h, out_w,
+    prior = build_prior(features, store, bank,
+                        Aggregation.of(cfg.aggregation, cfg.tau_s), out_h, out_w,
                         normalize_order=cfg.normalize_order)
     save_grid(prior.log_pi, args.out)
     return 0
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     prior.add_argument("--out-height", type=int)
     prior.add_argument("--out-width", type=int)
     _add_threads_option(prior)
-    _add_config_options(prior)
+    _add_config_options(prior, "tau_s", "aggregation", "normalize_order")
     prior.set_defaults(func=cmd_prior)
 
     fusep = commands.add_parser("fuse", help="fuse evidence and decode labels")
@@ -211,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     fusep.add_argument("--presence", required=True)
     fusep.add_argument("--prior", required=True)
     fusep.add_argument("--out", required=True)
-    fusep.add_argument("--evidence-kind", choices=("logits", "probabilities"),
+    fusep.add_argument("--evidence-kind", choices=EVIDENCE_KINDS,
                        default="logits")
     fusep.add_argument("--background-index", type=int)
     fusep.add_argument("--pgm", help="optional 8-bit PGM export path")
     _add_threads_option(fusep)
-    _add_config_options(fusep)
+    _add_config_options(fusep, "lambda_prior", "background_threshold")
     fusep.set_defaults(func=cmd_fuse)
 
     evalp = commands.add_parser("eval", help="per-class IoU and mIoU report")
@@ -246,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how non-competitor gt pixels are scored")
     sweep.add_argument("--out", required=True)
     _add_threads_option(sweep)
-    _add_config_options(sweep)
+    _add_config_options(sweep, "lambda_prior", "tau_s", "aggregation",
+                        "normalize_order")
     sweep.set_defaults(func=cmd_sweep)
 
     gen = commands.add_parser("gen", help="write a seeded synthetic scene to disk")

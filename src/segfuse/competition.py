@@ -104,10 +104,6 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
     return sub_bank, sub_store, _restrict_evidence(evidence, kept)
 
 
-def _aggregation(kind: str, tau: float) -> Aggregation:
-    return Aggregation(kind, tau) if kind == "lse" else Aggregation(kind)
-
-
 def run_sweep(scene: SyntheticScene, *,
               target_class: int = 0,
               p_values: Sequence[float],
@@ -137,7 +133,7 @@ def run_sweep(scene: SyntheticScene, *,
             raise ValueError(f"sweep axis '{axis_name}' is empty")
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
-    modes = {(tau, kind): _aggregation(kind, tau)
+    modes = {(tau, kind): Aggregation.of(kind, tau)
              for tau in tau_values for kind in aggregations}
     pooled = {(name, mode): pooled_scores(features, scene.embeddings,
                                           scene.bank, mode, scene.height,

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SegfuseError
-from .fusion import check_lambda_prior
+from .fusion import check_lambda_prior, check_tau_s
 from .prior import AGGREGATION_KINDS, NORMALIZE_ORDERS
 
 
@@ -22,8 +22,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_lambda_prior(self.lambda_prior)
-        if not self.tau_s > 0:
-            raise SegfuseError("bad_config_value", "tau_s must be > 0")
+        check_tau_s(self.tau_s)
         if self.aggregation not in AGGREGATION_KINDS:
             raise SegfuseError(
                 "bad_config_value",

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError, ShapeError
+from .errors import EmbeddingError
 from .grid import load_grid
 from .prompts import PromptBank
 
@@ -53,6 +53,8 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
         raise EmbeddingError(
             "row_count_mismatch",
             f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
+    if not np.isfinite(rows).all():
+        raise EmbeddingError("nonfinite_values", "embedding rows hold NaN or Inf")
     offsets = []
     start = 0
     for cls in bank.classes:
@@ -68,16 +70,6 @@ def load_embeddings(path, bank: PromptBank) -> EmbeddingStore:
         raise EmbeddingError(
             "bad_embedding_shape", f"{path}: need a 2-axis tensor, got {grid.data.ndim}")
     return store_from_array(grid.data, bank)
-
-
-def class_slice(store: EmbeddingStore, class_index: int) -> np.ndarray:
-    """View of one class's synonym vectors, in file order."""
-    if not 0 <= class_index < store.num_classes:
-        raise ShapeError(
-            f"class index {class_index} out of range 0..{store.num_classes - 1}",
-            code="class_index_out_of_range")
-    start, count = store.offsets[class_index]
-    return store.vectors[start:start + count]
 
 
 def canonical_vectors(store: EmbeddingStore) -> np.ndarray:

@@ -8,18 +8,22 @@ with the presence logit broadcast to every pixel.  Mask evidence may arrive
 as raw logits (passed through bit-exactly) or probabilities (clamped, then
 mapped through log(p / (1 - p))).  Decoding is a per-pixel argmax with ties
 going to the smallest class index, plus optional background rejection for
-pixels whose best score falls below a threshold.
+pixels whose best score falls below a threshold.  A NaN score, wherever it
+came from, fails the decode instead of choosing a label.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
 from .grid import DenseGrid, LabelMap
-from .prior import PriorStack
+
+if TYPE_CHECKING:
+    from .prior import PriorStack
 
 PROB_EPS = 1e-6
 
@@ -85,6 +89,12 @@ def check_lambda_prior(value: float) -> None:
                            f"lambda_prior must be finite and >= 0, got {value}")
 
 
+def check_tau_s(value: float) -> None:
+    """The one check on a pooling temperature: > 0 (NaN fails too)."""
+    if not value > 0.0:
+        raise SegfuseError("bad_tau_s", f"tau_s must be > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     lambda_prior: float = 0.7
@@ -92,11 +102,6 @@ class FusionConfig:
 
     def __post_init__(self):
         check_lambda_prior(self.lambda_prior)
-
-
-@dataclass
-class ScoreStack:
-    scores: DenseGrid  # H x W x C
 
 
 def to_logit(evidence: EvidenceBundle) -> DenseGrid:
@@ -113,14 +118,14 @@ def to_logit(evidence: EvidenceBundle) -> DenseGrid:
     return DenseGrid(np.log(p / (1.0 - p)).astype(np.float32))
 
 
-def _log_pi_grid(prior: PriorStack | DenseGrid) -> DenseGrid:
-    return prior.log_pi if isinstance(prior, PriorStack) else prior
-
-
 def fuse(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
-         cfg: FusionConfig) -> ScoreStack:
-    """Combine mask logits, weighted log prior and presence on one scale."""
-    log_pi = _log_pi_grid(prior)
+         cfg: FusionConfig) -> DenseGrid:
+    """Combine mask logits, weighted log prior and presence on one scale.
+
+    Returns the H x W x C fused scores; `prior` is a `PriorStack` or its
+    bare log-prior grid.
+    """
+    log_pi = prior if isinstance(prior, DenseGrid) else prior.log_pi
     mask_logits = to_logit(evidence)
     if log_pi.dims != mask_logits.dims:
         raise ShapeError(
@@ -128,19 +133,25 @@ def fuse(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
     scores = (mask_logits.data.astype(np.float64)
               + cfg.lambda_prior * log_pi.data.astype(np.float64)
               + evidence.presence.astype(np.float64)[None, None, :])
-    return ScoreStack(DenseGrid(scores.astype(np.float32)))
+    return DenseGrid(scores.astype(np.float32))
 
 
-def decode(scores: ScoreStack, cfg: FusionConfig) -> LabelMap:
+def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
     """Per-pixel argmax over classes; optional background rejection.
 
     Ties go to the smallest class index.  With background enabled, pixels
     whose best score is below the threshold get the reserved background index
     (default C), which must lie outside the foreground range.
     """
-    data = scores.scores.data
+    data = scores.data
     n_classes = data.shape[2]
-    labels = np.argmax(data, axis=2).astype(np.uint32)
+    labels = np.argmax(data, axis=2)
+    # argmax stops at a pixel's first NaN, so the best score is NaN exactly
+    # where any of the pixel's scores is.
+    best = data.reshape(-1)[labels.ravel() + np.arange(0, data.size, n_classes)]
+    if np.isnan(best).any():
+        raise SegfuseError("nonfinite_scores", "fused scores hold NaN")
+    labels = labels.astype(np.uint32)
     background_index = None
     if cfg.background is not None:
         background_index = (cfg.background.index
@@ -150,8 +161,7 @@ def decode(scores: ScoreStack, cfg: FusionConfig) -> LabelMap:
                 "background_index_collision",
                 f"background index {background_index} collides with a foreground "
                 f"class (need >= {n_classes})")
-        best = data.max(axis=2)
-        labels = np.where(best < cfg.background.threshold,
+        labels = np.where(best.reshape(labels.shape) < cfg.background.threshold,
                           np.uint32(background_index), labels)
     return LabelMap(labels, background_index=background_index)
 

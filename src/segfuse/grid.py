@@ -143,12 +143,12 @@ def _write_file(path, dtype_code, arr):
         f.write(np.ascontiguousarray(arr, dtype=_DTYPE_NP[dtype_code]).tobytes())
 
 
-def load_grid(path, allow_nonfinite: bool = False) -> DenseGrid:
-    """Read a float32 CFT1 tensor; rejects non-finite payloads unless flagged."""
+def load_grid(path) -> DenseGrid:
+    """Read a float32 CFT1 tensor; rejects non-finite payloads."""
     with open(path, "rb") as f:
         extents = _read_header(f, path, DTYPE_F32)
         arr = _read_payload(f, path, extents, _DTYPE_NP[DTYPE_F32])
-    if not allow_nonfinite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise TensorFormatError("nonfinite_values", f"{path}: payload has NaN/Inf")
     return DenseGrid(arr)
 
@@ -208,13 +208,3 @@ def resize_bilinear_array(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray
         return src
     rows = interpolate_axis(src, bilinear_taps(h, out_h), axis=0)
     return interpolate_axis(rows, bilinear_taps(w, out_w), axis=1)
-
-
-def bilinear_resize(grid: DenseGrid, out_h: int, out_w: int) -> DenseGrid:
-    """Resize a grid to out_h x out_w; identity dims are a bit-exact pass-through."""
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
-    if (out_h, out_w) == (grid.height, grid.width):
-        return DenseGrid(grid.data.copy())
-    out = resize_bilinear_array(grid.data.astype(np.float64), out_h, out_w)
-    return DenseGrid(out.astype(np.float32))

@@ -37,14 +37,6 @@ class ConfusionMatrix:
         self.counts += np.bincount(g * n + p, minlength=n * n).reshape(n, n)
         return self
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum of another matrix built with the same parameters."""
-        if (other.num_classes != self.num_classes
-                or other.ignore_index != self.ignore_index):
-            raise ShapeError("cannot merge confusion matrices with different setups")
-        self.counts += other.counts
-        return self
-
 
 def per_class_iou(cm: ConfusionMatrix) -> np.ndarray:
     """IoU per class; classes absent from both gt and prediction come back NaN."""

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
+from .fusion import check_tau_s
 from .grid import DenseGrid, bilinear_taps, interpolate_axis
 from .prompts import PromptBank
 
@@ -49,33 +49,25 @@ class Aggregation:
     def __post_init__(self):
         if self.kind not in AGGREGATION_KINDS:
             raise ValueError(f"aggregation kind must be one of {AGGREGATION_KINDS}")
-        if self.kind == "lse" and not self.tau_s > 0.0:
-            raise ValueError(f"lse temperature must be > 0, got {self.tau_s}")
+        if self.kind == "lse":
+            check_tau_s(self.tau_s)
 
     @classmethod
-    def lse(cls, tau_s: float = DEFAULT_TAU) -> "Aggregation":
-        return cls("lse", tau_s)
-
-    @classmethod
-    def average(cls) -> "Aggregation":
-        return cls("average")
-
-    @classmethod
-    def maximum(cls) -> "Aggregation":
-        return cls("max")
+    def of(cls, kind: str, tau_s: float = DEFAULT_TAU) -> "Aggregation":
+        """The rule `kind`; average and max ignore `tau_s`, so they compare equal."""
+        return cls(kind, tau_s) if kind == "lse" else cls(kind)
 
 
 @dataclass
 class PriorStack:
-    """Cross-class log prior plus the pooled scores it was built from."""
+    """Cross-class log prior of one image (`pooled_scores` has the scores)."""
 
-    log_pi: DenseGrid        # H x W x C
-    aggregated_u: DenseGrid  # H x W x C
+    log_pi: DenseGrid  # H x W x C
     zero_norm_pixels: int = 0
 
 
 def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit-normalize each pixel vector in float64.
+    """Unit-normalize each vector along the last axis in float64.
 
     Zero-norm pixels map to the zero vector (similarity 0 to everything) and
     are counted rather than rejected; padded regions produce them routinely.
@@ -85,11 +77,6 @@ def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
     return feats / safe[..., None], int(zero.sum())
-
-
-def similarity_array(feats: np.ndarray, embedding: np.ndarray) -> np.ndarray:
-    """Per-pixel dot product of an (H, W, D) field against one D-vector."""
-    return np.einsum("hwd,d->hw", feats, embedding)
 
 
 def _pool_in_place(u: np.ndarray, mode: Aggregation) -> np.ndarray:
@@ -150,43 +137,6 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
     return u - lse
 
 
-def similarity_map(features: DenseGrid, embedding: np.ndarray) -> DenseGrid:
-    """Similarity of unit-normalized features against one unit embedding.
-
-    Returns an H x W x 1 grid of cosine scores in [-1, 1].  Features are
-    expected already normalized (see `normalize_pixels_array`).
-    """
-    embedding = np.asarray(embedding, dtype=np.float64).ravel()
-    if features.data.ndim != 3:
-        raise ShapeError("features need 3 axes (H, W, D)", code="dim_mismatch")
-    if features.channels != embedding.shape[0]:
-        raise ShapeError(
-            f"feature dim {features.channels} != embedding dim {embedding.shape[0]}",
-            code="dim_mismatch")
-    sim = similarity_array(features.data.astype(np.float64), embedding)
-    return DenseGrid(sim.astype(np.float32)[:, :, None])
-
-
-def aggregate_class(sim_stack: Sequence[DenseGrid], mode: Aggregation) -> DenseGrid:
-    """Pool one class's synonym similarity grids into a single H x W x 1 grid."""
-    if len(sim_stack) == 0:
-        raise SegfuseError("empty_synonym_set", "cannot aggregate zero synonyms")
-    shapes = {(g.height, g.width) for g in sim_stack}
-    if len(shapes) != 1:
-        raise ShapeError(f"synonym grids disagree on dims: {sorted(shapes)}")
-    u = np.stack([g.data.reshape(g.height, g.width).astype(np.float64)
-                  for g in sim_stack], axis=-1)
-    return DenseGrid(aggregate_array(u, mode).astype(np.float32)[:, :, None])
-
-
-def log_prior(aggregated: DenseGrid) -> PriorStack:
-    """Cross-class normalization of pooled scores into a log-prior stack."""
-    if aggregated.data.ndim != 3:
-        raise ShapeError("aggregated scores need 3 axes (H, W, C)")
-    log_pi = log_prior_array(aggregated.data.astype(np.float64))
-    return PriorStack(DenseGrid(log_pi.astype(np.float32)), aggregated)
-
-
 def _tile_rows(out_h: int, out_w: int, dim: int, n_vectors: int) -> int:
     """Output rows per tile; a function of the shape only."""
     return max(1, min(out_h, _TILE_BYTES // (out_w * max(dim, n_vectors) * 8)))
@@ -208,6 +158,8 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
             f"store has {store.num_classes} classes, bank has {bank.num_classes}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
+    if not np.isfinite(features.data).all():
+        raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
 
 
 def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
@@ -264,17 +216,13 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     memory; the output bytes do not depend on the tile height.
     """
     _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
-    shape = (out_h, out_w, store.num_classes)
-    log_pi = np.empty(shape, dtype=np.float32)
-    aggregated = np.empty(shape, dtype=np.float32)
+    log_pi = np.empty((out_h, out_w, store.num_classes), dtype=np.float32)
     zero_pixels = 0
     for rows, pooled, n in _pooled_tiles(features, store, mode, out_h, out_w,
                                          normalize_order):
         log_pi[rows] = log_prior_array(pooled)
-        aggregated[rows] = pooled
         zero_pixels += n
-    return PriorStack(DenseGrid(log_pi), DenseGrid(aggregated),
-                      zero_norm_pixels=zero_pixels)
+    return PriorStack(DenseGrid(log_pi), zero_norm_pixels=zero_pixels)
 
 
 def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,

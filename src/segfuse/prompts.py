@@ -36,10 +36,6 @@ class PromptBank:
     def total_synonyms(self) -> int:
         return sum(c.m_c for c in self.classes)
 
-    def flat_pairs(self) -> list[tuple[int, int]]:
-        """All (class_index, synonym_index) pairs in bank order."""
-        return [(c.class_index, j) for c in self.classes for j in range(c.m_c)]
-
 
 def parse_prompt_file(text: str) -> PromptBank:
     """Parse a prompt document into a validated bank.

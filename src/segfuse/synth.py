@@ -17,6 +17,7 @@ import numpy as np
 from .embeddings import EmbeddingStore, store_from_array
 from .fusion import EvidenceBundle
 from .grid import DenseGrid, LabelMap
+from .prior import normalize_pixels_array
 from .prompts import PromptBank, PromptClass
 
 MASK_MARGIN = 2.5
@@ -35,11 +36,6 @@ class SyntheticScene:
     evidence: EvidenceBundle
     embeddings: EmbeddingStore
     bank: PromptBank
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    norms = np.sqrt((rows * rows).sum(axis=-1, keepdims=True))
-    return rows / norms
 
 
 def generate_scene(seed: int, height: int, width: int, dim: int,
@@ -66,7 +62,7 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     rng = np.random.default_rng(seed)
 
     counts = rng.integers(1, synonyms_per_class + 1, size=num_classes)
-    canon = _unit_rows(rng.standard_normal((num_classes, dim)))
+    canon, _ = normalize_pixels_array(rng.standard_normal((num_classes, dim)))
 
     rows = []
     classes = []
@@ -76,7 +72,7 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
         for j in range(1, m_c):
             bump = rng.standard_normal(dim)
             if drift > 0:
-                rows.append(_unit_rows((canon[ci] + drift * bump)[None, :])[0])
+                rows.append(normalize_pixels_array(canon[ci] + drift * bump)[0])
             else:
                 rows.append(canon[ci].copy())
         names = (f"class{ci}",) + tuple(f"class{ci} v{j}" for j in range(1, m_c))
@@ -107,8 +103,7 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     feats = canon64[gt_feat]
     if overlap > 0:
         feats = feats + overlap * rng.standard_normal((fh, fw, dim)) / np.sqrt(dim)
-        norms = np.sqrt((feats * feats).sum(axis=-1, keepdims=True))
-        feats = feats / np.where(norms == 0.0, 1.0, norms)
+        feats, _ = normalize_pixels_array(feats)
     features = DenseGrid(feats.astype(np.float32))
 
     sign = np.where(gt[:, :, None] == np.arange(num_classes)[None, None, :], 1.0, -1.0)

@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 
-from segfuse import (DenseGrid, EvidenceBundle, LabelMap, SyntheticScene,
-                     parse_prompt_file, store_from_array)
+from segfuse import (DenseGrid, EvidenceBundle, LabelMap, parse_prompt_file,
+                     store_from_array)
+from segfuse.synth import SyntheticScene
 
 
 def scene_params(seed):

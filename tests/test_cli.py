@@ -62,7 +62,7 @@ def test_prior_matches_library_bitwise(tmp_path):
     bank = load_prompt_file(scene_dir / "prompts.txt")
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
-    stack = build_prior(features, store, bank, Aggregation.lse(0.2), 12, 12)
+    stack = build_prior(features, store, bank, Aggregation("lse", 0.2), 12, 12)
     assert load_grid(out).data.tobytes() == stack.log_pi.data.tobytes()
 
 
@@ -111,6 +111,22 @@ def test_non_positive_threads_is_usage_error(command, threads, capsys):
         main(_THREADED_COMMANDS[command] + ["--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("prior", "--lambda-prior", "0.5"),
+    ("prior", "--background-threshold", "0"),
+    ("fuse", "--tau-s", "0.2"),
+    ("fuse", "--aggregation", "max"),
+    ("fuse", "--normalize-order", "after"),
+    ("sweep", "--background-threshold", "0"),
+])
+def test_flag_the_command_does_not_read_is_usage_error(command, flag, value,
+                                                        capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_THREADED_COMMANDS[command] + [flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def _full_chain(tmp_path, extra_fuse_args=()):
@@ -183,6 +199,26 @@ def test_sweep_nan_lambda_grid_exit_1(tmp_path, capsys):
                  "--p", "0,1", "--lambda-grid", "0.5,nan",
                  "--out", str(tmp_path / "sweep.csv")]) == 1
     assert "bad_lambda_prior" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_prior_zero_tau_exit_1(tmp_path, capsys):
+    scene_dir = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["prior", "--features", str(scene_dir / "features.cft1"),
+                 "--embeddings", str(scene_dir / "embeddings.cft1"),
+                 "--prompts", str(scene_dir / "prompts.txt"),
+                 "--out", str(tmp_path / "o.cft1"), "--tau-s", "0"]) == 1
+    assert "bad_tau_s" in capsys.readouterr().err
+    assert not (tmp_path / "o.cft1").exists()
+
+
+def test_sweep_zero_tau_grid_exit_1(tmp_path, capsys):
+    assert main(["sweep", "--seed", "3", "--height", "8", "--width", "8",
+                 "--dim", "8", "--classes", "4", "--synonyms", "2",
+                 "--p", "0,1", "--tau-grid", "0", "--aggregation-grid", "lse",
+                 "--out", str(tmp_path / "sweep.csv")]) == 1
+    assert "bad_tau_s" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -310,7 +346,9 @@ def test_eval_ignore_index(tmp_path, capsys):
 def test_config_file_and_flag_precedence(tmp_path):
     scene_dir = _gen(tmp_path)
     config = tmp_path / "run.conf"
-    config.write_text("# settings\ntau_s = 0.25\n")
+    # a config file keeps every key, including ones `prior` does not read
+    config.write_text("# settings\ntau_s = 0.25\nlambda_prior = 0.5\n"
+                      "background_threshold = 0\n")
     out_conf = tmp_path / "a.cft1"
     out_flag = tmp_path / "b.cft1"
     base = ["prior", "--features", str(scene_dir / "features.cft1"),
@@ -320,12 +358,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     bank = load_prompt_file(scene_dir / "prompts.txt")
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
-    expect = build_prior(features, store, bank, Aggregation.lse(0.25), 12, 12)
+    expect = build_prior(features, store, bank, Aggregation("lse", 0.25), 12, 12)
     assert load_grid(out_conf).data.tobytes() == expect.log_pi.data.tobytes()
     # explicit flag wins over the config value
     assert main(base + ["--out", str(out_flag), "--config", str(config),
                         "--tau-s", "0.1"]) == 0
-    expect_flag = build_prior(features, store, bank, Aggregation.lse(0.1),
+    expect_flag = build_prior(features, store, bank, Aggregation("lse", 0.1),
                               12, 12)
     assert load_grid(out_flag).data.tobytes() == expect_flag.log_pi.data.tobytes()
 

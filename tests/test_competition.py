@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from segfuse import (Aggregation, CompetitionSpec, ConfusionMatrix, DenseGrid,
-                     EvidenceBundle, FusionConfig, LabelMap, SweepRow,
-                     build_prior, format_sweep_csv, fuse_and_decode,
-                     generate_scene, log_prior_array, miou, parse_prompt_file,
-                     per_class_iou, pooled_scores, restrict_to_classes,
+                     EvidenceBundle, FusionConfig, LabelMap, build_prior,
+                     format_sweep_csv, fuse_and_decode, generate_scene, miou,
+                     parse_prompt_file, pooled_scores, restrict_to_classes,
                      run_sweep, select_competitors, store_from_array)
 from segfuse import competition
 from segfuse import prior as prior_module
+from segfuse.competition import SweepRow
+from segfuse.metrics import per_class_iou
+from segfuse.prior import log_prior_array
 
 from scenes import confusable_scene
 
@@ -136,10 +138,6 @@ _GRID = dict(target_class=0, p_values=[0.0, 0.3, 0.6, 1.0],
              tau_values=[0.05, 0.1], aggregations=["lse", "average", "max"])
 
 
-def _mode(kind, tau):
-    return Aggregation(kind, tau) if kind == "lse" else Aggregation(kind)
-
-
 def test_sweep_pools_once_per_source_and_aggregation(monkeypatch):
     scene = generate_scene(3, 12, 12, 12, 5, 3, 0.3, 0.7)
     other = generate_scene(4, 12, 12, 12, 5, 3, 0.3, 1.2)
@@ -177,7 +175,7 @@ def test_sweep_labels_are_log_softmax_of_pooled_columns(monkeypatch):
     assert len(labels) == len(rows)
     pooled = {}
     for row, got in zip(rows, labels):
-        mode = _mode(row.aggregation, row.tau_s)
+        mode = Aggregation.of(row.aggregation, row.tau_s)
         if mode not in pooled:
             pooled[mode] = pooled_scores(scene.features, scene.embeddings,
                                          scene.bank, mode, 14, 13)
@@ -203,7 +201,7 @@ def _restricted_reference(scene, sources, excluded, normalize_order):
                                          CompetitionSpec(0, p, sel)))
         bank, store, evidence = restrict_to_classes(
             scene.bank, scene.embeddings, scene.evidence, comp)
-        prior = build_prior(features, store, bank, _mode(kind, tau),
+        prior = build_prior(features, store, bank, Aggregation.of(kind, tau),
                             scene.height, scene.width,
                             normalize_order=normalize_order)
         sub = fuse_and_decode(evidence, prior, FusionConfig(lam))
@@ -321,7 +319,7 @@ def _target_iou(scene, p, selection, target=0):
                                      CompetitionSpec(target, p, selection)))
     bank, store, evidence = restrict_to_classes(
         scene.bank, scene.embeddings, scene.evidence, comp)
-    prior = build_prior(scene.features, store, bank, Aggregation.lse(0.1),
+    prior = build_prior(scene.features, store, bank, Aggregation("lse", 0.1),
                         scene.height, scene.width)
     pred_sub = fuse_and_decode(evidence, prior, FusionConfig(0.7))
     pred = LabelMap(np.asarray(comp, dtype=np.uint32)[pred_sub.data])

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from segfuse import (DenseGrid, EmbeddingError, ShapeError, canonical_vectors,
-                     class_slice, load_embeddings, normalize_rows, save_grid,
+from segfuse import (DenseGrid, EmbeddingError, load_embeddings, save_grid,
                      parse_prompt_file, store_from_array)
+from segfuse.embeddings import canonical_vectors, normalize_rows
 
 
 def _bank(text="cat, kitty\ndog, puppy, hound\n"):
@@ -22,6 +22,16 @@ def test_zero_row_rejected():
     with pytest.raises(EmbeddingError) as err:
         store_from_array(np.array([[1.0, 0.0], [0.0, 0.0]]), bank)
     assert err.value.code == "zero_norm_embedding"
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_row_rejected(bad):
+    bank = parse_prompt_file("cat\ndog\n")
+    rows = np.ones((2, 3))
+    rows[1, 2] = bad
+    with pytest.raises(EmbeddingError) as err:
+        store_from_array(rows, bank)
+    assert err.value.code == "nonfinite_values"
 
 
 def test_row_count_mismatch():
@@ -82,18 +92,26 @@ def test_self_cosine_is_one():
     assert np.abs(cos - 1.0).max() < 1e-6
 
 
+def _class_rows(store, class_index):
+    start, count = store.offsets[class_index]
+    return store.vectors[start:start + count]
+
+
 def test_class_slice_offsets():
     bank = _bank()
     rng = np.random.default_rng(4)
-    store = store_from_array(rng.standard_normal((5, 6)), bank)
-    assert class_slice(store, 0).shape == (2, 6)
-    assert np.array_equal(class_slice(store, 1), store.vectors[2:5])
+    rows = rng.standard_normal((5, 6))
+    store = store_from_array(rows, bank)
+    assert store.offsets == ((0, 2), (2, 3))
+    assert _class_rows(store, 0).shape == (2, 6)
+    assert np.array_equal(_class_rows(store, 1), normalize_rows(rows[2:5]))
 
 
 def test_singleton_class_slice():
     bank = parse_prompt_file("cat\n")
     store = store_from_array(np.ones((1, 3)), bank)
-    assert class_slice(store, 0).shape == (1, 3)
+    assert store.offsets == ((0, 1),)
+    assert _class_rows(store, 0).shape == (1, 3)
 
 
 def test_slices_concat_to_full_table():
@@ -108,16 +126,8 @@ def test_slices_concat_to_full_table():
         store = store_from_array(
             rng.standard_normal((bank.total_synonyms, 5)), bank)
         stacked = np.concatenate(
-            [class_slice(store, c) for c in range(bank.num_classes)], axis=0)
+            [_class_rows(store, c) for c in range(bank.num_classes)], axis=0)
         assert np.array_equal(stacked, store.vectors)
-
-
-def test_class_slice_out_of_range():
-    bank = parse_prompt_file("cat\n")
-    store = store_from_array(np.ones((1, 3)), bank)
-    with pytest.raises(ShapeError) as err:
-        class_slice(store, 1)
-    assert err.value.code == "class_index_out_of_range"
 
 
 def test_canonical_vectors_picks_first_rows():

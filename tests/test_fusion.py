@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from segfuse import (Background, DenseGrid, EvidenceBundle, FusionConfig,
-                     LabelMap, SegfuseError, ShapeError, decode,
-                     fuse, fuse_and_decode, log_prior, to_logit, write_pgm)
+                     LabelMap, PriorStack, SegfuseError, ShapeError, decode,
+                     fuse, fuse_and_decode, write_pgm)
+from segfuse.fusion import to_logit
+from segfuse.prior import log_prior_array
 
 import oracle
 
@@ -16,8 +18,14 @@ def _bundle(logits, presence=None, kind="logits"):
                           kind, presence)
 
 
+def _prior(u):
+    """Log-prior grid of pooled scores `u`, as `build_prior` rounds it."""
+    return DenseGrid(log_prior_array(np.asarray(u, dtype=np.float32))
+                     .astype(np.float32))
+
+
 def _uniform_prior(h, w, c):
-    return log_prior(DenseGrid(np.zeros((h, w, c), dtype=np.float32)))
+    return _prior(np.zeros((h, w, c)))
 
 
 # --- to_logit ----------------------------------------------------------------
@@ -69,15 +77,15 @@ def test_degenerate_fusion_returns_mask_logits():
     logits = rng.standard_normal((4, 4, 3)).astype(np.float32)
     prior = _uniform_prior(4, 4, 3)
     out = fuse(_bundle(logits), prior, FusionConfig(lambda_prior=0.0))
-    assert out.scores.data.tobytes() == logits.tobytes()
+    assert out.data.tobytes() == logits.tobytes()
 
 
 def test_uniform_prior_closed_form():
     prior = _uniform_prior(2, 2, 2)
     evidence = _bundle(np.full((2, 2, 2), 0.5), kind="probabilities")
     out = fuse(evidence, prior, FusionConfig(lambda_prior=0.7))
-    assert np.allclose(out.scores.data, 0.7 * math.log(0.5), atol=1e-6)
-    assert out.scores.data[0, 0, 0] == pytest.approx(-0.48520302639196167, abs=1e-6)
+    assert np.allclose(out.data, 0.7 * math.log(0.5), atol=1e-6)
+    assert out.data[0, 0, 0] == pytest.approx(-0.48520302639196167, abs=1e-6)
 
 
 def test_presence_bias_dominates_equal_logits():
@@ -101,10 +109,10 @@ def test_presence_length_validated():
 def test_fuse_accepts_bare_log_pi_grid():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal((2, 2, 2)).astype(np.float32)
-    prior = _uniform_prior(2, 2, 2)
-    via_stack = fuse(_bundle(logits), prior, FusionConfig(0.7))
-    via_grid = fuse(_bundle(logits), prior.log_pi, FusionConfig(0.7))
-    assert np.array_equal(via_stack.scores.data, via_grid.scores.data)
+    log_pi = _uniform_prior(2, 2, 2)
+    via_stack = fuse(_bundle(logits), PriorStack(log_pi), FusionConfig(0.7))
+    via_grid = fuse(_bundle(logits), log_pi, FusionConfig(0.7))
+    assert np.array_equal(via_stack.data, via_grid.data)
 
 
 # --- decode ------------------------------------------------------------------
@@ -174,12 +182,32 @@ def test_fuse_and_decode_equals_two_step():
     for trial in range(10):
         logits = rng.standard_normal((6, 5, 4)).astype(np.float32)
         presence = rng.standard_normal(4).astype(np.float32)
-        prior = log_prior(DenseGrid(rng.standard_normal((6, 5, 4)).astype(np.float32)))
+        prior = _prior(rng.standard_normal((6, 5, 4)).astype(np.float32))
         cfg = FusionConfig(lambda_prior=0.7,
                            background=Background(0.5) if trial % 2 else None)
         one = fuse_and_decode(_bundle(logits, presence), prior, cfg)
         two = decode(fuse(_bundle(logits, presence), prior, cfg), cfg)
         assert np.array_equal(one.data, two.data)
+
+
+@pytest.mark.parametrize("where", ["evidence", "presence", "prior"])
+def test_nan_score_fails_decode(where):
+    rng = np.random.default_rng(37)
+    logits = rng.standard_normal((2, 2, 2)).astype(np.float32)
+    presence = np.zeros(2, dtype=np.float32)
+    u = rng.standard_normal((2, 2, 2))
+    if where == "evidence":
+        logits[1, 1, 0] = np.nan
+    elif where == "presence":
+        presence[1] = np.nan
+    prior = _prior(u)
+    if where == "prior":
+        prior.data[0, 1, 1] = np.nan
+    for background in (None, Background(0.0)):
+        with pytest.raises(SegfuseError) as err:
+            fuse_and_decode(_bundle(logits, presence), prior,
+                            FusionConfig(0.7, background))
+        assert err.value.code == "nonfinite_scores"
 
 
 def test_single_class_decodes_to_zero():
@@ -192,7 +220,7 @@ def test_pipeline_labels_match_reference_on_random_fixture():
     logits = rng.standard_normal((16, 16, 5)).astype(np.float32)
     presence = rng.standard_normal(5).astype(np.float32)
     u = rng.standard_normal((16, 16, 5)).astype(np.float32) * 3.0
-    prior = log_prior(DenseGrid(u))
+    prior = _prior(u)
     labels = fuse_and_decode(_bundle(logits, presence), prior, FusionConfig(0.7))
     # reference: float64 scores from the same inputs, argmax with first-wins ties
     ref_scores = (logits.astype(np.float64)
@@ -218,19 +246,19 @@ def test_score_monotone_in_log_pi():
     hi = lo.copy()
     hi[0, 0, 0] = 1.0
     cfg = FusionConfig(lambda_prior=0.5)
-    s_lo = fuse(_bundle(logits), log_prior(DenseGrid(lo)), cfg).scores.data
-    s_hi = fuse(_bundle(logits), log_prior(DenseGrid(hi)), cfg).scores.data
+    s_lo = fuse(_bundle(logits), _prior(lo), cfg).data
+    s_hi = fuse(_bundle(logits), _prior(hi), cfg).data
     assert s_hi[0, 0, 0] >= s_lo[0, 0, 0]
 
 
 def test_lambda_continuity_on_clear_gaps():
     rng = np.random.default_rng(23)
     logits = rng.standard_normal((8, 8, 3)).astype(np.float32)
-    prior = log_prior(DenseGrid(rng.standard_normal((8, 8, 3)).astype(np.float32)))
+    prior = _prior(rng.standard_normal((8, 8, 3)).astype(np.float32))
     a = fuse(_bundle(logits), prior, FusionConfig(0.7))
     b = fuse(_bundle(logits), prior, FusionConfig(0.7 + 1e-9))
     la, lb = decode(a, FusionConfig()), decode(b, FusionConfig())
-    sorted_scores = np.sort(a.scores.data, axis=2)
+    sorted_scores = np.sort(a.data, axis=2)
     gap = sorted_scores[:, :, -1] - sorted_scores[:, :, -2]
     clear = gap > 1e-6
     assert np.array_equal(la.data[clear], lb.data[clear])
@@ -239,10 +267,10 @@ def test_lambda_continuity_on_clear_gaps():
 def test_presence_broadcast_uniform_over_pixels():
     rng = np.random.default_rng(29)
     logits = rng.standard_normal((4, 4, 3)).astype(np.float32)
-    prior = log_prior(DenseGrid(rng.standard_normal((4, 4, 3)).astype(np.float32)))
+    prior = _prior(rng.standard_normal((4, 4, 3)).astype(np.float32))
     z = np.array([0.5, -1.5, 2.0], dtype=np.float32)
-    with_z = fuse(_bundle(logits, z), prior, FusionConfig(0.7)).scores.data
-    without = fuse(_bundle(logits), prior, FusionConfig(0.7)).scores.data
+    with_z = fuse(_bundle(logits, z), prior, FusionConfig(0.7)).data
+    without = fuse(_bundle(logits), prior, FusionConfig(0.7)).data
     diff = with_z.astype(np.float64) - without.astype(np.float64)
     # per class, the shift is the same at every pixel
     spread = diff.max(axis=(0, 1)) - diff.min(axis=(0, 1))
@@ -253,13 +281,13 @@ def test_kind_equivalence_where_gap_is_clear():
     rng = np.random.default_rng(31)
     logits = (rng.standard_normal((8, 8, 3)) * 3.0).astype(np.float32)
     probs = (1.0 / (1.0 + np.exp(-logits.astype(np.float64)))).astype(np.float32)
-    prior = log_prior(DenseGrid(rng.standard_normal((8, 8, 3)).astype(np.float32)))
+    prior = _prior(rng.standard_normal((8, 8, 3)).astype(np.float32))
     cfg = FusionConfig(0.7)
     s_logit = fuse(_bundle(logits), prior, cfg)
     s_prob = fuse(_bundle(probs, kind="probabilities"), prior, cfg)
     l_logit = decode(s_logit, cfg)
     l_prob = decode(s_prob, cfg)
-    sorted_scores = np.sort(s_logit.scores.data, axis=2)
+    sorted_scores = np.sort(s_logit.data, axis=2)
     gap = sorted_scores[:, :, -1] - sorted_scores[:, :, -2]
     clear = gap > 1e-4
     assert clear.any()

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from segfuse import (ConfusionMatrix, LabelMap, SegfuseError, ShapeError,
-                     iou_report, miou, per_class_iou)
+                     iou_report, miou)
+from segfuse.metrics import per_class_iou
 
 import oracle
 
@@ -117,21 +118,6 @@ def test_incremental_equals_pooled():
     pooled.accumulate(_lm(np.concatenate([g for g, _ in images], axis=0)),
                       _lm(np.concatenate([p for _, p in images], axis=0)))
     assert np.array_equal(one_by_one.counts, pooled.counts)
-
-
-def test_merge_matches_sequential():
-    rng = np.random.default_rng(13)
-    parts = []
-    total = ConfusionMatrix(3)
-    for _ in range(4):
-        gt = _lm(rng.integers(0, 3, size=(4, 4)).astype(np.uint32))
-        pred = _lm(rng.integers(0, 3, size=(4, 4)).astype(np.uint32))
-        total.accumulate(gt, pred)
-        parts.append(ConfusionMatrix(3).accumulate(gt, pred))
-    merged = ConfusionMatrix(3)
-    for part in parts:
-        merged.merge(part)
-    assert np.array_equal(merged.counts, total.counts)
 
 
 def test_miou_bounds_random():

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from segfuse import PromptFileError, format_prompt_file, parse_prompt_file
+from segfuse import PromptFileError, parse_prompt_file
+from segfuse.prompts import format_prompt_file
 
 
 def test_single_canonical():

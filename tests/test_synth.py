@@ -82,6 +82,7 @@ def test_parameter_validation():
 
 
 def test_bank_is_parse_clean():
-    from segfuse import format_prompt_file, parse_prompt_file
+    from segfuse import parse_prompt_file
+    from segfuse.prompts import format_prompt_file
     scene = generate_scene(23, 6, 6, 6, 5, 4, 0.3, 0.2)
     assert parse_prompt_file(format_prompt_file(scene.bank)) == scene.bank
