@@ -3,8 +3,9 @@
 Turns per-concept mask logits, presence logits, dense features and synonym
 text embeddings into a calibrated multi-class label map, with an evaluation
 and competition-analysis harness on top.  The array building blocks behind
-the prior (`normalize_pixels_array`, `aggregate_array`, `log_prior_array`,
-`resize_bilinear_array`) are imported from their modules.
+the prior (`normalize_pixels_array`, `aggregate_array` and `log_prior_array`
+in `segfuse.prior`, `bilinear_taps` and `interpolate_axis` in `segfuse.grid`)
+are imported from their modules.
 """
 
 from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes,

@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
+from .errors import SegfuseError
 from .fusion import EvidenceBundle, FusionConfig, fuse_and_decode
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
@@ -92,6 +93,11 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
                                                          EvidenceBundle]:
     """Project bank, store and evidence onto a class subset, re-indexed 0..k-1."""
     kept = list(classes)
+    n = bank.num_classes
+    bad = [ci for ci in kept if not 0 <= ci < n]
+    if bad:
+        raise SegfuseError("bad_class_index",
+                           f"class indices {bad} out of range 0..{n - 1}")
     new_classes = []
     row_blocks = []
     for new_index, ci in enumerate(kept):

@@ -90,9 +90,13 @@ def check_lambda_prior(value: float) -> None:
 
 
 def check_tau_s(value: float) -> None:
-    """The one check on a pooling temperature: > 0 (NaN fails too)."""
-    if not value > 0.0:
-        raise SegfuseError("bad_tau_s", f"tau_s must be > 0, got {value}")
+    """The one check on a pooling temperature: finite and > 0 (NaN fails too).
+
+    An infinite temperature would pool every class to log(m_c), whatever the
+    features say.
+    """
+    if not 0.0 < value < math.inf:
+        raise SegfuseError("bad_tau_s", f"tau_s must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

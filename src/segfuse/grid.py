@@ -194,17 +194,3 @@ def interpolate_axis(src: np.ndarray, taps, axis: int) -> np.ndarray:
     out += far
     return out
 
-
-def resize_bilinear_array(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Float64 bilinear resize of an (H, W[, D]) array, half-pixel centers.
-
-    Separable: rows are blended first, then columns, with the taps of
-    `bilinear_taps`; channels are interpolated independently.  Identity dims
-    return the float64 input itself, not a copy.
-    """
-    src = np.asarray(src, dtype=np.float64)
-    h, w = src.shape[0], src.shape[1]
-    if (out_h, out_w) == (h, w):
-        return src
-    rows = interpolate_axis(src, bilinear_taps(h, out_h), axis=0)
-    return interpolate_axis(rows, bilinear_taps(w, out_w), axis=1)

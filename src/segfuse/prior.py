@@ -1,18 +1,28 @@
 """Similarity maps, synonym aggregation and the cross-class log prior.
 
 The per-pixel pipeline is: unit-normalize dense features, resize them to the
-evidence resolution, dot them against every synonym embedding, pool each
-class's synonym scores, then log-softmax across classes.  All arithmetic runs
-in float64 and is rounded to float32 once, at the grid boundary; log-domain
-reductions use max subtraction so large-magnitude inputs stay finite.
+evidence resolution, unit-normalize again, dot them against every synonym
+embedding, pool each class's synonym scores, then log-softmax across classes.
+All arithmetic runs in float64 and is rounded to float32 once, at the grid
+boundary; log-domain reductions use max subtraction so large-magnitude inputs
+stay finite.
 
-`build_prior` runs the pipeline over tiles of output rows, so the resized
-features and the similarity tensor never exist at full resolution;
-`pooled_scores` runs the same tiles and stops before the log-softmax.  The tile
-height comes from the output shape alone.  Every similarity product is one
-BLAS call per output row, whatever the tile height: OpenBLAS gives a row of
-a taller product different last bits, so per-row calls are what keep the
-output bytes independent of the tile height.
+Resize and dot product are both linear, so the kernel computes them in the
+cheaper order: the dot products run at feature resolution, and the N
+similarity maps are resized instead of the D-wide features.  The
+re-normalization after the resize divides each similarity by the exact norm
+of the resized feature vector, which comes from neighbour Gram maps made
+once at feature resolution: dot products of each feature vector with itself
+and its right and lower neighbours, and across both diagonals of each 2x2
+block.  An axis whose size does not change is not interpolated.
+
+`build_prior` runs the pipeline over tiles of output rows, so no resized
+array exists at full resolution; `pooled_scores` runs the same tiles and
+stops before the log-softmax.  The tile height comes from the output shape
+alone.  Each source row's similarity products are one BLAS call, made once
+and kept while the tiles still blend that row, and everything after them is
+elementwise per output pixel, so the output bytes do not depend on the tile
+height.
 """
 from __future__ import annotations
 
@@ -30,9 +40,9 @@ from .prompts import PromptBank
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.10
-# Budget for one tile row-block of the largest float64 intermediate
-# (out_w * max(D, N) * 8 bytes per output row).  Small tiles keep the working
-# set in cache; the tile never goes below one row.
+# Budget for one tile row-block of the float64 similarities at output
+# resolution (out_w * N * 8 bytes per output row).  Small tiles keep the
+# working set in cache; the tile never goes below one row.
 _TILE_BYTES = 1 << 20
 
 AGGREGATION_KINDS = ("lse", "average", "max")
@@ -137,9 +147,9 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
     return u - lse
 
 
-def _tile_rows(out_h: int, out_w: int, dim: int, n_vectors: int) -> int:
+def _tile_rows(out_h: int, out_w: int, n_vectors: int) -> int:
     """Output rows per tile; a function of the shape only."""
-    return max(1, min(out_h, _TILE_BYTES // (out_w * max(dim, n_vectors) * 8)))
+    return max(1, min(out_h, _TILE_BYTES // (out_w * n_vectors * 8)))
 
 
 def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
@@ -162,6 +172,45 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
         raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-pixel dot products of two (H, W, D) arrays."""
+    return np.einsum("ijk,ijk->ij", a, b)
+
+
+def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
+                identity_y: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Squared-norm terms of the resized feature vectors, blended along x.
+
+    A resized vector is a tap-weighted sum of at most four source vectors, so
+    its squared norm is a weighted sum of their dot products.  These come
+    from neighbour Gram maps at feature resolution, taken on views of `src`:
+    self, right, down, and down-right plus right x down (always weighted
+    alike, so kept as one sum).  Returns, per source row y and output column,
+    `same[y]`, the squared norm of row y's x-blend, and `pair[y]`, twice the
+    dot product of the x-blends of rows y and y + 1.
+    """
+    self_dots = _dots(src, src)
+    # A second tap has weight 0 where it clamps at the last row or column and
+    # on an identity axis, so the maps only such taps read stay 0.
+    down = np.zeros_like(self_dots)
+    if not identity_y:
+        down[:-1] = _dots(src[:-1], src[1:])
+    if identity_x:  # the x-blend of a map is the map itself
+        return self_dots, 2.0 * down
+    right, diagonals = np.zeros_like(self_dots), np.zeros_like(self_dots)
+    right[:, :-1] = _dots(src[:, :-1], src[:, 1:])
+    if not identity_y:
+        diagonals[:-1, :-1] = (_dots(src[:-1, :-1], src[1:, 1:])
+                               + _dots(src[:-1, 1:], src[1:, :-1]))
+    x0, x1, fx = taps_x
+    a, b = 1.0 - fx, fx
+    same = a * a * self_dots[:, x0] + b * b * self_dots[:, x1] \
+        + 2.0 * a * b * right[:, x0]
+    pair = 2.0 * (a * a * down[:, x0] + b * b * down[:, x1]
+                  + a * b * diagonals[:, x0])
+    return same, pair
+
+
 def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
                   out_h: int, out_w: int, normalize_order: str):
     """Yield (rows, float64 pooled scores, zero-norm pixels) per row tile.
@@ -173,28 +222,55 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
     zero_pixels = 0
     if normalize_order in ("before", "both"):
         src, zero_pixels = normalize_pixels_array(src)
+    in_h, in_w = features.height, features.width
+    identity_y, identity_x = out_h == in_h, out_w == in_w
+    taps_y = bilinear_taps(in_h, out_h)
+    taps_x = bilinear_taps(in_w, out_w)
     renormalize = normalize_order in ("after", "both")
-    identity = (out_h, out_w) == (features.height, features.width)
-    taps_y = bilinear_taps(features.height, out_h)
-    taps_x = bilinear_taps(features.width, out_w)
+    if renormalize:
+        same, pair = _norm_terms(src, taps_x, identity_x, identity_y)
 
     vectors_t = store.vectors.astype(np.float64).T
     segments = _segments_by_length(store.offsets)
-    step = _tile_rows(out_h, out_w, store.dim, store.num_vectors)
+    step = _tile_rows(out_h, out_w, store.num_vectors)
+    # Similarity rows at feature resolution: `held[j]` is src[held_rows[j]]
+    # @ vectors_t, kept while the next tile's taps still touch it.
+    held_rows = np.empty(0, dtype=np.int64)
+    held = np.empty((0, in_w, store.num_vectors))
     total = 0
     for r0 in range(0, out_h, step):
         rows = slice(r0, min(r0 + step, out_h))
-        if identity:
-            tile = src[rows]
+        y0, y1, fy = (t[rows] for t in taps_y)
+        if identity_y:
+            # No source row is shared between tiles.  The stacked product is
+            # one BLAS call per row, as in the other branch.
+            sims = src[rows] @ vectors_t
         else:
-            tile = interpolate_axis(src, [t[rows] for t in taps_y], axis=0)
-            tile = interpolate_axis(tile, taps_x, axis=1)
+            need = np.union1d(y0, y1)
+            block = np.empty((need.size, in_w, store.num_vectors))
+            kept = np.isin(need, held_rows)
+            block[kept] = held[np.searchsorted(held_rows, need[kept])]
+            for j in np.flatnonzero(~kept):
+                # one BLAS product per source row, whatever the tile height
+                np.matmul(src[need[j]], vectors_t, out=block[j])
+            held_rows, held = need, block
+            sims = interpolate_axis(block, (np.searchsorted(need, y0),
+                                            np.searchsorted(need, y1), fy),
+                                    axis=0)
+        if not identity_x:
+            sims = interpolate_axis(sims, taps_x, axis=1)
         if renormalize:
-            tile, n = normalize_pixels_array(tile)
-            zero_pixels += n
-        # (rows, out_w, D) @ (D, N) is one BLAS product per output row.
-        yield rows, _pool_segments(tile @ vectors_t, segments,
-                                   store.num_classes, mode), zero_pixels
+            # The exact norm of each resized vector.  Rounding can take a
+            # vanishing one below zero; a pixel whose taps hold only zero
+            # vectors gets exactly 0.
+            c, d = (1.0 - fy)[:, None], fy[:, None]
+            norms = np.sqrt(np.maximum(
+                c * c * same[y0] + d * d * same[y1] + c * d * pair[y0], 0.0))
+            zero = norms == 0.0
+            sims /= np.where(zero, 1.0, norms)[..., None]
+            zero_pixels += int(zero.sum())
+        yield rows, _pool_segments(sims, segments, store.num_classes,
+                                   mode), zero_pixels
         total += zero_pixels
         zero_pixels = 0
     if total:
@@ -212,8 +288,12 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     pooled per class with `mode`, and cross-class normalized.
     `normalize_order` picks whether pixel normalization happens before the
     resize, after it, or both (interpolated vectors shrink below unit norm,
-    so the default re-normalizes).  Work runs over row tiles in bounded
-    memory; the output bytes do not depend on the tile height.
+    so the default re-normalizes).  The similarities are computed at feature
+    resolution and then resized, and the re-normalization divides them by
+    the exact norm of each resized feature vector, taken from neighbour Gram
+    maps; the result equals the resize-first order up to float64 rounding.
+    Work runs over row tiles in bounded memory; the output bytes do not
+    depend on the tile height.
     """
     _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
     log_pi = np.empty((out_h, out_w, store.num_classes), dtype=np.float32)

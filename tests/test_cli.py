@@ -204,22 +204,25 @@ def test_sweep_nan_lambda_grid_exit_1(tmp_path, capsys):
 
 def test_prior_zero_tau_exit_1(tmp_path, capsys):
     scene_dir = _gen(tmp_path)
-    capsys.readouterr()
-    assert main(["prior", "--features", str(scene_dir / "features.cft1"),
-                 "--embeddings", str(scene_dir / "embeddings.cft1"),
-                 "--prompts", str(scene_dir / "prompts.txt"),
-                 "--out", str(tmp_path / "o.cft1"), "--tau-s", "0"]) == 1
-    assert "bad_tau_s" in capsys.readouterr().err
-    assert not (tmp_path / "o.cft1").exists()
+    for tau in ("0", "inf"):
+        capsys.readouterr()
+        assert main(["prior", "--features", str(scene_dir / "features.cft1"),
+                     "--embeddings", str(scene_dir / "embeddings.cft1"),
+                     "--prompts", str(scene_dir / "prompts.txt"),
+                     "--out", str(tmp_path / "o.cft1"), "--tau-s", tau]) == 1
+        assert "bad_tau_s" in capsys.readouterr().err
+        assert not (tmp_path / "o.cft1").exists()
 
 
 def test_sweep_zero_tau_grid_exit_1(tmp_path, capsys):
-    assert main(["sweep", "--seed", "3", "--height", "8", "--width", "8",
-                 "--dim", "8", "--classes", "4", "--synonyms", "2",
-                 "--p", "0,1", "--tau-grid", "0", "--aggregation-grid", "lse",
-                 "--out", str(tmp_path / "sweep.csv")]) == 1
-    assert "bad_tau_s" in capsys.readouterr().err
-    assert not (tmp_path / "sweep.csv").exists()
+    for tau in ("0", "inf"):
+        assert main(["sweep", "--seed", "3", "--height", "8", "--width", "8",
+                     "--dim", "8", "--classes", "4", "--synonyms", "2",
+                     "--p", "0,1", "--tau-grid", tau,
+                     "--aggregation-grid", "lse",
+                     "--out", str(tmp_path / "sweep.csv")]) == 1
+        assert "bad_tau_s" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_fuse_pgm_export(tmp_path):

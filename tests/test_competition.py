@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from segfuse import (Aggregation, CompetitionSpec, ConfusionMatrix, DenseGrid,
-                     EvidenceBundle, FusionConfig, LabelMap, build_prior,
-                     format_sweep_csv, fuse_and_decode, generate_scene, miou,
-                     parse_prompt_file, pooled_scores, restrict_to_classes,
-                     run_sweep, select_competitors, store_from_array)
+                     EvidenceBundle, FusionConfig, LabelMap, SegfuseError,
+                     build_prior, format_sweep_csv, fuse_and_decode,
+                     generate_scene, miou, parse_prompt_file, pooled_scores,
+                     restrict_to_classes, run_sweep, select_competitors,
+                     store_from_array)
 from segfuse import competition
 from segfuse import prior as prior_module
 from segfuse.competition import SweepRow
@@ -118,6 +119,15 @@ def test_restrict_to_classes_reindexes():
     assert np.allclose(store.vectors[new_start:new_start + new_count],
                        scene.embeddings.vectors[old_start:old_start + old_count],
                        atol=1e-7)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_restrict_to_classes_rejects_out_of_range_index(bad):
+    scene = generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3)
+    with pytest.raises(SegfuseError) as err:
+        restrict_to_classes(scene.bank, scene.embeddings, scene.evidence,
+                            [0, bad])
+    assert err.value.code == "bad_class_index"
 
 
 def _sweep(scene, **kwargs):

@@ -143,7 +143,7 @@ def test_aggregate_class_grids():
 def test_aggregation_validation():
     with pytest.raises(ValueError):
         Aggregation("median")
-    for tau in (0.0, -1.0, math.nan):
+    for tau in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(SegfuseError) as err:
             Aggregation("lse", tau)
         assert err.value.code == "bad_tau_s"
@@ -265,17 +265,18 @@ def test_build_prior_resize_path_matches_reference():
 def test_build_prior_tile_height_is_irrelevant(monkeypatch):
     rng = np.random.default_rng(103)
     bank, store, feats = _scene_pieces(rng, 9, 8, 32, [3, 2, 4, 1])
-    for out_h, out_w in ((9, 8), (13, 11)):  # identity, then upsampling
-        row_bytes = out_w * max(store.dim, store.num_vectors) * 8
+    # identity, upsampling, downsampling, then one identity axis
+    for out_h, out_w in ((9, 8), (13, 11), (4, 5), (9, 13)):
+        row_bytes = out_w * store.num_vectors * 8
         for kind in ("lse", "average", "max"):
             mode = Aggregation.of(kind, 0.1)
             for order in ("before", "after", "both"):
                 outputs = set()
-                for rows in (1, 2, 7, out_h):
+                for rows in sorted({1, 2, min(7, out_h), out_h}):
                     monkeypatch.setattr(prior_module, "_TILE_BYTES",
                                         rows * row_bytes)
                     assert prior_module._tile_rows(
-                        out_h, out_w, store.dim, store.num_vectors) == rows
+                        out_h, out_w, store.num_vectors) == rows
                     # also compare the float64 pooled scores, before rounding
                     pooled = []
 
@@ -293,11 +294,60 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                 assert len(outputs) == 1, (out_h, kind, order)
 
 
+def _direct_pooled(feats, store, mode, out_h, out_w, order):
+    """Pooled scores in the straight order: resize, re-normalize, then dot."""
+    src = feats.data.astype(np.float64)
+    if order in ("before", "both"):
+        src, _ = normalize_pixels_array(src)
+    resized = oracle.bilinear(src, out_h, out_w)
+    if order in ("after", "both"):
+        resized, _ = normalize_pixels_array(resized)
+    sims = resized @ store.vectors.astype(np.float64).T
+    return np.stack([aggregate_array(sims[..., start:start + count], mode)
+                     for start, count in store.offsets], axis=-1)
+
+
+@pytest.mark.parametrize("in_hw,out_hw", [
+    ((5, 6), (9, 11)),   # upsampling
+    ((9, 8), (4, 5)),    # downsampling
+    ((5, 6), (5, 13)),   # identity rows
+    ((7, 4), (3, 4)),    # identity columns
+    ((1, 6), (4, 9)),    # 1-pixel-high source
+    ((6, 1), (9, 3)),    # 1-pixel-wide source
+])
+def test_pooled_scores_match_direct_resize(in_hw, out_hw):
+    """Products at feature resolution equal products of resized features."""
+    rng = np.random.default_rng(131)
+    bank, store, feats = _scene_pieces(rng, *in_hw, 24, [3, 1, 2])
+    for kind in ("lse", "average", "max"):
+        mode = Aggregation.of(kind, 0.1)
+        for order in ("before", "after", "both"):
+            got = pooled_scores(feats, store, bank, mode, *out_hw,
+                                normalize_order=order)
+            want = _direct_pooled(feats, store, mode, *out_hw, order)
+            assert np.abs(got - want).max() < 1e-12, (kind, order)
+
+
+def test_zero_norm_count_under_upsampling():
+    rng = np.random.default_rng(137)
+    bank, store, feats = _scene_pieces(rng, 6, 7, 8, [2, 1])
+    feats.data[:3, :4] = 0.0
+    for order, before in (("after", 0), ("both", 12)):
+        resized = oracle.bilinear(feats.data, 13, 15)
+        _, after = normalize_pixels_array(resized)
+        assert after > 0
+        stack = build_prior(feats, store, bank, Aggregation("lse", 0.1),
+                            13, 15, normalize_order=order)
+        assert stack.zero_norm_pixels == before + after
+        assert np.isfinite(stack.log_pi.data).all()
+
+
 _ROW_PRODUCT_SCRIPT = """
 import numpy as np
 rng = np.random.default_rng(7)
-for rows, width, dim, n in ((4, 256, 512, 300), (9, 64, 64, 60), (5, 8, 12, 5),
-                            (3, 1, 33, 7), (6, 7, 10, 1)):
+for rows, width, dim, n in ((4, 256, 512, 300), (4, 64, 512, 312),
+                            (9, 64, 64, 60), (5, 8, 12, 5), (3, 1, 33, 7),
+                            (6, 7, 10, 1)):
     tile = rng.standard_normal((rows, width, dim))
     vectors_t = rng.standard_normal((n, dim)).T
     stacked = tile @ vectors_t
@@ -311,11 +361,13 @@ print("ok")
 
 
 def test_stacked_matmul_is_one_product_per_row():
-    """The BLAS property the tile invariance of `build_prior` rests on.
+    """A stacked product is one BLAS product per row.
 
     A (rows, W, D) @ (D, N) product must give every row the bytes of that
-    row's own (W, D) @ (D, N) product, at any BLAS thread count, so that a
-    tile of any height reproduces the same rows.
+    row's own (W, D) @ (D, N) product, at any BLAS thread count.  The prior
+    kernel makes one such product per source row (64 x 512 @ 512 x 312 on
+    the large bench scene), so grouping rows into tiles of any height, or
+    stacking them, gives the same bytes.
     """
     cpus = len(os.sched_getaffinity(0))
     for threads in sorted({1, min(2, cpus)}):
