@@ -38,7 +38,7 @@ def _positive_int(text):
 
 def _add_threads_option(sub):
     sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="accepted and unused: reserved for scheduling prior "
+                     help="accepted and unused: reserved for scheduling kernel "
                           "tiles; outputs never depend on it")
 
 
@@ -105,6 +105,11 @@ def cmd_prior(args) -> int:
 
 def cmd_fuse(args) -> int:
     cfg = _run_config(args)
+    if args.background_index is not None and cfg.background_threshold is None:
+        raise SegfuseError(
+            "background_index_without_threshold",
+            "--background-index needs a background threshold, from "
+            "--background-threshold or the config file")
     evidence_grid = load_grid(args.evidence)
     presence = _load_presence(args.presence, evidence_grid.channels)
     evidence = EvidenceBundle(evidence_grid, args.evidence_kind, presence)
@@ -222,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--pred", required=True)
     evalp.add_argument("--classes", type=int, required=True)
     evalp.add_argument("--ignore-index", type=int)
-    _add_threads_option(evalp)
     evalp.set_defaults(func=cmd_eval)
 
     sweep = commands.add_parser("sweep", help="competition sweep over a seeded scene")

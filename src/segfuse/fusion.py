@@ -6,10 +6,18 @@ Per pixel and class the calibrated score is
 
 with the presence logit broadcast to every pixel.  Mask evidence may arrive
 as raw logits (passed through bit-exactly) or probabilities (clamped, then
-mapped through log(p / (1 - p))).  Decoding is a per-pixel argmax with ties
-going to the smallest class index, plus optional background rejection for
-pixels whose best score falls below a threshold.  A NaN score, wherever it
-came from, fails the decode instead of choosing a label.
+mapped through log(p / (1 - p)) and rounded to float32).  Decoding is a
+per-pixel argmax with ties going to the smallest class index, plus optional
+background rejection for pixels whose best score falls below a threshold.
+A NaN score, wherever it came from, fails the decode instead of choosing a
+label.
+
+One kernel, `_fused_tiles`, computes the scores over tiles of whole rows:
+each tile is summed in float64 in the order (m + lambda * l) + z and rounded
+to float32 once, so the bytes do not depend on the tile height.  `fuse`
+writes the tiles into one grid; `fuse_and_decode` decodes each tile as it
+comes and never holds the H x W x C stack.  The tile height comes from the
+shape alone, through the budget the prior kernel uses too.
 """
 from __future__ import annotations
 
@@ -20,12 +28,17 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
-from .grid import DenseGrid, LabelMap
+from .grid import DenseGrid, LabelMap, _tile_rows
 
 if TYPE_CHECKING:
     from .prior import PriorStack
 
 PROB_EPS = 1e-6
+# Bytes per score live at a fused tile's peak: the caller's previous float32
+# tile, plus p and 1 - p in float64 for probability evidence.
+_TILE_BYTES_PER_SCORE = 20
+# Largest background index a uint32 label map can hold.
+_MAX_LABEL = 2**32 - 1
 
 EVIDENCE_KINDS = ("logits", "probabilities")
 
@@ -68,9 +81,9 @@ class EvidenceBundle:
 class Background:
     """Reject pixels whose best score is below `threshold` to a reserved index.
 
-    `index` defaults to C, the first index past the foreground classes.
-    A threshold of -inf rejects nothing and +inf rejects everything; NaN is
-    refused, because no score compares below it.
+    `index` defaults to C, the first index past the foreground classes, and
+    must fit a uint32 label.  A threshold of -inf rejects nothing and +inf
+    rejects everything; NaN is refused, because no score compares below it.
     """
 
     threshold: float
@@ -80,6 +93,10 @@ class Background:
         if math.isnan(self.threshold):
             raise SegfuseError("bad_background_threshold",
                                "background threshold must not be NaN")
+        if self.index is not None and not 0 <= self.index <= _MAX_LABEL:
+            raise SegfuseError(
+                "bad_background_index",
+                f"background index must lie in 0..{_MAX_LABEL}, got {self.index}")
 
 
 def check_lambda_prior(value: float) -> None:
@@ -108,6 +125,19 @@ class FusionConfig:
         check_lambda_prior(self.lambda_prior)
 
 
+def _mask_logits(evidence: EvidenceBundle, rows: slice) -> np.ndarray:
+    """Float32 mask logits of the evidence rows `rows`."""
+    data = evidence.mask_evidence.data[rows]
+    if evidence.evidence_kind == "logits":
+        return data
+    p = data.astype(np.float64)
+    np.clip(p, PROB_EPS, 1.0 - PROB_EPS, out=p)
+    odds = 1.0 - p
+    np.divide(p, odds, out=odds)
+    del p  # at most two float64 arrays per tile are live at once
+    return np.log(odds, out=odds).astype(np.float32)
+
+
 def to_logit(evidence: EvidenceBundle) -> DenseGrid:
     """Mask evidence on the additive logit scale.
 
@@ -115,11 +145,67 @@ def to_logit(evidence: EvidenceBundle) -> DenseGrid:
     identity, so the round trip is skipped).  Probabilities are clamped to
     [PROB_EPS, 1 - PROB_EPS] first so 0 and 1 stay finite.
     """
-    if evidence.evidence_kind == "logits":
-        return evidence.mask_evidence
-    p = np.clip(evidence.mask_evidence.data.astype(np.float64),
-                PROB_EPS, 1.0 - PROB_EPS)
-    return DenseGrid(np.log(p / (1.0 - p)).astype(np.float32))
+    return DenseGrid(_mask_logits(evidence, slice(None)))
+
+
+def _fused_rows(evidence: EvidenceBundle, log_pi: DenseGrid,
+                presence: np.ndarray, lambda_prior: float,
+                rows: slice) -> np.ndarray:
+    """Float32 fused scores of rows `rows`, summed in float64 and rounded once.
+
+    The float64 temporaries are freed on return, before the tile is decoded.
+    """
+    mask_logits = _mask_logits(evidence, rows)
+    # lambda * l + m equals m + lambda * l bit for bit: IEEE addition commutes.
+    scores = np.multiply(log_pi.data[rows], lambda_prior, dtype=np.float64)
+    scores += mask_logits
+    scores += presence
+    return scores.astype(np.float32)
+
+
+def _fused_tiles(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
+                 cfg: FusionConfig):
+    """Yield (rows, float32 fused scores) per tile of whole rows."""
+    log_pi = prior if isinstance(prior, DenseGrid) else prior.log_pi
+    dims = evidence.mask_evidence.dims
+    if log_pi.dims != dims:
+        raise ShapeError(f"prior dims {log_pi.dims} != evidence dims {dims}")
+    height, width, n_classes = dims
+    presence = evidence.presence.astype(np.float64)
+    step = _tile_rows(height, width * n_classes * _TILE_BYTES_PER_SCORE)
+    for r0 in range(0, height, step):
+        rows = slice(r0, min(r0 + step, height))
+        yield rows, _fused_rows(evidence, log_pi, presence, cfg.lambda_prior,
+                                rows)
+
+
+def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
+    """Decode (rows, float32 scores) tiles of an H x W x C grid into labels."""
+    height, width, n_classes = dims
+    background = cfg.background
+    background_index = None
+    if background is not None:
+        background_index = (background.index if background.index is not None
+                            else n_classes)
+        if background_index < n_classes:
+            raise SegfuseError(
+                "background_index_collision",
+                f"background index {background_index} collides with a foreground "
+                f"class (need >= {n_classes})")
+    labels = np.empty((height, width), dtype=np.uint32)
+    for rows, scores in tiles:
+        tile_labels = np.argmax(scores, axis=2)
+        # argmax stops at a pixel's first NaN, so the best score is NaN
+        # exactly where any of the pixel's scores is.
+        best = scores.reshape(-1)[tile_labels.ravel()
+                                  + np.arange(0, scores.size, n_classes)]
+        if np.isnan(best).any():
+            raise SegfuseError("nonfinite_scores", "fused scores hold NaN")
+        labels[rows] = tile_labels
+        if background_index is not None:
+            labels[rows][best.reshape(tile_labels.shape)
+                         < background.threshold] = background_index
+    return LabelMap(labels, background_index=background_index)
 
 
 def fuse(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
@@ -129,15 +215,10 @@ def fuse(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
     Returns the H x W x C fused scores; `prior` is a `PriorStack` or its
     bare log-prior grid.
     """
-    log_pi = prior if isinstance(prior, DenseGrid) else prior.log_pi
-    mask_logits = to_logit(evidence)
-    if log_pi.dims != mask_logits.dims:
-        raise ShapeError(
-            f"prior dims {log_pi.dims} != evidence dims {mask_logits.dims}")
-    scores = (mask_logits.data.astype(np.float64)
-              + cfg.lambda_prior * log_pi.data.astype(np.float64)
-              + evidence.presence.astype(np.float64)[None, None, :])
-    return DenseGrid(scores.astype(np.float32))
+    scores = np.empty(evidence.mask_evidence.dims, dtype=np.float32)
+    for rows, tile in _fused_tiles(evidence, prior, cfg):
+        scores[rows] = tile
+    return DenseGrid(scores)
 
 
 def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
@@ -147,32 +228,14 @@ def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
     whose best score is below the threshold get the reserved background index
     (default C), which must lie outside the foreground range.
     """
-    data = scores.data
-    n_classes = data.shape[2]
-    labels = np.argmax(data, axis=2)
-    # argmax stops at a pixel's first NaN, so the best score is NaN exactly
-    # where any of the pixel's scores is.
-    best = data.reshape(-1)[labels.ravel() + np.arange(0, data.size, n_classes)]
-    if np.isnan(best).any():
-        raise SegfuseError("nonfinite_scores", "fused scores hold NaN")
-    labels = labels.astype(np.uint32)
-    background_index = None
-    if cfg.background is not None:
-        background_index = (cfg.background.index
-                            if cfg.background.index is not None else n_classes)
-        if background_index < n_classes:
-            raise SegfuseError(
-                "background_index_collision",
-                f"background index {background_index} collides with a foreground "
-                f"class (need >= {n_classes})")
-        labels = np.where(best.reshape(labels.shape) < cfg.background.threshold,
-                          np.uint32(background_index), labels)
-    return LabelMap(labels, background_index=background_index)
+    return _decode_tiles([(slice(None), scores.data)], scores.dims, cfg)
 
 
 def fuse_and_decode(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
                     cfg: FusionConfig) -> LabelMap:
-    return decode(fuse(evidence, prior, cfg), cfg)
+    """`decode(fuse(...))`, decoding each row tile without the full stack."""
+    return _decode_tiles(_fused_tiles(evidence, prior, cfg),
+                         evidence.mask_evidence.dims, cfg)
 
 
 def write_pgm(labels: LabelMap, path) -> None:

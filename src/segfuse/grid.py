@@ -11,9 +11,15 @@ CFT1 file layout (little-endian):
 Grids are treated as immutable after construction; every operation returns a
 fresh grid.  Interpolation weights and blends are computed in float64 and
 rounded to float32 once, at the output.
+
+A regular file's payload is read straight into the array that is returned,
+and a saved array is written from its own memory, so neither direction makes
+a full-size copy.  `_tile_rows` is the row-tile height that the prior and
+fusion kernels share.
 """
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -28,8 +34,17 @@ DTYPE_F32 = 1
 DTYPE_U32 = 2
 
 _DTYPE_NP = {DTYPE_F32: np.dtype("<f4"), DTYPE_U32: np.dtype("<u4")}
-# Read size for inputs without a file size, such as pipes and FIFOs.
+# Read size for inputs without a file size, such as pipes and FIFOs, and the
+# slice size of the finiteness check.
 _STREAM_CHUNK = 1 << 20
+# Budget for the working arrays of one row tile of a kernel.  Small tiles
+# keep the working set in cache; a tile never goes below one row.
+_TILE_BYTES = 1 << 20
+
+
+def _tile_rows(height: int, row_bytes: int) -> int:
+    """Rows per tile of `row_bytes` working bytes per row; a function of the shape only."""
+    return max(1, min(height, _TILE_BYTES // row_bytes))
 
 
 @dataclass
@@ -102,23 +117,25 @@ def _read_header(f, path, want_dtype):
     return extents
 
 
+def _check_payload_size(path, got, size):
+    if got < size:
+        raise TensorFormatError(
+            "payload_truncated",
+            f"{path}: payload has {got} bytes, header promises {size}")
+
+
 def _read_payload(f, path, extents, np_dtype):
-    count = 1
-    for e in extents:
-        count *= e
-    size = count * np_dtype.itemsize
+    size = math.prod(extents) * np_dtype.itemsize
     # A forged header must not make the reader allocate what it claims.  A
-    # regular file's size is checked before the one read; a pipe has no size,
-    # so it is read in bounded chunks and memory grows only with the bytes
-    # that actually arrive.
+    # regular file's size is checked before the payload is read into the
+    # array that is returned; a pipe has no size, so it is read in bounded
+    # chunks and memory grows only with the bytes that actually arrive.
     st = os.fstat(f.fileno())
     if stat.S_ISREG(st.st_mode):
-        left = st.st_size - f.tell()
-        if left < size:
-            raise TensorFormatError(
-                "payload_truncated",
-                f"{path}: payload has {left} bytes, header promises {size}")
-        buf = f.read(size)
+        _check_payload_size(path, st.st_size - f.tell(), size)
+        arr = np.empty(extents, dtype=np_dtype)
+        # The file can still be shorter than its size said a moment ago.
+        _check_payload_size(path, f.readinto(memoryview(arr).cast("B")), size)
     else:
         buf = bytearray()
         while len(buf) < size:
@@ -126,21 +143,20 @@ def _read_payload(f, path, extents, np_dtype):
             if not chunk:
                 break
             buf += chunk
-    if len(buf) < size:
-        raise TensorFormatError(
-            "payload_truncated",
-            f"{path}: payload has {len(buf)} bytes, header promises {size}")
+        _check_payload_size(path, len(buf), size)
+        arr = np.frombuffer(buf, dtype=np_dtype).reshape(extents)
     if f.read(1):
         raise TensorFormatError("payload_excess", f"{path}: trailing bytes after payload")
-    return np.frombuffer(buf, dtype=np_dtype).reshape(extents).copy()
+    return arr
 
 
 def _write_file(path, dtype_code, arr):
     header = MAGIC + struct.pack("<BB", dtype_code, arr.ndim)
     header += struct.pack("<" + "I" * arr.ndim, *arr.shape)
+    payload = np.ascontiguousarray(arr, dtype=_DTYPE_NP[dtype_code])
     with open(path, "wb") as f:
         f.write(header)
-        f.write(np.ascontiguousarray(arr, dtype=_DTYPE_NP[dtype_code]).tobytes())
+        f.write(memoryview(payload).cast("B"))
 
 
 def load_grid(path) -> DenseGrid:
@@ -148,8 +164,11 @@ def load_grid(path) -> DenseGrid:
     with open(path, "rb") as f:
         extents = _read_header(f, path, DTYPE_F32)
         arr = _read_payload(f, path, extents, _DTYPE_NP[DTYPE_F32])
-    if not np.isfinite(arr).all():
-        raise TensorFormatError("nonfinite_values", f"{path}: payload has NaN/Inf")
+    flat = arr.reshape(-1)
+    step = _STREAM_CHUNK // flat.itemsize
+    for start in range(0, flat.size, step):
+        if not np.isfinite(flat[start:start + step]).all():
+            raise TensorFormatError("nonfinite_values", f"{path}: payload has NaN/Inf")
     return DenseGrid(arr)
 
 

@@ -34,16 +34,12 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
 from .fusion import check_tau_s
-from .grid import DenseGrid, bilinear_taps, interpolate_axis
+from .grid import DenseGrid, _tile_rows, bilinear_taps, interpolate_axis
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.10
-# Budget for one tile row-block of the float64 similarities at output
-# resolution (out_w * N * 8 bytes per output row).  Small tiles keep the
-# working set in cache; the tile never goes below one row.
-_TILE_BYTES = 1 << 20
 
 AGGREGATION_KINDS = ("lse", "average", "max")
 NORMALIZE_ORDERS = ("before", "after", "both")
@@ -147,11 +143,6 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
     return u - lse
 
 
-def _tile_rows(out_h: int, out_w: int, n_vectors: int) -> int:
-    """Output rows per tile; a function of the shape only."""
-    return max(1, min(out_h, _TILE_BYTES // (out_w * n_vectors * 8)))
-
-
 def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         bank: PromptBank, out_h: int, out_w: int,
                         normalize_order: str) -> None:
@@ -232,7 +223,8 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
 
     vectors_t = store.vectors.astype(np.float64).T
     segments = _segments_by_length(store.offsets)
-    step = _tile_rows(out_h, out_w, store.num_vectors)
+    # The tile budget covers the float64 similarities at output resolution.
+    step = _tile_rows(out_h, out_w * store.num_vectors * 8)
     # Similarity rows at feature resolution: `held[j]` is src[held_rows[j]]
     # @ vectors_t, kept while the next tile's taps still touch it.
     held_rows = np.empty(0, dtype=np.int64)

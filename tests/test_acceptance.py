@@ -245,8 +245,7 @@ def test_criterion_8_thread_count_invariance(tmp_path, capsys):
                               "--threads", threads]) == 0
             ok = ok and main(["eval", "--gt", str(scene_dir / "gt.cft1"),
                               "--pred", str(label_path),
-                              "--classes", str(params["num_classes"]),
-                              "--threads", threads]) == 0
+                              "--classes", str(params["num_classes"])]) == 0
             eval_out = capsys.readouterr().out
             ok = ok and main(["sweep", "--seed", str(seed),
                               "--height", str(params["height"]),

@@ -99,7 +99,6 @@ _THREADED_COMMANDS = {
               "--out", "o"],
     "fuse": ["fuse", "--evidence", "e", "--presence", "p", "--prior", "q",
              "--out", "o"],
-    "eval": ["eval", "--gt", "g", "--pred", "p", "--classes", "2"],
     "sweep": ["sweep", "--out", "o"],
 }
 
@@ -109,6 +108,15 @@ _THREADED_COMMANDS = {
 def test_non_positive_threads_is_usage_error(command, threads, capsys):
     with pytest.raises(SystemExit) as exc:
         main(_THREADED_COMMANDS[command] + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_eval_threads_is_usage_error(capsys):
+    # eval has nothing to schedule, so it takes no --threads
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--gt", "g", "--pred", "p", "--classes", "2",
+              "--threads", "1"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -191,6 +199,42 @@ def test_fuse_non_finite_parameter_exit_1(tmp_path, capsys, extra, code):
                  "--prior", str(prior_path), "--out", str(labels_path),
                  *extra]) == 1
     assert code in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("index", ["4294967296", "-1"])
+def test_fuse_background_index_out_of_range_exit_1(tmp_path, capsys, index):
+    scene_dir, prior_path, labels_path = _full_chain(tmp_path)
+    capsys.readouterr()
+    assert main(["fuse", "--evidence", str(scene_dir / "mask_logits.cft1"),
+                 "--presence", str(scene_dir / "presence.cft1"),
+                 "--prior", str(prior_path), "--out", str(labels_path),
+                 "--background-threshold", "0",
+                 "--background-index", index]) == 1
+    err = capsys.readouterr().err
+    assert "bad_background_index" in err and "Traceback" not in err
+
+
+def test_fuse_largest_background_index(tmp_path):
+    _, _, labels_path = _full_chain(
+        tmp_path, extra_fuse_args=("--background-threshold", "inf",
+                                   "--background-index", "4294967295"))
+    assert (load_label_map(labels_path).data == 2**32 - 1).all()
+
+
+def test_fuse_background_index_needs_threshold(tmp_path, capsys):
+    scene_dir, prior_path, labels_path = _full_chain(tmp_path)
+    fuse = ["fuse", "--evidence", str(scene_dir / "mask_logits.cft1"),
+            "--presence", str(scene_dir / "presence.cft1"),
+            "--prior", str(prior_path), "--background-index", "7"]
+    capsys.readouterr()
+    assert main(fuse + ["--out", str(tmp_path / "alone.cft1")]) == 1
+    assert "background_index_without_threshold" in capsys.readouterr().err
+    assert not (tmp_path / "alone.cft1").exists()
+    # a threshold from the config file counts
+    config = tmp_path / "run.conf"
+    config.write_text("background_threshold = inf\n")
+    assert main(fuse + ["--out", str(labels_path), "--config", str(config)]) == 0
+    assert (load_label_map(labels_path).data == 7).all()
 
 
 def test_sweep_nan_lambda_grid_exit_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Unified-scale fusion, decoding and the PGM export."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from segfuse import (Background, DenseGrid, EvidenceBundle, FusionConfig,
                      LabelMap, PriorStack, SegfuseError, ShapeError, decode,
                      fuse, fuse_and_decode, write_pgm)
+from segfuse import fusion as fusion_module
+from segfuse import grid as grid_module
 from segfuse.fusion import to_logit
 from segfuse.prior import log_prior_array
 
@@ -170,6 +173,14 @@ def test_nan_background_threshold_rejected():
     assert err.value.code == "bad_background_threshold"
 
 
+@pytest.mark.parametrize("index", [-1, 2**32])
+def test_background_index_must_fit_uint32(index):
+    with pytest.raises(SegfuseError) as err:
+        Background(-1.0, index)
+    assert err.value.code == "bad_background_index"
+    assert Background(-1.0, 2**32 - 1).index == 2**32 - 1
+
+
 def test_background_index_collision():
     with pytest.raises(SegfuseError) as err:
         decode(_scores(np.ones((1, 1, 3))),
@@ -188,6 +199,71 @@ def test_fuse_and_decode_equals_two_step():
         one = fuse_and_decode(_bundle(logits, presence), prior, cfg)
         two = decode(fuse(_bundle(logits, presence), prior, cfg), cfg)
         assert np.array_equal(one.data, two.data)
+
+
+def _tile_scene(rng, kind, shape=(9, 5, 4)):
+    if kind == "logits":
+        values = rng.standard_normal(shape) * 3.0
+    else:
+        values = rng.uniform(0.0, 1.0, shape)
+        values.flat[::5] = 0.0
+        values.flat[2::7] = 1.0
+    presence = rng.standard_normal(shape[2]).astype(np.float32)
+    return (_bundle(values.astype(np.float32), presence, kind),
+            _prior(rng.standard_normal(shape) * 2.0))
+
+
+def test_fuse_tile_height_is_irrelevant(monkeypatch):
+    rng = np.random.default_rng(41)
+    height, width, n_classes = 9, 5, 4
+    row_bytes = width * n_classes * fusion_module._TILE_BYTES_PER_SCORE
+    for kind in ("logits", "probabilities"):
+        evidence, prior = _tile_scene(rng, kind)
+        for background in (None, Background(0.5)):
+            cfg = FusionConfig(0.7, background)
+            outputs = set()
+            for rows in (1, 2, 7, height):
+                monkeypatch.setattr(grid_module, "_TILE_BYTES", rows * row_bytes)
+                assert fusion_module._tile_rows(height, row_bytes) == rows
+                scores = fuse(evidence, prior, cfg)
+                labels = fuse_and_decode(evidence, prior, cfg)
+                assert np.array_equal(labels.data, decode(scores, cfg).data)
+                outputs.add((scores.data.tobytes(), labels.data.tobytes()))
+            assert len(outputs) == 1, (kind, background)
+
+
+def test_nan_in_last_tile_fails_decode(monkeypatch):
+    rng = np.random.default_rng(43)
+    height, width, n_classes = 9, 5, 4
+    row_bytes = width * n_classes * fusion_module._TILE_BYTES_PER_SCORE
+    evidence, prior = _tile_scene(rng, "logits")
+    evidence.mask_evidence.data[height - 1, width - 1, 1] = np.nan
+    for rows in (1, 2, 7, height):
+        monkeypatch.setattr(grid_module, "_TILE_BYTES", rows * row_bytes)
+        for background in (None, Background(0.0)):
+            with pytest.raises(SegfuseError) as err:
+                fuse_and_decode(evidence, prior, FusionConfig(0.7, background))
+            assert err.value.code == "nonfinite_scores"
+
+
+@pytest.mark.parametrize("kind", ["logits", "probabilities"])
+def test_fuse_and_decode_holds_no_full_stack(kind):
+    rng = np.random.default_rng(47)
+    shape = (64, 64, 150)
+    evidence, prior = _tile_scene(rng, kind, shape)
+    cfg = FusionConfig(0.7, Background(0.0))
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fuse_and_decode(evidence, prior, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    # one float64 (H, W, C) stack is 4.7 MiB here
+    assert peak < math.prod(shape) * 8 / 4
 
 
 @pytest.mark.parametrize("where", ["evidence", "presence", "prior"])

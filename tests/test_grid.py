@@ -191,6 +191,86 @@ def test_nonfinite_payload_rejected(tmp_path):
     assert err.value.code == "nonfinite_values"
 
 
+def test_nonfinite_value_in_last_slice_rejected(tmp_path):
+    # the finiteness check runs in 1 MiB slices; 2.4 MB puts this in the third
+    data = np.zeros((600, 1000), dtype=np.float32)
+    data[-1, -1] = np.inf
+    path = tmp_path / "inf.cft1"
+    save_grid(DenseGrid(data), path)
+    with pytest.raises(TensorFormatError) as err:
+        load_grid(path)
+    assert err.value.code == "nonfinite_values"
+
+
+def test_short_read_after_size_check_is_truncated(tmp_path, monkeypatch):
+    # The file shrinks between the size check and the read: fstat reports
+    # the whole payload, the read delivers all but one value.
+    path = tmp_path / "short.cft1"
+    save_grid(DenseGrid(np.ones((4, 4, 2), dtype=np.float32)), path)
+    path.write_bytes(path.read_bytes()[:-4])
+    real_fstat = os.fstat
+
+    def fstat(fd):
+        st = real_fstat(fd)
+        return os.stat_result(st[:6] + (st.st_size + 4,) + st[7:10])
+
+    monkeypatch.setattr(os, "fstat", fstat)
+    with pytest.raises(TensorFormatError) as err:
+        load_grid(path)
+    assert err.value.code == "payload_truncated"
+    assert "payload has 124 bytes, header promises 128" in str(err.value)
+
+
+def _load_through_fifo(tmp_path, path, load):
+    fifo = tmp_path / (path.name + ".fifo")
+    os.mkfifo(fifo)
+    raw = path.read_bytes()
+
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        return load(fifo)
+    finally:
+        writer.join(timeout=10)
+
+
+@pytest.mark.parametrize("through_fifo", [False, True])
+def test_loaded_arrays_are_writable_and_contiguous(tmp_path, through_fifo):
+    rng = np.random.default_rng(13)
+    grid = DenseGrid(rng.standard_normal((3, 5, 2)).astype(np.float32))
+    labels = LabelMap(rng.integers(0, 9, (4, 3)).astype(np.uint32))
+    grid_path, labels_path = tmp_path / "g.cft1", tmp_path / "l.cft1"
+    save_grid(grid, grid_path)
+    save_label_map(labels, labels_path)
+    for path, load, want in ((grid_path, load_grid, grid),
+                             (labels_path, load_label_map, labels)):
+        got = (_load_through_fifo(tmp_path, path, load) if through_fifo
+               else load(path))
+        assert got.data.flags.writeable and got.data.flags.c_contiguous
+        assert got.data.tobytes() == want.data.tobytes()
+        got.data[0, 0] = 0
+
+
+def test_saved_bytes_are_header_plus_payload(tmp_path):
+    rng = np.random.default_rng(17)
+    cases = [
+        (save_grid, DenseGrid(rng.standard_normal((3, 4, 5)).astype(np.float32)),
+         b"CFT1" + struct.pack("<BBIII", 1, 3, 3, 4, 5), "<f4"),
+        (save_grid, DenseGrid(rng.standard_normal((2, 7)).astype(np.float32)),
+         b"CFT1" + struct.pack("<BBII", 1, 2, 2, 7), "<f4"),
+        (save_label_map, LabelMap(rng.integers(0, 2**32, (6, 2), dtype=np.uint32)),
+         b"CFT1" + struct.pack("<BBII", 2, 2, 6, 2), "<u4"),
+    ]
+    for save, value, header, dtype in cases:
+        path = tmp_path / "out.cft1"
+        save(value, path)
+        assert path.read_bytes() == header + value.data.astype(dtype).tobytes()
+
+
 def test_label_map_round_trip(tmp_path):
     labels = LabelMap(np.arange(12, dtype=np.uint32).reshape(3, 4))
     path = tmp_path / "lab.cft1"

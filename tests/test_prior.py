@@ -10,6 +10,7 @@ import pytest
 from segfuse import (Aggregation, DenseGrid, SegfuseError, ShapeError,
                      build_prior, parse_prompt_file, pooled_scores,
                      store_from_array)
+from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.prior import (aggregate_array, log_prior_array,
                            normalize_pixels_array)
@@ -273,10 +274,9 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
             for order in ("before", "after", "both"):
                 outputs = set()
                 for rows in sorted({1, 2, min(7, out_h), out_h}):
-                    monkeypatch.setattr(prior_module, "_TILE_BYTES",
+                    monkeypatch.setattr(grid_module, "_TILE_BYTES",
                                         rows * row_bytes)
-                    assert prior_module._tile_rows(
-                        out_h, out_w, store.num_vectors) == rows
+                    assert prior_module._tile_rows(out_h, row_bytes) == rows
                     # also compare the float64 pooled scores, before rounding
                     pooled = []
 
