@@ -18,7 +18,7 @@ from .fusion import (Background, EvidenceBundle, FusionConfig, decode, fuse,
 from .grid import (DenseGrid, LabelMap, load_grid, load_label_map, save_grid,
                    save_label_map)
 from .metrics import ConfusionMatrix, iou_report, miou
-from .prior import Aggregation, PriorStack, build_prior, pooled_scores
+from .prior import Aggregation, build_prior, pooled_scores
 from .prompts import PromptBank, load_prompt_file, parse_prompt_file
 from .synth import generate_scene
 
@@ -27,8 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Aggregation", "Background", "CompetitionSpec", "ConfusionMatrix",
     "DenseGrid", "EmbeddingError", "EmbeddingStore", "EvidenceBundle",
-    "FusionConfig", "LabelMap", "PriorStack", "PromptBank", "PromptFileError",
-    "SegfuseError", "ShapeError", "TensorFormatError", "build_prior", "decode",
+    "FusionConfig", "LabelMap", "PromptBank", "PromptFileError", "SegfuseError",
+    "ShapeError", "TensorFormatError", "build_prior", "decode",
     "format_sweep_csv", "fuse", "fuse_and_decode", "generate_scene",
     "iou_report", "load_embeddings", "load_grid", "load_label_map",
     "load_prompt_file", "miou", "parse_prompt_file", "pooled_scores",

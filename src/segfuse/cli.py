@@ -73,6 +73,13 @@ def _add_scene_options(sub):
     sub.add_argument("--feature-width", type=int, dest="feature_width")
 
 
+def _scene(args):
+    """The seeded scene that `_add_scene_options` describes."""
+    return generate_scene(args.seed, args.height, args.width, args.dim,
+                          args.classes, args.synonyms, args.drift,
+                          args.overlap, args.feature_height, args.feature_width)
+
+
 def _run_config(args):
     file_values = load_config_file(args.config) if args.config else {}
     return build_run_config(
@@ -96,10 +103,9 @@ def cmd_prior(args) -> int:
     store = load_embeddings(args.embeddings, bank)
     out_h = args.out_height if args.out_height else features.height
     out_w = args.out_width if args.out_width else features.width
-    prior = build_prior(features, store, bank,
-                        Aggregation.of(cfg.aggregation, cfg.tau_s), out_h, out_w,
-                        normalize_order=cfg.normalize_order)
-    save_grid(prior.log_pi, args.out)
+    mode = Aggregation.of(cfg.aggregation, cfg.tau_s)
+    save_grid(build_prior(features, store, bank, mode, out_h, out_w,
+                          normalize_order=cfg.normalize_order), args.out)
     return 0
 
 
@@ -144,10 +150,7 @@ def _parse_str_list(text):
 
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    scene = generate_scene(args.seed, args.height, args.width, args.dim,
-                           args.classes, args.synonyms, args.drift,
-                           args.overlap, args.feature_height,
-                           args.feature_width)
+    scene = _scene(args)
     sources = {"primary": scene.features}
     for item in args.alt_features or []:
         name, _, path = item.partition("=")
@@ -174,10 +177,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    scene = generate_scene(args.seed, args.height, args.width, args.dim,
-                           args.classes, args.synonyms, args.drift,
-                           args.overlap, args.feature_height,
-                           args.feature_width)
+    scene = _scene(args)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     save_prompt_file(scene.bank, os.path.join(out, "prompts.txt"))

@@ -20,10 +20,11 @@ import numpy as np
 
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
 from .errors import SegfuseError
-from .fusion import EvidenceBundle, FusionConfig, fuse_and_decode
+from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
+                     fuse_and_decode)
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import Aggregation, log_prior_array, pooled_scores
+from .prior import DEFAULT_TAU, Aggregation, log_prior_array, pooled_scores
 from .prompts import PromptBank, PromptClass
 from .synth import SyntheticScene
 
@@ -114,8 +115,8 @@ def run_sweep(scene: SyntheticScene, *,
               target_class: int = 0,
               p_values: Sequence[float],
               selections: Sequence[str] = SELECTION_MODES,
-              lambda_values: Sequence[float] = (0.7,),
-              tau_values: Sequence[float] = (0.10,),
+              lambda_values: Sequence[float] = (DEFAULT_LAMBDA,),
+              tau_values: Sequence[float] = (DEFAULT_TAU,),
               aggregations: Sequence[str] = ("lse",),
               feature_sources: Mapping[str, DenseGrid] | None = None,
               normalize_order: str = "both",

@@ -8,14 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SegfuseError
-from .fusion import check_lambda_prior, check_tau_s
-from .prior import AGGREGATION_KINDS, NORMALIZE_ORDERS
+from .fusion import DEFAULT_LAMBDA, check_lambda_prior, check_tau_s
+from .prior import AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS
 
 
 @dataclass
 class RunConfig:
-    lambda_prior: float = 0.7
-    tau_s: float = 0.10
+    lambda_prior: float = DEFAULT_LAMBDA
+    tau_s: float = DEFAULT_TAU
     aggregation: str = "lse"
     background_threshold: float | None = None
     normalize_order: str = "both"

@@ -23,15 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
 from .grid import DenseGrid, LabelMap, _tile_rows
-
-if TYPE_CHECKING:
-    from .prior import PriorStack
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
@@ -99,6 +95,9 @@ class Background:
                 f"background index must lie in 0..{_MAX_LABEL}, got {self.index}")
 
 
+DEFAULT_LAMBDA = 0.7
+
+
 def check_lambda_prior(value: float) -> None:
     """The one check on a prior weight: finite and >= 0 (NaN fails too)."""
     if not 0.0 <= value < math.inf:
@@ -118,7 +117,7 @@ def check_tau_s(value: float) -> None:
 
 @dataclass(frozen=True)
 class FusionConfig:
-    lambda_prior: float = 0.7
+    lambda_prior: float = DEFAULT_LAMBDA
     background: Background | None = None
 
     def __post_init__(self):
@@ -163,19 +162,18 @@ def _fused_rows(evidence: EvidenceBundle, log_pi: DenseGrid,
     return scores.astype(np.float32)
 
 
-def _fused_tiles(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
+def _fused_tiles(evidence: EvidenceBundle, prior: DenseGrid,
                  cfg: FusionConfig):
     """Yield (rows, float32 fused scores) per tile of whole rows."""
-    log_pi = prior if isinstance(prior, DenseGrid) else prior.log_pi
     dims = evidence.mask_evidence.dims
-    if log_pi.dims != dims:
-        raise ShapeError(f"prior dims {log_pi.dims} != evidence dims {dims}")
+    if prior.dims != dims:
+        raise ShapeError(f"prior dims {prior.dims} != evidence dims {dims}")
     height, width, n_classes = dims
     presence = evidence.presence.astype(np.float64)
     step = _tile_rows(height, width * n_classes * _TILE_BYTES_PER_SCORE)
     for r0 in range(0, height, step):
         rows = slice(r0, min(r0 + step, height))
-        yield rows, _fused_rows(evidence, log_pi, presence, cfg.lambda_prior,
+        yield rows, _fused_rows(evidence, prior, presence, cfg.lambda_prior,
                                 rows)
 
 
@@ -208,12 +206,12 @@ def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
     return LabelMap(labels, background_index=background_index)
 
 
-def fuse(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
+def fuse(evidence: EvidenceBundle, prior: DenseGrid,
          cfg: FusionConfig) -> DenseGrid:
     """Combine mask logits, weighted log prior and presence on one scale.
 
-    Returns the H x W x C fused scores; `prior` is a `PriorStack` or its
-    bare log-prior grid.
+    `prior` is the H x W x C log-prior grid that `build_prior` returns;
+    the result is the H x W x C fused scores.
     """
     scores = np.empty(evidence.mask_evidence.dims, dtype=np.float32)
     for rows, tile in _fused_tiles(evidence, prior, cfg):
@@ -228,10 +226,12 @@ def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
     whose best score is below the threshold get the reserved background index
     (default C), which must lie outside the foreground range.
     """
+    if scores.data.ndim != 3:
+        raise ShapeError("scores need 3 axes (H, W, C)", code="dim_mismatch")
     return _decode_tiles([(slice(None), scores.data)], scores.dims, cfg)
 
 
-def fuse_and_decode(evidence: EvidenceBundle, prior: PriorStack | DenseGrid,
+def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
                     cfg: FusionConfig) -> LabelMap:
     """`decode(fuse(...))`, decoding each row tile without the full stack."""
     return _decode_tiles(_fused_tiles(evidence, prior, cfg),

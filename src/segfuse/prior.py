@@ -16,13 +16,12 @@ once at feature resolution: dot products of each feature vector with itself
 and its right and lower neighbours, and across both diagonals of each 2x2
 block.  An axis whose size does not change is not interpolated.
 
-`build_prior` runs the pipeline over tiles of output rows, so no resized
-array exists at full resolution; `pooled_scores` runs the same tiles and
-stops before the log-softmax.  The tile height comes from the output shape
-alone.  Each source row's similarity products are one BLAS call, made once
-and kept while the tiles still blend that row, and everything after them is
-elementwise per output pixel, so the output bytes do not depend on the tile
-height.
+The similarities are one stacked product at feature resolution, which numpy
+runs as one BLAS call per source row.  The rest runs over tiles of output
+rows, so no resized array exists at full resolution; `pooled_scores` runs
+the same tiles as `build_prior` and stops before the log-softmax.  The tile
+height comes from the output shape alone and all work after the products is
+elementwise per output pixel, so the output bytes do not depend on it.
 """
 from __future__ import annotations
 
@@ -62,14 +61,6 @@ class Aggregation:
     def of(cls, kind: str, tau_s: float = DEFAULT_TAU) -> "Aggregation":
         """The rule `kind`; average and max ignore `tau_s`, so they compare equal."""
         return cls(kind, tau_s) if kind == "lse" else cls(kind)
-
-
-@dataclass
-class PriorStack:
-    """Cross-class log prior of one image (`pooled_scores` has the scores)."""
-
-    log_pi: DenseGrid  # H x W x C
-    zero_norm_pixels: int = 0
 
 
 def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -204,10 +195,10 @@ def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
 
 def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
                   out_h: int, out_w: int, normalize_order: str):
-    """Yield (rows, float64 pooled scores, zero-norm pixels) per row tile.
+    """Yield (rows, float64 pooled scores) per row tile.
 
-    This is the one kernel behind `build_prior` and `pooled_scores`.  Each
-    tile's zero-norm count covers the pixels counted since the previous tile.
+    This is the one kernel behind `build_prior` and `pooled_scores`.  After
+    the last tile it logs how many zero-norm pixels it met.
     """
     src = features.data.astype(np.float64)
     zero_pixels = 0
@@ -221,34 +212,17 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
     if renormalize:
         same, pair = _norm_terms(src, taps_x, identity_x, identity_y)
 
-    vectors_t = store.vectors.astype(np.float64).T
+    # (in_h, in_w, N) similarities at feature resolution, one BLAS product
+    # per source row; the tiles below make no BLAS call.
+    sims_src = src @ store.vectors.astype(np.float64).T
     segments = _segments_by_length(store.offsets)
     # The tile budget covers the float64 similarities at output resolution.
     step = _tile_rows(out_h, out_w * store.num_vectors * 8)
-    # Similarity rows at feature resolution: `held[j]` is src[held_rows[j]]
-    # @ vectors_t, kept while the next tile's taps still touch it.
-    held_rows = np.empty(0, dtype=np.int64)
-    held = np.empty((0, in_w, store.num_vectors))
-    total = 0
     for r0 in range(0, out_h, step):
         rows = slice(r0, min(r0 + step, out_h))
         y0, y1, fy = (t[rows] for t in taps_y)
-        if identity_y:
-            # No source row is shared between tiles.  The stacked product is
-            # one BLAS call per row, as in the other branch.
-            sims = src[rows] @ vectors_t
-        else:
-            need = np.union1d(y0, y1)
-            block = np.empty((need.size, in_w, store.num_vectors))
-            kept = np.isin(need, held_rows)
-            block[kept] = held[np.searchsorted(held_rows, need[kept])]
-            for j in np.flatnonzero(~kept):
-                # one BLAS product per source row, whatever the tile height
-                np.matmul(src[need[j]], vectors_t, out=block[j])
-            held_rows, held = need, block
-            sims = interpolate_axis(block, (np.searchsorted(need, y0),
-                                            np.searchsorted(need, y1), fy),
-                                    axis=0)
+        sims = (sims_src[rows] if identity_y
+                else interpolate_axis(sims_src, (y0, y1, fy), axis=0))
         if not identity_x:
             sims = interpolate_axis(sims, taps_x, axis=1)
         if renormalize:
@@ -259,21 +233,20 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
             norms = np.sqrt(np.maximum(
                 c * c * same[y0] + d * d * same[y1] + c * d * pair[y0], 0.0))
             zero = norms == 0.0
+            # On an identity grid `sims` is a view of `sims_src`.  Dividing
+            # it in place is safe: no other tile reads these rows.
             sims /= np.where(zero, 1.0, norms)[..., None]
             zero_pixels += int(zero.sum())
-        yield rows, _pool_segments(sims, segments, store.num_classes,
-                                   mode), zero_pixels
-        total += zero_pixels
-        zero_pixels = 0
-    if total:
+        yield rows, _pool_segments(sims, segments, store.num_classes, mode)
+    if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
-                       total)
+                       zero_pixels)
 
 
 def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
                 mode: Aggregation, out_h: int, out_w: int, *,
-                normalize_order: str = "both") -> PriorStack:
-    """Full semantic-prior pipeline for one image.
+                normalize_order: str = "both") -> DenseGrid:
+    """Full semantic-prior pipeline for one image: the float32 log prior.
 
     Features are unit-normalized, bilinearly resized to out_h x out_w (the
     structural evidence resolution), matched against every synonym embedding,
@@ -284,17 +257,13 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     resolution and then resized, and the re-normalization divides them by
     the exact norm of each resized feature vector, taken from neighbour Gram
     maps; the result equals the resize-first order up to float64 rounding.
-    Work runs over row tiles in bounded memory; the output bytes do not
-    depend on the tile height.
     """
     _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
     log_pi = np.empty((out_h, out_w, store.num_classes), dtype=np.float32)
-    zero_pixels = 0
-    for rows, pooled, n in _pooled_tiles(features, store, mode, out_h, out_w,
-                                         normalize_order):
+    for rows, pooled in _pooled_tiles(features, store, mode, out_h, out_w,
+                                      normalize_order):
         log_pi[rows] = log_prior_array(pooled)
-        zero_pixels += n
-    return PriorStack(DenseGrid(log_pi), zero_norm_pixels=zero_pixels)
+    return DenseGrid(log_pi)
 
 
 def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
@@ -308,7 +277,7 @@ def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     """
     _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
     out = np.empty((out_h, out_w, store.num_classes))
-    for rows, pooled, _ in _pooled_tiles(features, store, mode, out_h, out_w,
-                                         normalize_order):
+    for rows, pooled in _pooled_tiles(features, store, mode, out_h, out_w,
+                                      normalize_order):
         out[rows] = pooled
     return out

@@ -61,7 +61,7 @@ def test_criterion_1_oracle_equivalence(pipeline_runs):
         ok = ok and np.array_equal(labels.data.astype(np.int64), ref_labels)
         score_err = np.abs(scores.data.astype(np.float64)
                            - ref_scores).max()
-        prior_err = np.abs(prior.log_pi.data.astype(np.float64)
+        prior_err = np.abs(prior.data.astype(np.float64)
                            - ref_log_pi).max()
         worst_score = max(worst_score, score_err, prior_err)
         ok = ok and score_err < 1e-5 and prior_err < 1e-5
@@ -74,7 +74,7 @@ def test_criterion_2_normalization_suite(pipeline_runs):
     runs, _ = pipeline_runs
     ok = True
     for scene, prior, *_ in runs:
-        total = np.exp(prior.log_pi.data.astype(np.float64)).sum(axis=2)
+        total = np.exp(prior.data.astype(np.float64)).sum(axis=2)
         ok = ok and bool(np.abs(total - 1.0).max() < 1e-5)
         u = pooled_scores(scene.features, scene.embeddings, scene.bank,
                           Aggregation("lse", TAU), scene.height, scene.width)

@@ -5,7 +5,7 @@ PUBLIC = {
     # data types and configuration
     "Aggregation", "Background", "CompetitionSpec", "ConfusionMatrix",
     "DenseGrid", "EmbeddingStore", "EvidenceBundle", "FusionConfig",
-    "LabelMap", "PriorStack", "PromptBank",
+    "LabelMap", "PromptBank",
     # errors
     "EmbeddingError", "PromptFileError", "SegfuseError", "ShapeError",
     "TensorFormatError",
@@ -26,7 +26,7 @@ PUBLIC = {
 def test_all_is_pinned():
     assert len(segfuse.__all__) == len(set(segfuse.__all__))
     assert set(segfuse.__all__) == PUBLIC
-    assert len(PUBLIC) <= 40
+    assert len(PUBLIC) == 37
 
 
 def test_every_public_name_imports():

@@ -62,8 +62,8 @@ def test_prior_matches_library_bitwise(tmp_path):
     bank = load_prompt_file(scene_dir / "prompts.txt")
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
-    stack = build_prior(features, store, bank, Aggregation("lse", 0.2), 12, 12)
-    assert load_grid(out).data.tobytes() == stack.log_pi.data.tobytes()
+    log_pi = build_prior(features, store, bank, Aggregation("lse", 0.2), 12, 12)
+    assert load_grid(out).data.tobytes() == log_pi.data.tobytes()
 
 
 def test_prior_missing_embeddings_exit_1(tmp_path, capsys):
@@ -406,13 +406,13 @@ def test_config_file_and_flag_precedence(tmp_path):
     store = load_embeddings(scene_dir / "embeddings.cft1", bank)
     features = load_grid(scene_dir / "features.cft1")
     expect = build_prior(features, store, bank, Aggregation("lse", 0.25), 12, 12)
-    assert load_grid(out_conf).data.tobytes() == expect.log_pi.data.tobytes()
+    assert load_grid(out_conf).data.tobytes() == expect.data.tobytes()
     # explicit flag wins over the config value
     assert main(base + ["--out", str(out_flag), "--config", str(config),
                         "--tau-s", "0.1"]) == 0
     expect_flag = build_prior(features, store, bank, Aggregation("lse", 0.1),
                               12, 12)
-    assert load_grid(out_flag).data.tobytes() == expect_flag.log_pi.data.tobytes()
+    assert load_grid(out_flag).data.tobytes() == expect_flag.data.tobytes()
 
 
 def test_bad_config_key_exit_1(tmp_path, capsys):

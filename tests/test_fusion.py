@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from segfuse import (Background, DenseGrid, EvidenceBundle, FusionConfig,
-                     LabelMap, PriorStack, SegfuseError, ShapeError, decode,
-                     fuse, fuse_and_decode, write_pgm)
+                     LabelMap, SegfuseError, ShapeError, decode, fuse,
+                     fuse_and_decode, write_pgm)
 from segfuse import fusion as fusion_module
 from segfuse import grid as grid_module
 from segfuse.fusion import to_logit
@@ -109,15 +109,6 @@ def test_presence_length_validated():
         _bundle(np.zeros((2, 2, 2)), presence=[1.0, 2.0, 3.0])
 
 
-def test_fuse_accepts_bare_log_pi_grid():
-    rng = np.random.default_rng(7)
-    logits = rng.standard_normal((2, 2, 2)).astype(np.float32)
-    log_pi = _uniform_prior(2, 2, 2)
-    via_stack = fuse(_bundle(logits), PriorStack(log_pi), FusionConfig(0.7))
-    via_grid = fuse(_bundle(logits), log_pi, FusionConfig(0.7))
-    assert np.array_equal(via_stack.data, via_grid.data)
-
-
 # --- decode ------------------------------------------------------------------
 
 def _scores(values):
@@ -133,6 +124,12 @@ def test_decode_argmax():
 def test_decode_tie_goes_to_smallest_index():
     labels = decode(_scores([[[2.0, 2.0]]]), FusionConfig())
     assert labels.data[0, 0] == 0
+
+
+def test_decode_rejects_grid_without_class_axis():
+    with pytest.raises(ShapeError) as err:
+        decode(DenseGrid(np.zeros((2, 3), np.float32)), FusionConfig())
+    assert err.value.code == "dim_mismatch"
 
 
 def test_background_threshold_minus_inf_is_vacuous():

@@ -1,8 +1,10 @@
 """Similarity, synonym aggregation and log-prior behavior."""
+import logging
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,8 +228,8 @@ def _scene_pieces(rng, h, w, d, class_synonyms):
 def test_build_prior_single_class_is_zero():
     rng = np.random.default_rng(81)
     bank, store, feats = _scene_pieces(rng, 4, 4, 8, [2])
-    stack = build_prior(feats, store, bank, Aggregation("lse", 0.1), 4, 4)
-    assert (stack.log_pi.data == 0.0).all()
+    log_pi = build_prior(feats, store, bank, Aggregation("lse", 0.1), 4, 4)
+    assert (log_pi.data == 0.0).all()
 
 
 def test_build_prior_dominant_class_wins():
@@ -235,8 +237,8 @@ def test_build_prior_dominant_class_wins():
     store = store_from_array(np.array([[1.0, 0.0], [0.0, 1.0]]), bank)
     feats = np.zeros((3, 3, 2), dtype=np.float32)
     feats[:, :, 0] = 1.0  # every pixel equals the class-0 embedding
-    stack = build_prior(DenseGrid(feats), store, bank, Aggregation("lse", 1.0), 3, 3)
-    assert (np.argmax(stack.log_pi.data, axis=2) == 0).all()
+    log_pi = build_prior(DenseGrid(feats), store, bank, Aggregation("lse", 1.0), 3, 3)
+    assert (np.argmax(log_pi.data, axis=2) == 0).all()
 
 
 def test_build_prior_matches_reference():
@@ -244,23 +246,23 @@ def test_build_prior_matches_reference():
     bank, store, feats = _scene_pieces(rng, 8, 8, 16, [3, 1, 2, 3])
     for kind in ("lse", "average", "max"):
         mode = Aggregation.of(kind, 0.1)
-        stack = build_prior(feats, store, bank, mode, 8, 8)
+        log_pi = build_prior(feats, store, bank, mode, 8, 8)
         ref_log_pi, _, _ = oracle.pipeline(
             feats.data, store.vectors, store.offsets,
             np.zeros((8, 8, 4)), np.zeros(4),
             lam=1.0, tau_s=0.1, aggregation=kind)
-        assert np.abs(stack.log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
+        assert np.abs(log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
 
 
 def test_build_prior_resize_path_matches_reference():
     rng = np.random.default_rng(101)
     bank, store, feats = _scene_pieces(rng, 5, 6, 12, [2, 2, 1])
-    stack = build_prior(feats, store, bank, Aggregation("lse", 0.1), 9, 11)
+    log_pi = build_prior(feats, store, bank, Aggregation("lse", 0.1), 9, 11)
     ref_log_pi, _, _ = oracle.pipeline(
         feats.data, store.vectors, store.offsets,
         np.zeros((9, 11, 3)), np.zeros(3),
         lam=1.0, tau_s=0.1, aggregation="lse")
-    assert np.abs(stack.log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
+    assert np.abs(log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
 
 
 def test_build_prior_tile_height_is_irrelevant(monkeypatch):
@@ -285,12 +287,12 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                         return log_prior_array(u)
 
                     monkeypatch.setattr(prior_module, "log_prior_array", record)
-                    stack = build_prior(feats, store, bank, mode, out_h, out_w,
-                                        normalize_order=order)
+                    log_pi = build_prior(feats, store, bank, mode, out_h, out_w,
+                                         normalize_order=order)
                     full = pooled_scores(feats, store, bank, mode, out_h, out_w,
                                          normalize_order=order)
                     outputs.add((np.concatenate(pooled).tobytes(),
-                                 stack.log_pi.data.tobytes(), full.tobytes()))
+                                 log_pi.data.tobytes(), full.tobytes()))
                 assert len(outputs) == 1, (out_h, kind, order)
 
 
@@ -328,7 +330,18 @@ def test_pooled_scores_match_direct_resize(in_hw, out_hw):
             assert np.abs(got - want).max() < 1e-12, (kind, order)
 
 
-def test_zero_norm_count_under_upsampling():
+def _logged_zero_norm_count(caplog, build):
+    """`build()` and the zero-norm count its prior warning reports (0 if none)."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=prior_module.__name__):
+        result = build()
+    counts = [r.args[0] for r in caplog.records
+              if r.name == prior_module.__name__ and "zero-norm" in r.msg]
+    assert len(counts) <= 1
+    return result, sum(counts)
+
+
+def test_zero_norm_count_under_upsampling(caplog):
     rng = np.random.default_rng(137)
     bank, store, feats = _scene_pieces(rng, 6, 7, 8, [2, 1])
     feats.data[:3, :4] = 0.0
@@ -336,18 +349,19 @@ def test_zero_norm_count_under_upsampling():
         resized = oracle.bilinear(feats.data, 13, 15)
         _, after = normalize_pixels_array(resized)
         assert after > 0
-        stack = build_prior(feats, store, bank, Aggregation("lse", 0.1),
-                            13, 15, normalize_order=order)
-        assert stack.zero_norm_pixels == before + after
-        assert np.isfinite(stack.log_pi.data).all()
+        log_pi, count = _logged_zero_norm_count(caplog, lambda: build_prior(
+            feats, store, bank, Aggregation("lse", 0.1), 13, 15,
+            normalize_order=order))
+        assert count == before + after
+        assert np.isfinite(log_pi.data).all()
 
 
 _ROW_PRODUCT_SCRIPT = """
 import numpy as np
 rng = np.random.default_rng(7)
 for rows, width, dim, n in ((4, 256, 512, 300), (4, 64, 512, 312),
-                            (9, 64, 64, 60), (5, 8, 12, 5), (3, 1, 33, 7),
-                            (6, 7, 10, 1)):
+                            (64, 64, 512, 312), (9, 64, 64, 60), (5, 8, 12, 5),
+                            (3, 1, 33, 7), (6, 7, 10, 1)):
     tile = rng.standard_normal((rows, width, dim))
     vectors_t = rng.standard_normal((n, dim)).T
     stacked = tile @ vectors_t
@@ -365,9 +379,9 @@ def test_stacked_matmul_is_one_product_per_row():
 
     A (rows, W, D) @ (D, N) product must give every row the bytes of that
     row's own (W, D) @ (D, N) product, at any BLAS thread count.  The prior
-    kernel makes one such product per source row (64 x 512 @ 512 x 312 on
-    the large bench scene), so grouping rows into tiles of any height, or
-    stacking them, gives the same bytes.
+    kernel stacks every source row into one such product (64 x 64 x 512 @
+    512 x 312 on the large bench scene), so its bytes are those of one
+    product per row, however the rows are grouped.
     """
     cpus = len(os.sched_getaffinity(0))
     for threads in sorted({1, min(2, cpus)}):
@@ -379,28 +393,82 @@ def test_stacked_matmul_is_one_product_per_row():
         assert done.stdout.strip() == "ok"
 
 
+_PRIOR_HASH_SCRIPT = """
+import hashlib
+from segfuse import Aggregation, build_prior, generate_scene
+scene = generate_scene(1, 256, 256, 512, 150, 3, 0.2, 0.4, 64, 64)
+log_pi = build_prior(scene.features, scene.embeddings, scene.bank,
+                     Aggregation("lse"), 256, 256)
+print(hashlib.sha256(log_pi.data.tobytes()).hexdigest())
+"""
+
+
+def test_build_prior_bytes_ignore_blas_threads():
+    """The large bench scene's log prior is the same at 1 and 2 BLAS threads."""
+    cpus = len(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(prior_module.__file__))
+    digests = set()
+    for threads in sorted({1, min(2, cpus)}):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _PRIOR_HASH_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, (threads, done.stderr)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_build_prior_holds_no_full_resolution_similarities():
+    rng = np.random.default_rng(139)
+    in_h, in_w, out_h, out_w, dim = 32, 32, 256, 256, 64
+    bank, store, feats = _scene_pieces(rng, in_h, in_w, dim, [6] * 10)
+    n = store.num_vectors
+    # the float32 output, two float64 feature copies, the feature-resolution
+    # similarities and a few tile budgets
+    bound = (out_h * out_w * store.num_classes * 4 + 2 * in_h * in_w * dim * 8
+             + in_h * in_w * n * 8 + 4 * grid_module._TILE_BYTES)
+    # the float64 similarities at output resolution would be 30 MiB here
+    assert out_h * out_w * n * 8 > 3 * bound
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        for order in ("before", "after", "both"):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h,
+                        out_w, normalize_order=order)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < bound, order
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_build_prior_normalize_orders():
     rng = np.random.default_rng(107)
     bank, store, feats = _scene_pieces(rng, 4, 4, 8, [2, 2])
     for order in ("before", "after", "both"):
-        stack = build_prior(feats, store, bank, Aggregation("lse", 0.1), 7, 7,
-                            normalize_order=order)
+        log_pi = build_prior(feats, store, bank, Aggregation("lse", 0.1), 7, 7,
+                             normalize_order=order)
         ref_log_pi, _, _ = oracle.pipeline(
             feats.data, store.vectors, store.offsets,
             np.zeros((7, 7, 2)), np.zeros(2),
             lam=1.0, tau_s=0.1, aggregation="lse", normalize_order=order)
-        assert np.abs(stack.log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
+        assert np.abs(log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
 
 
-def test_build_prior_counts_zero_pixels():
+def test_build_prior_counts_zero_pixels(caplog):
     bank = parse_prompt_file("a\nb\n")
     store = store_from_array(np.eye(2), bank)
     feats = np.zeros((2, 2, 2), dtype=np.float32)
     feats[0, 0] = [1.0, 0.0]
-    stack = build_prior(DenseGrid(feats), store, bank, Aggregation("lse", 0.1), 2, 2)
+    log_pi, count = _logged_zero_norm_count(caplog, lambda: build_prior(
+        DenseGrid(feats), store, bank, Aggregation("lse", 0.1), 2, 2))
     # 3 zero pixels seen before the resize and again after it
-    assert stack.zero_norm_pixels == 6
-    assert np.isfinite(stack.log_pi.data).all()
+    assert count == 6
+    assert np.isfinite(log_pi.data).all()
 
 
 def test_build_prior_rejects_bad_target():
@@ -437,7 +505,7 @@ def test_argmax_consistent_across_modes_for_singletons():
     argmaxes = []
     for kind in ("lse", "average", "max"):
         mode = Aggregation.of(kind, 0.1)
-        stack = build_prior(feats, store, bank, mode, 6, 6)
-        argmaxes.append(np.argmax(stack.log_pi.data, axis=2))
+        log_pi = build_prior(feats, store, bank, mode, 6, 6)
+        argmaxes.append(np.argmax(log_pi.data, axis=2))
     assert np.array_equal(argmaxes[0], argmaxes[1])
     assert np.array_equal(argmaxes[1], argmaxes[2])
