@@ -7,6 +7,7 @@ I/O failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -37,9 +38,11 @@ def _positive_int(text):
 
 
 def _add_threads_option(sub):
-    sub.add_argument("--threads", type=_positive_int, default=1,
-                     help="accepted and unused: reserved for scheduling kernel "
-                          "tiles; outputs never depend on it")
+    sub.add_argument("--threads", type=_positive_int,
+                     default=len(os.sched_getaffinity(0)),
+                     help="prior-kernel row tiles run at once (default: the CPUs "
+                          "this process may use, here %(default)s); outputs "
+                          "never depend on it")
 
 
 # Flags that override a config key; each command takes only those it reads.
@@ -105,7 +108,8 @@ def cmd_prior(args) -> int:
     out_w = args.out_width if args.out_width else features.width
     mode = Aggregation.of(cfg.aggregation, cfg.tau_s)
     save_grid(build_prior(features, store, bank, mode, out_h, out_w,
-                          normalize_order=cfg.normalize_order), args.out)
+                          normalize_order=cfg.normalize_order,
+                          threads=args.threads), args.out)
     return 0
 
 
@@ -171,7 +175,8 @@ def cmd_sweep(args) -> int:
                       if args.aggregation_grid else [cfg.aggregation]),
         feature_sources=sources,
         normalize_order=cfg.normalize_order,
-        excluded=args.excluded)
+        excluded=args.excluded,
+        threads=args.threads)
     write_sweep_csv(rows, args.out)
     return 0
 
@@ -218,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default="logits")
     fusep.add_argument("--background-index", type=int)
     fusep.add_argument("--pgm", help="optional 8-bit PGM export path")
-    _add_threads_option(fusep)
     _add_config_options(fusep, "lambda_prior", "background_threshold")
     fusep.set_defaults(func=cmd_fuse)
 
@@ -259,9 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs more than parsing, so a process builds it once.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SegfuseError, OSError, ValueError) as err:

@@ -120,7 +120,8 @@ def run_sweep(scene: SyntheticScene, *,
               aggregations: Sequence[str] = ("lse",),
               feature_sources: Mapping[str, DenseGrid] | None = None,
               normalize_order: str = "both",
-              excluded: str = "ignore") -> list[SweepRow]:
+              excluded: str = "ignore",
+              threads: int = 1) -> list[SweepRow]:
     """Evaluate every axis combination on one scene.
 
     Rows come out in lexicographic axis order (p, selection, lambda_prior,
@@ -128,7 +129,8 @@ def run_sweep(scene: SyntheticScene, *,
     Pooled class scores depend only on (feature source, aggregation), never
     on who competes, so they are built once each over every class.  Each
     (p, selection) group then log-softmaxes its competitors' columns, and
-    every setting in it only fuses, decodes and scores.
+    every setting in it only fuses, decodes and scores.  `threads` is
+    passed to `pooled_scores`.
     """
     if excluded not in EXCLUDED_MODES:
         raise ValueError(f"excluded must be one of {EXCLUDED_MODES}")
@@ -145,7 +147,8 @@ def run_sweep(scene: SyntheticScene, *,
     pooled = {(name, mode): pooled_scores(features, scene.embeddings,
                                           scene.bank, mode, scene.height,
                                           scene.width,
-                                          normalize_order=normalize_order)
+                                          normalize_order=normalize_order,
+                                          threads=threads)
               for name, features in sources.items()
               for mode in dict.fromkeys(modes.values())}
 

@@ -19,13 +19,17 @@ block.  An axis whose size does not change is not interpolated.
 The similarities are one stacked product at feature resolution, which numpy
 runs as one BLAS call per source row.  The rest runs over tiles of output
 rows, so no resized array exists at full resolution; `pooled_scores` runs
-the same tiles as `build_prior` and stops before the log-softmax.  The tile
+the same tiles as `build_prior` and stops before the log-softmax.  Up to
+`threads` tiles run at once on a thread pool, each writing its own output
+rows, so up to `threads` tile working sets are live together.  The tile
 height comes from the output shape alone and all work after the products is
-elementwise per output pixel, so the output bytes do not depend on it.
+elementwise per output pixel, so the output bytes depend on neither the
+tile height nor the thread count.
 """
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,16 +68,24 @@ class Aggregation:
 
 
 def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit-normalize each vector along the last axis in float64.
+    """Unit-normalize each vector along the last axis of a float64 copy.
 
     Zero-norm pixels map to the zero vector (similarity 0 to everything) and
     are counted rather than rejected; padded regions produce them routinely.
+    The copy is normalized in place over bounded row blocks, so the only
+    full-size array is the one returned.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    norms = np.sqrt((feats * feats).sum(axis=-1))
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return feats / safe[..., None], int(zero.sum())
+    feats = np.array(feats, dtype=np.float64)
+    rows = feats.reshape(-1, feats.shape[-1])
+    step = _tile_rows(rows.shape[0], rows.shape[1] * 8)
+    zero_pixels = 0
+    for r0 in range(0, rows.shape[0], step):
+        block = rows[r0:r0 + step]
+        norms = np.sqrt((block * block).sum(axis=-1))
+        zero = norms == 0.0
+        block /= np.where(zero, 1.0, norms)[:, None]
+        zero_pixels += int(zero.sum())
+    return feats, zero_pixels
 
 
 def _pool_in_place(u: np.ndarray, mode: Aggregation) -> np.ndarray:
@@ -136,9 +148,11 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
 
 def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         bank: PromptBank, out_h: int, out_w: int,
-                        normalize_order: str) -> None:
+                        normalize_order: str, threads: int) -> None:
     if normalize_order not in NORMALIZE_ORDERS:
         raise ValueError(f"normalize_order must be one of {NORMALIZE_ORDERS}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if features.data.ndim != 3:
         raise ShapeError("features need 3 axes (H, W, D)", code="dim_mismatch")
     if features.channels != store.dim:
@@ -193,17 +207,22 @@ def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
     return same, pair
 
 
-def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
-                  out_h: int, out_w: int, normalize_order: str):
-    """Yield (rows, float64 pooled scores) per row tile.
+def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
+                  out_h: int, out_w: int, normalize_order: str, threads: int,
+                  dtype, finish) -> np.ndarray:
+    """The (out_h, out_w, C) array of `dtype` holding `finish(pooled scores)`.
 
-    This is the one kernel behind `build_prior` and `pooled_scores`.  After
-    the last tile it logs how many zero-norm pixels it met.
+    This is the one kernel behind `build_prior` and `pooled_scores`.  Each
+    row tile is one call that blends, re-normalizes, pools and finishes its
+    rows into the output, and up to `threads` tiles run at once.  The output
+    is allocated once the features are no longer needed.  After the last
+    tile it logs how many zero-norm pixels it met.
     """
-    src = features.data.astype(np.float64)
     zero_pixels = 0
     if normalize_order in ("before", "both"):
-        src, zero_pixels = normalize_pixels_array(src)
+        src, zero_pixels = normalize_pixels_array(features.data)
+    else:
+        src = features.data.astype(np.float64)
     in_h, in_w = features.height, features.width
     identity_y, identity_x = out_h == in_h, out_w == in_w
     taps_y = bilinear_taps(in_h, out_h)
@@ -213,18 +232,20 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
         same, pair = _norm_terms(src, taps_x, identity_x, identity_y)
 
     # (in_h, in_w, N) similarities at feature resolution, one BLAS product
-    # per source row; the tiles below make no BLAS call.
+    # per source row, on BLAS's own threads before any tile starts; the
+    # tiles make no BLAS call.
     sims_src = src @ store.vectors.astype(np.float64).T
+    del src
     segments = _segments_by_length(store.offsets)
-    # The tile budget covers the float64 similarities at output resolution.
-    step = _tile_rows(out_h, out_w * store.num_vectors * 8)
-    for r0 in range(0, out_h, step):
-        rows = slice(r0, min(r0 + step, out_h))
+    out = np.empty((out_h, out_w, store.num_classes), dtype=dtype)
+
+    def tile(rows: slice) -> int:
         y0, y1, fy = (t[rows] for t in taps_y)
         sims = (sims_src[rows] if identity_y
                 else interpolate_axis(sims_src, (y0, y1, fy), axis=0))
         if not identity_x:
             sims = interpolate_axis(sims, taps_x, axis=1)
+        zero_count = 0
         if renormalize:
             # The exact norm of each resized vector.  Rounding can take a
             # vanishing one below zero; a pixel whose taps hold only zero
@@ -236,16 +257,32 @@ def _pooled_tiles(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
             # On an identity grid `sims` is a view of `sims_src`.  Dividing
             # it in place is safe: no other tile reads these rows.
             sims /= np.where(zero, 1.0, norms)[..., None]
-            zero_pixels += int(zero.sum())
-        yield rows, _pool_segments(sims, segments, store.num_classes, mode)
+            zero_count = int(zero.sum())
+        out[rows] = finish(_pool_segments(sims, segments, store.num_classes,
+                                          mode))
+        return zero_count
+
+    # The tile budget covers the float64 similarities at output resolution.
+    step = _tile_rows(out_h, out_w * store.num_vectors * 8)
+    tiles = [slice(r0, min(r0 + step, out_h)) for r0 in range(0, out_h, step)]
+    workers = min(threads, len(tiles))
+    if workers == 1:
+        zero_counts = [tile(rows) for rows in tiles]
+    else:
+        # Tiles write disjoint output rows; map returns the counts in tile
+        # order and raises the first error a tile met.
+        with ThreadPoolExecutor(workers) as pool:
+            zero_counts = list(pool.map(tile, tiles))
+    zero_pixels += sum(zero_counts)
     if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
                        zero_pixels)
+    return out
 
 
 def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
                 mode: Aggregation, out_h: int, out_w: int, *,
-                normalize_order: str = "both") -> DenseGrid:
+                normalize_order: str = "both", threads: int = 1) -> DenseGrid:
     """Full semantic-prior pipeline for one image: the float32 log prior.
 
     Features are unit-normalized, bilinearly resized to out_h x out_w (the
@@ -257,27 +294,27 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     resolution and then resized, and the re-normalization divides them by
     the exact norm of each resized feature vector, taken from neighbour Gram
     maps; the result equals the resize-first order up to float64 rounding.
+    Up to `threads` row tiles run at once; the output bytes never depend on
+    it.
     """
-    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
-    log_pi = np.empty((out_h, out_w, store.num_classes), dtype=np.float32)
-    for rows, pooled in _pooled_tiles(features, store, mode, out_h, out_w,
-                                      normalize_order):
-        log_pi[rows] = log_prior_array(pooled)
-    return DenseGrid(log_pi)
+    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
+                        threads)
+    return DenseGrid(_tiled_kernel(features, store, mode, out_h, out_w,
+                                   normalize_order, threads, np.float32,
+                                   log_prior_array))
 
 
 def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
                   mode: Aggregation, out_h: int, out_w: int, *,
-                  normalize_order: str = "both") -> np.ndarray:
+                  normalize_order: str = "both",
+                  threads: int = 1) -> np.ndarray:
     """Float64 (out_h, out_w, C) pooled class scores, before the log-softmax.
 
-    Same inputs and kernel as `build_prior`.  A class's pooled score depends
-    only on its own synonyms, so a caller comparing class subsets slices
-    columns of one full array and log-softmaxes each slice.
+    Same inputs, kernel and `threads` as `build_prior`.  A class's pooled
+    score depends only on its own synonyms, so a caller comparing class
+    subsets slices columns of one full array and log-softmaxes each slice.
     """
-    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order)
-    out = np.empty((out_h, out_w, store.num_classes))
-    for rows, pooled in _pooled_tiles(features, store, mode, out_h, out_w,
-                                      normalize_order):
-        out[rows] = pooled
-    return out
+    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
+                        threads)
+    return _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
+                         threads, np.float64, lambda pooled: pooled)

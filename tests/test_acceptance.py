@@ -241,8 +241,7 @@ def test_criterion_8_thread_count_invariance(tmp_path, capsys):
                               "--evidence", str(scene_dir / "mask_logits.cft1"),
                               "--presence", str(scene_dir / "presence.cft1"),
                               "--prior", str(prior_path),
-                              "--out", str(label_path),
-                              "--threads", threads]) == 0
+                              "--out", str(label_path)]) == 0
             ok = ok and main(["eval", "--gt", str(scene_dir / "gt.cft1"),
                               "--pred", str(label_path),
                               "--classes", str(params["num_classes"])]) == 0

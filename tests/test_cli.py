@@ -1,4 +1,6 @@
 """CLI wrappers: exit codes, file outputs and bitwise parity with the library."""
+import os
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from segfuse import (Aggregation, DenseGrid, FusionConfig,
                      build_prior, fuse_and_decode, generate_scene,
                      load_embeddings, load_grid, load_label_map,
                      load_prompt_file, save_grid, save_label_map)
-from segfuse.cli import main
+from segfuse import grid as grid_module
+from segfuse import prior as prior_module
+from segfuse.cli import build_parser, main
 
 
 def _gen(tmp_path, seed=5, **kw):
@@ -94,22 +98,65 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
-_THREADED_COMMANDS = {
+_COMMANDS = {
     "prior": ["prior", "--features", "f", "--embeddings", "e", "--prompts", "p",
               "--out", "o"],
     "fuse": ["fuse", "--evidence", "e", "--presence", "p", "--prior", "q",
              "--out", "o"],
     "sweep": ["sweep", "--out", "o"],
 }
+# the commands that run prior-kernel tiles on --threads
+_THREADED_COMMANDS = ("prior", "sweep")
 
 
-@pytest.mark.parametrize("command", sorted(_THREADED_COMMANDS))
+@pytest.mark.parametrize("command", _THREADED_COMMANDS)
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_non_positive_threads_is_usage_error(command, threads, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(_THREADED_COMMANDS[command] + ["--threads", threads])
+        main(_COMMANDS[command] + ["--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", _THREADED_COMMANDS)
+def test_threads_defaults_to_usable_cpus(command):
+    args = build_parser().parse_args(_COMMANDS[command])
+    assert args.threads == len(os.sched_getaffinity(0))
+
+
+def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
+    scene_dir = _gen(tmp_path)
+    # one-row tiles: 12 of them
+    monkeypatch.setattr(grid_module, "_TILE_BYTES", 1)
+    pools = []
+
+    class RecordingExecutor:
+        """Records `max_workers` and runs the tiles in the calling thread."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(prior_module, "ThreadPoolExecutor", RecordingExecutor)
+    outputs = []
+    for threads in ("100000", "1"):
+        out = tmp_path / f"prior{threads}.cft1"
+        assert main(["prior", "--features", str(scene_dir / "features.cft1"),
+                     "--embeddings", str(scene_dir / "embeddings.cft1"),
+                     "--prompts", str(scene_dir / "prompts.txt"),
+                     "--out", str(out), "--threads", threads]) == 0
+        outputs.append(out.read_bytes())
+    # one worker starts no pool
+    assert pools == [12]
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_threads_is_usage_error(capsys):
@@ -117,6 +164,14 @@ def test_eval_threads_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--gt", "g", "--pred", "p", "--classes", "2",
               "--threads", "1"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_fuse_threads_is_usage_error(capsys):
+    # scheduling the fusion tiles measured no faster, so fuse takes no --threads
+    with pytest.raises(SystemExit) as exc:
+        main(_COMMANDS["fuse"] + ["--threads", "1"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -132,7 +187,7 @@ def test_eval_threads_is_usage_error(capsys):
 def test_flag_the_command_does_not_read_is_usage_error(command, flag, value,
                                                         capsys):
     with pytest.raises(SystemExit) as exc:
-        main(_THREADED_COMMANDS[command] + [flag, value])
+        main(_COMMANDS[command] + [flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
 

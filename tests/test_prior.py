@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -71,6 +72,20 @@ def test_normalize_pixels_zero_rows_counted():
     assert zeros == 3
     assert np.allclose(out[0, 0], [0.6, 0.8, 0.0])
     assert (out[1, 1] == 0.0).all()
+    # the input is copied, not normalized in place
+    assert feats[0, 0, 0] == 3.0
+
+
+def test_normalize_pixels_block_size_is_irrelevant(monkeypatch):
+    feats = np.random.default_rng(43).standard_normal((7, 5, 12))
+    feats[2, 3] = 0.0
+    norms = np.sqrt((feats * feats).sum(axis=-1))
+    want = feats / np.where(norms == 0.0, 1.0, norms)[..., None]
+    for rows in (1, 2, 6, 35):
+        monkeypatch.setattr(grid_module, "_TILE_BYTES", rows * 12 * 8)
+        out, zeros = normalize_pixels_array(feats)
+        assert out.tobytes() == want.tobytes(), rows
+        assert zeros == 1
 
 
 # --- aggregation -------------------------------------------------------------
@@ -296,6 +311,37 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                 assert len(outputs) == 1, (out_h, kind, order)
 
 
+def test_build_prior_thread_count_is_irrelevant(monkeypatch):
+    rng = np.random.default_rng(103)
+    bank, store, feats = _scene_pieces(rng, 9, 8, 32, [3, 2, 4, 1])
+    for out_h, out_w in ((9, 8), (13, 11), (4, 5), (9, 13)):
+        # one-row tiles, so there are more tiles than threads
+        monkeypatch.setattr(grid_module, "_TILE_BYTES",
+                            out_w * store.num_vectors * 8)
+        for kind in ("lse", "average", "max"):
+            mode = Aggregation.of(kind, 0.1)
+            for order in ("before", "after", "both"):
+                outputs = {
+                    (build_prior(feats, store, bank, mode, out_h, out_w,
+                                 normalize_order=order,
+                                 threads=threads).data.tobytes(),
+                     pooled_scores(feats, store, bank, mode, out_h, out_w,
+                                   normalize_order=order,
+                                   threads=threads).tobytes())
+                    for threads in (1, 2, 3)}
+                assert len(outputs) == 1, (out_h, out_w, kind, order)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_build_prior_rejects_non_positive_threads(threads):
+    rng = np.random.default_rng(104)
+    bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
+    for build in (build_prior, pooled_scores):
+        with pytest.raises(ValueError, match="threads"):
+            build(feats, store, bank, Aggregation("lse", 0.1), 3, 3,
+                  threads=threads)
+
+
 def _direct_pooled(feats, store, mode, out_h, out_w, order):
     """Pooled scores in the straight order: resize, re-normalize, then dot."""
     src = feats.data.astype(np.float64)
@@ -335,25 +381,30 @@ def _logged_zero_norm_count(caplog, build):
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger=prior_module.__name__):
         result = build()
-    counts = [r.args[0] for r in caplog.records
-              if r.name == prior_module.__name__ and "zero-norm" in r.msg]
-    assert len(counts) <= 1
-    return result, sum(counts)
+    records = [r for r in caplog.records
+               if r.name == prior_module.__name__ and "zero-norm" in r.msg]
+    assert len(records) <= 1
+    # the warning comes once, from the calling thread
+    assert all(r.thread == threading.get_ident() for r in records)
+    return result, sum(r.args[0] for r in records)
 
 
-def test_zero_norm_count_under_upsampling(caplog):
+def test_zero_norm_count_under_upsampling(caplog, monkeypatch):
     rng = np.random.default_rng(137)
     bank, store, feats = _scene_pieces(rng, 6, 7, 8, [2, 1])
     feats.data[:3, :4] = 0.0
+    # one-row tiles, so the count is summed over tiles
+    monkeypatch.setattr(grid_module, "_TILE_BYTES", 15 * store.num_vectors * 8)
     for order, before in (("after", 0), ("both", 12)):
         resized = oracle.bilinear(feats.data, 13, 15)
         _, after = normalize_pixels_array(resized)
         assert after > 0
-        log_pi, count = _logged_zero_norm_count(caplog, lambda: build_prior(
-            feats, store, bank, Aggregation("lse", 0.1), 13, 15,
-            normalize_order=order))
-        assert count == before + after
-        assert np.isfinite(log_pi.data).all()
+        for threads in (1, 3):
+            log_pi, count = _logged_zero_norm_count(caplog, lambda: build_prior(
+                feats, store, bank, Aggregation("lse", 0.1), 13, 15,
+                normalize_order=order, threads=threads))
+            assert count == before + after, threads
+            assert np.isfinite(log_pi.data).all()
 
 
 _ROW_PRODUCT_SCRIPT = """
@@ -420,6 +471,20 @@ def test_build_prior_bytes_ignore_blas_threads():
     assert len(digests) == 1
 
 
+def _traced_peak(build):
+    """Bytes `build()` holds at its peak beyond what was live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 def test_build_prior_holds_no_full_resolution_similarities():
     rng = np.random.default_rng(139)
     in_h, in_w, out_h, out_w, dim = 32, 32, 256, 256, 64
@@ -431,19 +496,33 @@ def test_build_prior_holds_no_full_resolution_similarities():
              + in_h * in_w * n * 8 + 4 * grid_module._TILE_BYTES)
     # the float64 similarities at output resolution would be 30 MiB here
     assert out_h * out_w * n * 8 > 3 * bound
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
+    for threads in (1, 2):
+        # each extra worker holds one more tile working set
+        threaded_bound = bound + 4 * grid_module._TILE_BYTES * (threads - 1)
         for order in ("before", "after", "both"):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h,
-                        out_w, normalize_order=order)
-            peak = tracemalloc.get_traced_memory()[1] - before
-            assert peak < bound, order
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+            peak = _traced_peak(lambda: build_prior(
+                feats, store, bank, Aggregation("lse", 0.1), out_h, out_w,
+                normalize_order=order, threads=threads))
+            assert peak < threaded_bound, (threads, order)
+
+
+def test_build_prior_frees_the_features_before_the_output():
+    """At most one float64 feature copy, and never beside the output."""
+    rng = np.random.default_rng(149)
+    in_h, in_w, out_h, out_w, dim = 64, 64, 256, 256, 512
+    bank, store, feats = _scene_pieces(rng, in_h, in_w, dim, [3] * 100)
+    out_bytes = out_h * out_w * store.num_classes * 4
+    feature_copy = in_h * in_w * dim * 8
+    # the output, the feature-resolution similarities and a few tile budgets
+    bound = (out_bytes + in_h * in_w * store.num_vectors * 8
+             + 4 * grid_module._TILE_BYTES)
+    # 12 MiB below the output beside two feature copies (57.1 MiB here)
+    assert bound <= out_bytes + 2 * feature_copy - 12 * 2**20
+    for order in ("before", "both"):
+        peak = _traced_peak(lambda: build_prior(
+            feats, store, bank, Aggregation("lse", 0.1), out_h, out_w,
+            normalize_order=order))
+        assert peak < bound, order
 
 
 def test_build_prior_normalize_orders():
