@@ -2,7 +2,7 @@
 
 Every command is a thin wrapper over the library; outputs are byte-identical
 to the corresponding library calls.  Exit codes: 0 success, 1 validation or
-I/O failure, 2 usage error.
+I/O failure or `out_of_memory`, 2 usage error.
 """
 from __future__ import annotations
 
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SegfuseError, OSError, ValueError) as err:
         print(f"segfuse: error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"segfuse: error: out_of_memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingError
-from .grid import load_grid
+from .grid import _all_finite, load_grid
 from .prompts import PromptBank
 
 
@@ -53,7 +53,7 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
         raise EmbeddingError(
             "row_count_mismatch",
             f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
-    if not np.isfinite(rows).all():
+    if not _all_finite(rows):
         raise EmbeddingError("nonfinite_values", "embedding rows hold NaN or Inf")
     offsets = []
     start = 0

@@ -15,7 +15,8 @@ rounded to float32 once, at the output.
 A regular file's payload is read straight into the array that is returned,
 and a saved array is written from its own memory, so neither direction makes
 a full-size copy.  `_tile_rows` is the row-tile height that the prior and
-fusion kernels share.
+fusion kernels and scene generation share, and `_all_finite` is the one
+NaN/Inf check.
 """
 from __future__ import annotations
 
@@ -45,6 +46,11 @@ _TILE_BYTES = 1 << 20
 def _tile_rows(height: int, row_bytes: int) -> int:
     """Rows per tile of `row_bytes` working bytes per row; a function of the shape only."""
     return max(1, min(height, _TILE_BYTES // row_bytes))
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """True if arr holds no NaN or Inf; min and max propagate NaN, so it fails too."""
+    return arr.size == 0 or bool(arr.min() > -np.inf and arr.max() < np.inf)
 
 
 @dataclass
@@ -167,7 +173,7 @@ def load_grid(path) -> DenseGrid:
     flat = arr.reshape(-1)
     step = _STREAM_CHUNK // flat.itemsize
     for start in range(0, flat.size, step):
-        if not np.isfinite(flat[start:start + step]).all():
+        if not _all_finite(flat[start:start + step]):
             raise TensorFormatError("nonfinite_values", f"{path}: payload has NaN/Inf")
     return DenseGrid(arr)
 

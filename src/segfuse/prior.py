@@ -37,7 +37,8 @@ import numpy as np
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
 from .fusion import check_tau_s
-from .grid import DenseGrid, _tile_rows, bilinear_taps, interpolate_axis
+from .grid import (DenseGrid, _all_finite, _tile_rows, bilinear_taps,
+                   interpolate_axis)
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
@@ -164,7 +165,7 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
             f"store has {store.num_classes} classes, bank has {bank.num_classes}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
-    if not np.isfinite(features.data).all():
+    if not _all_finite(features.data):
         raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
 
 

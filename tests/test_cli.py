@@ -43,6 +43,35 @@ def test_gen_is_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# The scene's first large allocation is its uint32 ground truth, 364 TiB at
+# this size: more than the user address space of x86-64 (128 TiB) or of
+# 48-bit arm64 (256 TiB), so it fails at once under any overcommit mode
+# instead of being granted and touched.
+HUGE = 10**7
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_out_of_memory_scene_exit_1(tmp_path, capsys, command):
+    assert HUGE * HUGE * 4 > 256 * 2**40
+    args = [command, "--height", str(HUGE), "--width", str(HUGE),
+            "--classes", "150"]
+    if command == "gen":
+        args += ["--out-dir", str(tmp_path / "scene")]
+    else:
+        args += ["--out", str(tmp_path / "sweep.csv")]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("segfuse: error: out_of_memory: ")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--feature-height", "--feature-width"])
+def test_gen_non_positive_feature_grid_exit_1(tmp_path, capsys, flag):
+    for value in ("0", "-2"):
+        assert main(["gen", flag, value, "--out-dir", str(tmp_path / "s")]) == 1
+        assert "scene dimensions must be >= 1" in capsys.readouterr().err
+
+
 def test_prior_output_is_normalized(tmp_path):
     scene_dir = _gen(tmp_path)
     out = tmp_path / "prior.cft1"

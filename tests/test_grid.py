@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from segfuse import (DenseGrid, LabelMap, ShapeError, TensorFormatError,
                      load_grid, load_label_map, save_grid, save_label_map)
 from segfuse.cli import main
-from segfuse.grid import bilinear_taps, interpolate_axis
+from segfuse.grid import _all_finite, bilinear_taps, interpolate_axis
 
 import oracle
 
@@ -200,6 +200,34 @@ def test_nonfinite_value_in_last_slice_rejected(tmp_path):
     with pytest.raises(TensorFormatError) as err:
         load_grid(path)
     assert err.value.code == "nonfinite_values"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_value_ending_a_middle_slice_rejected(tmp_path, bad):
+    # 3 MiB of float32: the bad value is the last one of the second 1 MiB slice
+    data = np.zeros((3, 1 << 18), dtype=np.float32)
+    data[1, -1] = bad
+    path = tmp_path / "bad.cft1"
+    save_grid(DenseGrid(data), path)
+    with pytest.raises(TensorFormatError) as err:
+        load_grid(path)
+    assert err.value.code == "nonfinite_values"
+
+
+@pytest.mark.parametrize("values, finite", [
+    (np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max,
+               np.finfo(np.float32).tiny / 2, -0.0], dtype=np.float32), True),
+    (np.array([[1, -7]], dtype=np.int64), True),
+    (np.zeros((0, 3)), True),
+    (np.array([0.0, 1.0, np.nan]), False),
+    (np.array([np.nan, 1.0, 0.0]), False),
+    (np.array([np.inf, np.nan]), False),
+    (np.array([1.0, -np.inf]), False),
+    (np.array([[np.inf], [1.0]], dtype=np.float32), False),
+])
+def test_all_finite(values, finite):
+    assert _all_finite(values) is finite
+    assert bool(np.isfinite(values).all()) is finite
 
 
 def test_short_read_after_size_check_is_truncated(tmp_path, monkeypatch):
