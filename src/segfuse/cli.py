@@ -3,6 +3,10 @@
 Every command is a thin wrapper over the library; outputs are byte-identical
 to the corresponding library calls.  Exit codes: 0 success, 1 validation or
 I/O failure or `out_of_memory`, 2 usage error.
+
+The run settings live in one table, `_SETTINGS`: each key's default, its
+argparse keywords and its check.  The flags, the `--config` file reader and
+the merge (defaults < config file < flags, then the checks) all read it.
 """
 from __future__ import annotations
 
@@ -13,15 +17,16 @@ import sys
 
 from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
-from .config import build_run_config, load_config_file
 from .embeddings import load_embeddings
 from .errors import SegfuseError, ShapeError
-from .fusion import (EVIDENCE_KINDS, Background, EvidenceBundle, FusionConfig,
+from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
+                     EvidenceBundle, FusionConfig, check_lambda_prior,
                      fuse_and_decode, write_pgm)
 from .grid import (DenseGrid, load_grid, load_label_map, save_grid,
                    save_label_map)
 from .metrics import ConfusionMatrix, iou_report
-from .prior import AGGREGATION_KINDS, NORMALIZE_ORDERS, Aggregation, build_prior
+from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
+                    Aggregation, build_prior, check_tau_s)
 from .prompts import load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
@@ -45,13 +50,14 @@ def _add_threads_option(sub):
                           "never depend on it")
 
 
-# Flags that override a config key; each command takes only those it reads.
-_CONFIG_FLAGS = {
-    "lambda_prior": {"type": float},
-    "tau_s": {"type": float},
-    "aggregation": {"choices": AGGREGATION_KINDS},
-    "background_threshold": {"type": float},
-    "normalize_order": {"choices": NORMALIZE_ORDERS},
+# The run settings: key -> (default, argparse keywords, check or None).  A
+# command takes the flags of the keys it reads; a config file may set any key.
+_SETTINGS = {
+    "lambda_prior": (DEFAULT_LAMBDA, {"type": float}, check_lambda_prior),
+    "tau_s": (DEFAULT_TAU, {"type": float}, check_tau_s),
+    "aggregation": ("lse", {"choices": AGGREGATION_KINDS}, None),
+    "background_threshold": (None, {"type": float}, None),
+    "normalize_order": ("both", {"choices": NORMALIZE_ORDERS}, None),
 }
 
 
@@ -59,7 +65,51 @@ def _add_config_options(sub, *keys):
     sub.add_argument("--config", help="key = value config file")
     for key in keys:
         sub.add_argument("--" + key.replace("_", "-"), dest=key,
-                         **_CONFIG_FLAGS[key])
+                         **_SETTINGS[key][1])
+
+
+def _read_config(path) -> dict:
+    """The values of a UTF-8 `key = value` file; '#' starts a comment line."""
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SegfuseError("bad_config_line", f"line {lineno}: expected key = value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in _SETTINGS:
+            raise SegfuseError("unknown_config_key", f"line {lineno}: '{key}'")
+        try:
+            values[key] = _SETTINGS[key][1].get("type", str)(value)
+        except ValueError:
+            raise SegfuseError(
+                "bad_config_value", f"line {lineno}: cannot parse '{value}' for {key}")
+    return values
+
+
+def _merge_settings(args) -> None:
+    """Set every run setting on `args`: defaults < config file < flags.
+
+    The checks run on the merged values, so a bad file value that a flag
+    overrides is never seen, and a key the command does not read is still
+    checked.
+    """
+    merged = {key: default for key, (default, _, _) in _SETTINGS.items()}
+    if args.config:
+        merged.update(_read_config(args.config))
+    for key in _SETTINGS:
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
+    for key, (_, kwargs, check) in _SETTINGS.items():
+        if "choices" in kwargs and merged[key] not in kwargs["choices"]:
+            raise SegfuseError("bad_config_value",
+                               f"{key} must be one of {kwargs['choices']}")
+        if check:
+            check(merged[key])
+    vars(args).update(merged)
 
 
 def _add_scene_options(sub):
@@ -83,12 +133,6 @@ def _scene(args):
                           args.overlap, args.feature_height, args.feature_width)
 
 
-def _run_config(args):
-    file_values = load_config_file(args.config) if args.config else {}
-    return build_run_config(
-        file_values, **{key: getattr(args, key, None) for key in _CONFIG_FLAGS})
-
-
 def _load_presence(path, n_classes):
     grid = load_grid(path)
     presence = grid.data.ravel()
@@ -100,22 +144,20 @@ def _load_presence(path, n_classes):
 
 
 def cmd_prior(args) -> int:
-    cfg = _run_config(args)
     bank = load_prompt_file(args.prompts)
     features = load_grid(args.features)
     store = load_embeddings(args.embeddings, bank)
-    out_h = args.out_height if args.out_height else features.height
-    out_w = args.out_width if args.out_width else features.width
-    mode = Aggregation.of(cfg.aggregation, cfg.tau_s)
+    out_h = features.height if args.out_height is None else args.out_height
+    out_w = features.width if args.out_width is None else args.out_width
+    mode = Aggregation.of(args.aggregation, args.tau_s)
     save_grid(build_prior(features, store, bank, mode, out_h, out_w,
-                          normalize_order=cfg.normalize_order,
+                          normalize_order=args.normalize_order,
                           threads=args.threads), args.out)
     return 0
 
 
 def cmd_fuse(args) -> int:
-    cfg = _run_config(args)
-    if args.background_index is not None and cfg.background_threshold is None:
+    if args.background_index is not None and args.background_threshold is None:
         raise SegfuseError(
             "background_index_without_threshold",
             "--background-index needs a background threshold, from "
@@ -125,10 +167,10 @@ def cmd_fuse(args) -> int:
     evidence = EvidenceBundle(evidence_grid, args.evidence_kind, presence)
     prior = load_grid(args.prior)
     background = None
-    if cfg.background_threshold is not None:
-        background = Background(cfg.background_threshold, args.background_index)
+    if args.background_threshold is not None:
+        background = Background(args.background_threshold, args.background_index)
     labels = fuse_and_decode(evidence, prior,
-                             FusionConfig(cfg.lambda_prior, background))
+                             FusionConfig(args.lambda_prior, background))
     save_label_map(labels, args.out)
     if args.pgm:
         write_pgm(labels, args.pgm)
@@ -144,8 +186,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_float_list(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _parse_float_list(text, flag):
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise SegfuseError("bad_number_list",
+                           f"{flag}: expected comma-separated numbers, got '{text}'")
 
 
 def _parse_str_list(text):
@@ -153,7 +199,6 @@ def _parse_str_list(text):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _run_config(args)
     scene = _scene(args)
     sources = {"primary": scene.features}
     for item in args.alt_features or []:
@@ -165,16 +210,16 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(
         scene,
         target_class=args.target_class,
-        p_values=_parse_float_list(args.p),
+        p_values=_parse_float_list(args.p, "--p"),
         selections=_parse_str_list(args.selection),
-        lambda_values=(_parse_float_list(args.lambda_grid)
-                       if args.lambda_grid else [cfg.lambda_prior]),
-        tau_values=(_parse_float_list(args.tau_grid)
-                    if args.tau_grid else [cfg.tau_s]),
+        lambda_values=(_parse_float_list(args.lambda_grid, "--lambda-grid")
+                       if args.lambda_grid else [args.lambda_prior]),
+        tau_values=(_parse_float_list(args.tau_grid, "--tau-grid")
+                    if args.tau_grid else [args.tau_s]),
         aggregations=(_parse_str_list(args.aggregation_grid)
-                      if args.aggregation_grid else [cfg.aggregation]),
+                      if args.aggregation_grid else [args.aggregation]),
         feature_sources=sources,
-        normalize_order=cfg.normalize_order,
+        normalize_order=args.normalize_order,
         excluded=args.excluded,
         threads=args.threads)
     write_sweep_csv(rows, args.out)
@@ -270,6 +315,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if "config" in args:
+            _merge_settings(args)
         return args.func(args)
     except (SegfuseError, OSError, ValueError) as err:
         print(f"segfuse: error: {err}", file=sys.stderr)

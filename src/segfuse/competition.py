@@ -40,9 +40,12 @@ class CompetitionSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.ratio <= 1.0:
-            raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
+            raise SegfuseError("bad_ratio",
+                               f"ratio must lie in [0, 1], got {self.ratio}")
         if self.selection not in SELECTION_MODES:
-            raise ValueError(f"selection must be one of {SELECTION_MODES}")
+            raise SegfuseError("bad_selection",
+                               f"selection must be one of {SELECTION_MODES}, "
+                               f"got '{self.selection}'")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,9 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     """
     n = bank.num_classes
     if not 0 <= spec.target_class < n:
-        raise ValueError(f"target class {spec.target_class} out of range 0..{n - 1}")
+        raise SegfuseError(
+            "bad_class_index",
+            f"target class {spec.target_class} out of range 0..{n - 1}")
     canon = canonical_vectors(store).astype(np.float64)
     sims = canon @ canon[spec.target_class]
     negatives = [c for c in range(n) if c != spec.target_class]
@@ -133,13 +138,15 @@ def run_sweep(scene: SyntheticScene, *,
     passed to `pooled_scores`.
     """
     if excluded not in EXCLUDED_MODES:
-        raise ValueError(f"excluded must be one of {EXCLUDED_MODES}")
+        raise SegfuseError("bad_excluded",
+                           f"excluded must be one of {EXCLUDED_MODES}")
     for axis_name, axis in (("p", p_values), ("selection", selections),
                             ("lambda_prior", lambda_values),
                             ("tau_s", tau_values),
                             ("aggregation", aggregations)):
         if len(axis) == 0:
-            raise ValueError(f"sweep axis '{axis_name}' is empty")
+            raise SegfuseError("empty_sweep_axis",
+                               f"sweep axis '{axis_name}' is empty")
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
     modes = {(tau, kind): Aggregation.of(kind, tau)

@@ -105,16 +105,6 @@ def check_lambda_prior(value: float) -> None:
                            f"lambda_prior must be finite and >= 0, got {value}")
 
 
-def check_tau_s(value: float) -> None:
-    """The one check on a pooling temperature: finite and > 0 (NaN fails too).
-
-    An infinite temperature would pool every class to log(m_c), whatever the
-    features say.
-    """
-    if not 0.0 < value < math.inf:
-        raise SegfuseError("bad_tau_s", f"tau_s must be finite and > 0, got {value}")
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     lambda_prior: float = DEFAULT_LAMBDA

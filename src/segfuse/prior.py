@@ -29,6 +29,7 @@ tile height nor the thread count.
 from __future__ import annotations
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
-from .fusion import check_tau_s
 from .grid import (DenseGrid, _all_finite, _tile_rows, bilinear_taps,
                    interpolate_axis)
 from .prompts import PromptBank
@@ -49,6 +49,16 @@ AGGREGATION_KINDS = ("lse", "average", "max")
 NORMALIZE_ORDERS = ("before", "after", "both")
 
 
+def check_tau_s(value: float) -> None:
+    """The one check on a pooling temperature: finite and > 0 (NaN fails too).
+
+    An infinite temperature would pool every class to log(m_c), whatever the
+    features say.
+    """
+    if not 0.0 < value < math.inf:
+        raise SegfuseError("bad_tau_s", f"tau_s must be finite and > 0, got {value}")
+
+
 @dataclass(frozen=True)
 class Aggregation:
     """Synonym pooling rule; only the lse variant carries a temperature."""
@@ -58,7 +68,9 @@ class Aggregation:
 
     def __post_init__(self):
         if self.kind not in AGGREGATION_KINDS:
-            raise ValueError(f"aggregation kind must be one of {AGGREGATION_KINDS}")
+            raise SegfuseError(
+                "bad_aggregation",
+                f"aggregation must be one of {AGGREGATION_KINDS}, got '{self.kind}'")
         if self.kind == "lse":
             check_tau_s(self.tau_s)
 

@@ -502,11 +502,88 @@ def test_config_file_and_flag_precedence(tmp_path):
 def test_bad_config_key_exit_1(tmp_path, capsys):
     scene_dir = _gen(tmp_path)
     config = tmp_path / "run.conf"
-    for line in ("speed = 11\n", "chunk = 16\n"):
-        config.write_text(line)
-        code = main(["prior", "--features", str(scene_dir / "features.cft1"),
+    for line, code in (("speed = 11\n", "unknown_config_key"),
+                       ("chunk = 16\n", "unknown_config_key"),
+                       ("tau_s 0.25\n", "bad_config_line"),
+                       ("tau_s = abc\n", "bad_config_value"),
+                       ("aggregation = LSE\n", "bad_config_value")):
+        config.write_text("# settings\n" + line)
+        capsys.readouterr()
+        assert main(["prior", "--features", str(scene_dir / "features.cft1"),
                      "--embeddings", str(scene_dir / "embeddings.cft1"),
                      "--prompts", str(scene_dir / "prompts.txt"),
-                     "--out", str(tmp_path / "o.cft1"), "--config", str(config)])
-        assert code == 1
-        assert "unknown_config_key" in capsys.readouterr().err
+                     "--out", str(tmp_path / "o.cft1"),
+                     "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"segfuse: error: {code}: ")
+        assert not (tmp_path / "o.cft1").exists()
+
+
+def _prior_argv(scene_dir, out):
+    return ["prior", "--features", str(scene_dir / "features.cft1"),
+            "--embeddings", str(scene_dir / "embeddings.cft1"),
+            "--prompts", str(scene_dir / "prompts.txt"), "--out", str(out)]
+
+
+def test_config_checks_keys_the_command_does_not_read(tmp_path, capsys):
+    # fuse reads no tau_s, but the file's value is still checked
+    scene_dir, prior_path, _ = _full_chain(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text("tau_s = 0\n")
+    out = tmp_path / "o.cft1"
+    capsys.readouterr()
+    assert main(["fuse", "--evidence", str(scene_dir / "mask_logits.cft1"),
+                 "--presence", str(scene_dir / "presence.cft1"),
+                 "--prior", str(prior_path), "--out", str(out),
+                 "--config", str(config)]) == 1
+    assert "bad_tau_s" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_checks_apply_to_merged_values(tmp_path):
+    # bad file values that flags override are never used, so they pass
+    scene_dir = _gen(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text("aggregation = bogus\ntau_s = 0\n")
+    out = tmp_path / "o.cft1"
+    assert main(_prior_argv(scene_dir, out) +
+                ["--config", str(config), "--aggregation", "max",
+                 "--tau-s", "0.2"]) == 0
+    bank = load_prompt_file(scene_dir / "prompts.txt")
+    store = load_embeddings(scene_dir / "embeddings.cft1", bank)
+    expect = build_prior(load_grid(scene_dir / "features.cft1"), store, bank,
+                         Aggregation("max"), 12, 12)
+    assert load_grid(out).data.tobytes() == expect.data.tobytes()
+
+
+@pytest.mark.parametrize("height, width", [("0", "0"), ("0", "12"),
+                                           ("12", "0"), ("-3", "-3")])
+def test_prior_out_size_below_1_exit_1(tmp_path, capsys, height, width):
+    # 0 is a size like any other, not "use the feature size"
+    scene_dir = _gen(tmp_path)
+    out = tmp_path / "o.cft1"
+    capsys.readouterr()
+    assert main(_prior_argv(scene_dir, out) +
+                ["--out-height", height, "--out-width", width]) == 1
+    assert "shape_mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--p", "2"], "bad_ratio"),
+    (["--p", ","], "empty_sweep_axis"),
+    (["--p", "0,abc"], "bad_number_list"),
+    (["--selection", "foo"], "bad_selection"),
+    (["--selection", ","], "empty_sweep_axis"),
+    (["--aggregation-grid", "foo"], "bad_aggregation"),
+    (["--target-class", "50"], "bad_class_index"),
+    (["--target-class", "-1"], "bad_class_index"),
+    (["--tau-grid", "abc"], "bad_number_list"),
+    (["--lambda-grid", "x"], "bad_number_list"),
+])
+def test_sweep_bad_input_exit_1_with_code(tmp_path, capsys, flags, code):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--seed", "3", "--height", "8", "--width", "8",
+                 "--dim", "8", "--classes", "4", "--synonyms", "2",
+                 "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"segfuse: error: {code}: ")
+    assert not out.exists()

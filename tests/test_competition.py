@@ -95,10 +95,22 @@ def test_competitor_sets_nest_with_p():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        CompetitionSpec(0, 1.5, "easy")
-    with pytest.raises(ValueError):
+    for ratio in (1.5, -0.1, math.nan):
+        with pytest.raises(SegfuseError) as err:
+            CompetitionSpec(0, ratio, "easy")
+        assert err.value.code == "bad_ratio"
+    with pytest.raises(SegfuseError) as err:
         CompetitionSpec(0, 0.5, "easiest")
+    assert err.value.code == "bad_selection"
+
+
+def test_target_class_out_of_range():
+    scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
+    for target in (3, -1):
+        with pytest.raises(SegfuseError) as err:
+            select_competitors(scene.embeddings, scene.bank,
+                               CompetitionSpec(target, 0.5))
+        assert err.value.code == "bad_class_index"
 
 
 def test_restrict_to_classes_reindexes():
@@ -320,8 +332,12 @@ def test_sweep_csv_shape():
 
 def test_empty_axis_rejected():
     scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(SegfuseError) as err:
         run_sweep(scene, p_values=[], selections=["easy"])
+    assert err.value.code == "empty_sweep_axis"
+    with pytest.raises(SegfuseError) as err:
+        run_sweep(scene, p_values=[0.5], excluded="drop")
+    assert err.value.code == "bad_excluded"
 
 
 def _target_iou(scene, p, selection, target=0):

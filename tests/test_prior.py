@@ -159,8 +159,9 @@ def test_aggregate_class_grids():
 
 
 def test_aggregation_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SegfuseError) as err:
         Aggregation("median")
+    assert err.value.code == "bad_aggregation"
     for tau in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(SegfuseError) as err:
             Aggregation("lse", tau)
