@@ -1,8 +1,10 @@
 """Command-line surface: prior, fuse, eval, sweep and gen subcommands.
 
 Every command is a thin wrapper over the library; outputs are byte-identical
-to the corresponding library calls.  Exit codes: 0 success, 1 validation or
-I/O failure or `out_of_memory`, 2 usage error.
+to the corresponding library calls.  `prior` writes its output and `fuse`
+reads its two grids one row tile at a time, through the row reader and
+writer of `grid`, so neither holds a whole H x W x C grid.  Exit codes: 0
+success, 1 validation or I/O failure or `out_of_memory`, 2 usage error.
 
 The run settings live in one table, `_SETTINGS`: each key's default, its
 argparse keywords and its check.  The flags, the `--config` file reader and
@@ -19,14 +21,14 @@ from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
 from .embeddings import load_embeddings
 from .errors import SegfuseError, ShapeError
-from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
-                     EvidenceBundle, FusionConfig, check_lambda_prior,
-                     fuse_and_decode, write_pgm)
-from .grid import (DenseGrid, load_grid, load_label_map, save_grid,
-                   save_label_map)
+from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background, FusionConfig,
+                     _decode_tiles, _fused_tiles, check_lambda_prior,
+                     write_pgm)
+from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
+                   save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
-                    Aggregation, build_prior, check_tau_s)
+                    Aggregation, _write_prior, check_tau_s)
 from .prompts import load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
@@ -150,27 +152,32 @@ def cmd_prior(args) -> int:
     out_h = features.height if args.out_height is None else args.out_height
     out_w = features.width if args.out_width is None else args.out_width
     mode = Aggregation.of(args.aggregation, args.tau_s)
-    save_grid(build_prior(features, store, bank, mode, out_h, out_w,
-                          normalize_order=args.normalize_order,
-                          threads=args.threads), args.out)
+    _write_prior(features, store, bank, mode, out_h, out_w, args.out,
+                 normalize_order=args.normalize_order, threads=args.threads)
     return 0
 
 
 def cmd_fuse(args) -> int:
+    """`fuse_and_decode` on the two files, read tile by tile in lockstep."""
     if args.background_index is not None and args.background_threshold is None:
         raise SegfuseError(
             "background_index_without_threshold",
             "--background-index needs a background threshold, from "
             "--background-threshold or the config file")
-    evidence_grid = load_grid(args.evidence)
-    presence = _load_presence(args.presence, evidence_grid.channels)
-    evidence = EvidenceBundle(evidence_grid, args.evidence_kind, presence)
-    prior = load_grid(args.prior)
     background = None
     if args.background_threshold is not None:
         background = Background(args.background_threshold, args.background_index)
-    labels = fuse_and_decode(evidence, prior,
-                             FusionConfig(args.lambda_prior, background))
+    cfg = FusionConfig(args.lambda_prior, background)
+    with _read_rows(args.evidence, DTYPE_F32) as evidence:
+        dims = evidence.extents
+        presence = _load_presence(args.presence, dims[2] if len(dims) == 3 else 1)
+        with _read_rows(args.prior, DTYPE_F32) as prior:
+            tiles = _fused_tiles(
+                lambda rows: (evidence.read(rows.stop - rows.start),
+                              prior.read(rows.stop - rows.start)),
+                dims, args.evidence_kind, presence, prior.extents,
+                cfg.lambda_prior)
+            labels = _decode_tiles(tiles, dims, cfg)
     save_label_map(labels, args.out)
     if args.pgm:
         write_pgm(labels, args.pgm)

@@ -14,7 +14,11 @@ label.
 
 One kernel, `_fused_tiles`, computes the scores over tiles of whole rows:
 each tile is summed in float64 in the order (m + lambda * l) + z and rounded
-to float32 once, so the bytes do not depend on the tile height.  `fuse`
+to float32 once, so the bytes do not depend on the tile height.  It takes
+its evidence and prior rows from a source: `fuse` and `fuse_and_decode`
+slice their arrays, and the `fuse` command reads the two files in lockstep,
+one tile of each at a time, so it never holds a whole input.  Probability
+evidence is range-checked tile by tile, where it is converted.  `fuse`
 writes the tiles into one grid; `fuse_and_decode` decodes each tile as it
 comes and never holds the H x W x C stack.  The tile height comes from the
 shape alone, through the budget the prior kernel uses too.
@@ -39,6 +43,25 @@ _MAX_LABEL = 2**32 - 1
 EVIDENCE_KINDS = ("logits", "probabilities")
 
 
+def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
+    """The one check of mask evidence: its kind, 3 axes, one presence per class.
+
+    Returns the (C,) float32 presence logits; None means all zero.  The range
+    of probability evidence is checked per tile, where it is converted.
+    """
+    if kind not in EVIDENCE_KINDS:
+        raise SegfuseError("bad_evidence_kind",
+                           f"evidence kind must be one of {EVIDENCE_KINDS}, got '{kind}'")
+    if len(dims) != 3:
+        raise ShapeError("mask evidence needs 3 axes (H, W, C)")
+    c = dims[2]
+    presence = (np.zeros(c, dtype=np.float32) if presence is None
+                else np.asarray(presence, dtype=np.float32).ravel())
+    if presence.shape[0] != c:
+        raise ShapeError(f"presence has {presence.shape[0]} entries for {c} classes")
+    return presence
+
+
 @dataclass
 class EvidenceBundle:
     """Per-class mask evidence plus image-level presence logits for one image."""
@@ -48,25 +71,8 @@ class EvidenceBundle:
     presence: np.ndarray | None = None  # (C,) logits; None means all zero
 
     def __post_init__(self):
-        if self.evidence_kind not in EVIDENCE_KINDS:
-            raise ValueError(f"evidence kind must be one of {EVIDENCE_KINDS}")
-        if self.mask_evidence.data.ndim != 3:
-            raise ShapeError("mask evidence needs 3 axes (H, W, C)")
-        c = self.mask_evidence.channels
-        if self.presence is None:
-            self.presence = np.zeros(c, dtype=np.float32)
-        else:
-            self.presence = np.asarray(self.presence, dtype=np.float32).ravel()
-        if self.presence.shape[0] != c:
-            raise ShapeError(
-                f"presence has {self.presence.shape[0]} entries for {c} classes")
-        if self.evidence_kind == "probabilities":
-            data = self.mask_evidence.data
-            # Written so that NaN, which fails every comparison, is rejected.
-            if not (data.min() >= 0.0 and data.max() <= 1.0):
-                raise SegfuseError(
-                    "probability_out_of_range",
-                    "probability evidence must lie in [0, 1]")
+        self.presence = _check_evidence(self.mask_evidence.dims,
+                                        self.evidence_kind, self.presence)
 
     @property
     def num_classes(self) -> int:
@@ -114,11 +120,17 @@ class FusionConfig:
         check_lambda_prior(self.lambda_prior)
 
 
-def _mask_logits(evidence: EvidenceBundle, rows: slice) -> np.ndarray:
-    """Float32 mask logits of the evidence rows `rows`."""
-    data = evidence.mask_evidence.data[rows]
-    if evidence.evidence_kind == "logits":
+def _mask_logits(data: np.ndarray, kind: str) -> np.ndarray:
+    """Float32 mask logits of evidence rows `data` of kind `kind`.
+
+    This is the one place probability evidence is range-checked.
+    """
+    if kind == "logits":
         return data
+    # Written so that NaN, which fails every comparison, is rejected.
+    if not (data.min() >= 0.0 and data.max() <= 1.0):
+        raise SegfuseError("probability_out_of_range",
+                           "probability evidence must lie in [0, 1]")
     p = data.astype(np.float64)
     np.clip(p, PROB_EPS, 1.0 - PROB_EPS, out=p)
     odds = 1.0 - p
@@ -132,39 +144,53 @@ def to_logit(evidence: EvidenceBundle) -> DenseGrid:
 
     Logit-kind evidence passes through unchanged (logit of sigmoid is the
     identity, so the round trip is skipped).  Probabilities are clamped to
-    [PROB_EPS, 1 - PROB_EPS] first so 0 and 1 stay finite.
+    [PROB_EPS, 1 - PROB_EPS] first so 0 and 1 stay finite; one outside
+    [0, 1], NaN included, fails with `probability_out_of_range`.
     """
-    return DenseGrid(_mask_logits(evidence, slice(None)))
+    return DenseGrid(_mask_logits(evidence.mask_evidence.data,
+                                  evidence.evidence_kind))
 
 
-def _fused_rows(evidence: EvidenceBundle, log_pi: DenseGrid,
-                presence: np.ndarray, lambda_prior: float,
-                rows: slice) -> np.ndarray:
-    """Float32 fused scores of rows `rows`, summed in float64 and rounded once.
+def _fused_rows(mask: np.ndarray, log_pi: np.ndarray, kind: str,
+                presence: np.ndarray, lambda_prior: float) -> np.ndarray:
+    """Float32 fused scores of one tile, summed in float64 and rounded once.
 
     The float64 temporaries are freed on return, before the tile is decoded.
     """
-    mask_logits = _mask_logits(evidence, rows)
+    mask_logits = _mask_logits(mask, kind)
     # lambda * l + m equals m + lambda * l bit for bit: IEEE addition commutes.
-    scores = np.multiply(log_pi.data[rows], lambda_prior, dtype=np.float64)
+    scores = np.multiply(log_pi, lambda_prior, dtype=np.float64)
     scores += mask_logits
     scores += presence
     return scores.astype(np.float32)
 
 
-def _fused_tiles(evidence: EvidenceBundle, prior: DenseGrid,
-                 cfg: FusionConfig):
-    """Yield (rows, float32 fused scores) per tile of whole rows."""
-    dims = evidence.mask_evidence.dims
-    if prior.dims != dims:
-        raise ShapeError(f"prior dims {prior.dims} != evidence dims {dims}")
+def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
+                 prior_dims: tuple[int, ...], lambda_prior: float):
+    """A generator of (rows, float32 fused scores) per tile of whole rows.
+
+    The evidence and the prior dims are checked before it is returned, so
+    before the first read.  `read(rows)` returns the mask evidence and
+    log-prior rows `rows`; it is called once per tile, in row order, so it
+    can read two files in lockstep.
+    """
+    presence = _check_evidence(dims, kind, presence).astype(np.float64)
+    if prior_dims != dims:
+        raise ShapeError(f"prior dims {prior_dims} != evidence dims {dims}")
     height, width, n_classes = dims
-    presence = evidence.presence.astype(np.float64)
     step = _tile_rows(height, width * n_classes * _TILE_BYTES_PER_SCORE)
-    for r0 in range(0, height, step):
-        rows = slice(r0, min(r0 + step, height))
-        yield rows, _fused_rows(evidence, prior, presence, cfg.lambda_prior,
-                                rows)
+    tiles = (slice(r0, min(r0 + step, height)) for r0 in range(0, height, step))
+    return ((rows, _fused_rows(*read(rows), kind, presence, lambda_prior))
+            for rows in tiles)
+
+
+def _bundle_tiles(evidence: EvidenceBundle, prior: DenseGrid,
+                  cfg: FusionConfig):
+    """`_fused_tiles` over the rows of an evidence bundle and a prior grid."""
+    mask, log_pi = evidence.mask_evidence.data, prior.data
+    return _fused_tiles(lambda rows: (mask[rows], log_pi[rows]),
+                        evidence.mask_evidence.dims, evidence.evidence_kind,
+                        evidence.presence, prior.dims, cfg.lambda_prior)
 
 
 def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
@@ -203,8 +229,9 @@ def fuse(evidence: EvidenceBundle, prior: DenseGrid,
     `prior` is the H x W x C log-prior grid that `build_prior` returns;
     the result is the H x W x C fused scores.
     """
+    tiles = _bundle_tiles(evidence, prior, cfg)
     scores = np.empty(evidence.mask_evidence.dims, dtype=np.float32)
-    for rows, tile in _fused_tiles(evidence, prior, cfg):
+    for rows, tile in tiles:
         scores[rows] = tile
     return DenseGrid(scores)
 
@@ -224,7 +251,7 @@ def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
 def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
                     cfg: FusionConfig) -> LabelMap:
     """`decode(fuse(...))`, decoding each row tile without the full stack."""
-    return _decode_tiles(_fused_tiles(evidence, prior, cfg),
+    return _decode_tiles(_bundle_tiles(evidence, prior, cfg),
                          evidence.mask_evidence.dims, cfg)
 
 

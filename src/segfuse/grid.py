@@ -12,14 +12,20 @@ Grids are treated as immutable after construction; every operation returns a
 fresh grid.  Interpolation weights and blends are computed in float64 and
 rounded to float32 once, at the output.
 
-A regular file's payload is read straight into the array that is returned,
-and a saved array is written from its own memory, so neither direction makes
-a full-size copy.  `_tile_rows` is the row-tile height that the prior and
-fusion kernels and scene generation share, and `_all_finite` is the one
-NaN/Inf check.
+CFT1 payloads are read and written in blocks of whole rows, so a command can
+stream a grid through a kernel without holding it.  `_read_rows` parses the
+header once and then reads the rows in order, checking finiteness block by
+block; `_write_rows` writes the header and then the rows in order.  A load
+or a save is the one-block case of these, read straight into the array that
+is returned or written from the array's own memory, so there is one read
+path and one write path, and neither makes a full-size copy.  A failed
+write removes its output if that is a regular file.  `_tile_rows` is the
+row-tile height that the prior and fusion kernels and scene generation
+share, and `_all_finite` is the one NaN/Inf check.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import stat
@@ -28,11 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TensorFormatError
+from .errors import SegfuseError, ShapeError, TensorFormatError
 
 MAGIC = b"CFT1"
 DTYPE_F32 = 1
 DTYPE_U32 = 2
+# Largest extent a u32 header field holds.
+_MAX_EXTENT = 2**32 - 1
 
 _DTYPE_NP = {DTYPE_F32: np.dtype("<f4"), DTYPE_U32: np.dtype("<u4")}
 # Read size for inputs without a file size, such as pipes and FIFOs, and the
@@ -120,80 +128,152 @@ def _read_header(f, path, want_dtype):
     extents = struct.unpack("<" + "I" * ndim, raw)
     if any(e == 0 for e in extents):
         raise TensorFormatError("bad_extent", f"{path}: zero extent in {extents}")
+    if want_dtype == DTYPE_U32 and ndim != 2:
+        raise TensorFormatError("bad_ndim", f"{path}: label map must have 2 axes")
     return extents
 
 
-def _check_payload_size(path, got, size):
-    if got < size:
+def _payload_truncated(path, got, size):
+    return TensorFormatError(
+        "payload_truncated", f"{path}: payload has {got} bytes, header promises {size}")
+
+
+def _payload_excess(path):
+    return TensorFormatError("payload_excess", f"{path}: trailing bytes after payload")
+
+
+class _RowReader:
+    """The payload of one open CFT1 file, read in order in blocks of whole rows.
+
+    The header is parsed on construction.  A forged header must not make the
+    reader allocate what it claims: a regular file's size is checked against
+    the header here, before any row is read, and each block is read straight
+    into the array that is returned.  A pipe or FIFO has no size, so a block
+    is read in bounded chunks and memory grows only with the bytes that
+    actually arrive.  Float rows are checked for NaN/Inf block by block, and
+    the read of the last row checks that nothing follows it.
+    """
+
+    def __init__(self, f, path, want_dtype):
+        self._f, self._path = f, path
+        self.extents = _read_header(f, path, want_dtype)
+        self._dtype = _DTYPE_NP[want_dtype]
+        self._size = math.prod(self.extents) * self._dtype.itemsize
+        self._got = 0
+        self._rows_left = self.extents[0]
+        st = os.fstat(f.fileno())
+        self._sized = stat.S_ISREG(st.st_mode)
+        if self._sized:
+            left = st.st_size - f.tell()
+            if left < self._size:
+                raise _payload_truncated(path, left, self._size)
+            if left > self._size:
+                raise _payload_excess(path)
+
+    def read(self, n: int) -> np.ndarray:
+        """The next `n` rows, as a writable C-contiguous array."""
+        shape = (n,) + self.extents[1:]
+        nbytes = math.prod(shape) * self._dtype.itemsize
+        if self._sized:
+            arr = np.empty(shape, dtype=self._dtype)
+            # The file can still be shorter than its size said on open.
+            got = self._f.readinto(memoryview(arr).cast("B"))
+        else:
+            buf = bytearray()
+            while len(buf) < nbytes:
+                chunk = self._f.read(min(_STREAM_CHUNK, nbytes - len(buf)))
+                if not chunk:
+                    break
+                buf += chunk
+            got = len(buf)
+        self._got += got
+        if got < nbytes:
+            raise _payload_truncated(self._path, self._got, self._size)
+        if not self._sized:
+            arr = np.frombuffer(buf, dtype=self._dtype).reshape(shape)
+        if self._dtype.kind == "f":
+            flat = arr.reshape(-1)
+            step = _STREAM_CHUNK // flat.itemsize
+            for start in range(0, flat.size, step):
+                if not _all_finite(flat[start:start + step]):
+                    raise TensorFormatError("nonfinite_values",
+                                            f"{self._path}: payload has NaN/Inf")
+        self._rows_left -= n
+        if self._rows_left == 0 and self._f.read(1):
+            raise _payload_excess(self._path)
+        return arr
+
+
+@contextlib.contextmanager
+def _read_rows(path, want_dtype):
+    """A `_RowReader` over the CFT1 file at `path`, closed on exit."""
+    with open(path, "rb") as f:
+        yield _RowReader(f, path, want_dtype)
+
+
+@contextlib.contextmanager
+def _write_rows(path, dtype_code, extents):
+    """Yield `write(rows)`, which appends blocks of whole rows after the header.
+
+    The caller writes the rows in order.  A regular output whose size exceeds
+    the free space of its file system fails with `insufficient_space` before
+    any row is written.  If anything fails before the `with` block ends, the
+    output is removed when it is a regular file, so a failed write leaves no
+    partial file behind.
+    """
+    if max(extents) > _MAX_EXTENT:
         raise TensorFormatError(
-            "payload_truncated",
-            f"{path}: payload has {got} bytes, header promises {size}")
-
-
-def _read_payload(f, path, extents, np_dtype):
-    size = math.prod(extents) * np_dtype.itemsize
-    # A forged header must not make the reader allocate what it claims.  A
-    # regular file's size is checked before the payload is read into the
-    # array that is returned; a pipe has no size, so it is read in bounded
-    # chunks and memory grows only with the bytes that actually arrive.
-    st = os.fstat(f.fileno())
-    if stat.S_ISREG(st.st_mode):
-        _check_payload_size(path, st.st_size - f.tell(), size)
-        arr = np.empty(extents, dtype=np_dtype)
-        # The file can still be shorter than its size said a moment ago.
-        _check_payload_size(path, f.readinto(memoryview(arr).cast("B")), size)
-    else:
-        buf = bytearray()
-        while len(buf) < size:
-            chunk = f.read(min(_STREAM_CHUNK, size - len(buf)))
-            if not chunk:
-                break
-            buf += chunk
-        _check_payload_size(path, len(buf), size)
-        arr = np.frombuffer(buf, dtype=np_dtype).reshape(extents)
-    if f.read(1):
-        raise TensorFormatError("payload_excess", f"{path}: trailing bytes after payload")
-    return arr
-
-
-def _write_file(path, dtype_code, arr):
-    header = MAGIC + struct.pack("<BB", dtype_code, arr.ndim)
-    header += struct.pack("<" + "I" * arr.ndim, *arr.shape)
-    payload = np.ascontiguousarray(arr, dtype=_DTYPE_NP[dtype_code])
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(memoryview(payload).cast("B"))
+            "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
+    np_dtype = _DTYPE_NP[dtype_code]
+    header = MAGIC + struct.pack("<BB", dtype_code, len(extents))
+    header += struct.pack("<" + "I" * len(extents), *extents)
+    size = len(header) + math.prod(extents) * np_dtype.itemsize
+    created = None
+    try:
+        with open(path, "wb") as f:
+            st = os.fstat(f.fileno())
+            if stat.S_ISREG(st.st_mode):
+                created = (st.st_dev, st.st_ino)
+                fs = os.fstatvfs(f.fileno())
+                free = fs.f_bavail * fs.f_frsize
+                if size > free:
+                    raise SegfuseError(
+                        "insufficient_space",
+                        f"{path}: needs {size} bytes, its file system has "
+                        f"{free} free")
+            f.write(header)
+            yield lambda rows: f.write(
+                memoryview(np.ascontiguousarray(rows, dtype=np_dtype)).cast("B"))
+    except BaseException:
+        # Only the regular file opened here is removed: never a FIFO, a
+        # device or a symlink such as /dev/stdout.
+        with contextlib.suppress(OSError):
+            st = os.lstat(path)
+            if stat.S_ISREG(st.st_mode) and (st.st_dev, st.st_ino) == created:
+                os.unlink(path)
+        raise
 
 
 def load_grid(path) -> DenseGrid:
     """Read a float32 CFT1 tensor; rejects non-finite payloads."""
-    with open(path, "rb") as f:
-        extents = _read_header(f, path, DTYPE_F32)
-        arr = _read_payload(f, path, extents, _DTYPE_NP[DTYPE_F32])
-    flat = arr.reshape(-1)
-    step = _STREAM_CHUNK // flat.itemsize
-    for start in range(0, flat.size, step):
-        if not _all_finite(flat[start:start + step]):
-            raise TensorFormatError("nonfinite_values", f"{path}: payload has NaN/Inf")
-    return DenseGrid(arr)
+    with _read_rows(path, DTYPE_F32) as reader:
+        return DenseGrid(reader.read(reader.extents[0]))
 
 
 def save_grid(grid: DenseGrid, path) -> None:
-    _write_file(path, DTYPE_F32, grid.data)
+    with _write_rows(path, DTYPE_F32, grid.data.shape) as write:
+        write(grid.data)
 
 
 def load_label_map(path) -> LabelMap:
     """Read a uint32 CFT1 label map (2 axes)."""
-    with open(path, "rb") as f:
-        extents = _read_header(f, path, DTYPE_U32)
-        if len(extents) != 2:
-            raise TensorFormatError("bad_ndim", f"{path}: label map must have 2 axes")
-        arr = _read_payload(f, path, extents, _DTYPE_NP[DTYPE_U32])
-    return LabelMap(arr)
+    with _read_rows(path, DTYPE_U32) as reader:
+        return LabelMap(reader.read(reader.extents[0]))
 
 
 def save_label_map(labels: LabelMap, path) -> None:
-    _write_file(path, DTYPE_U32, labels.data)
+    with _write_rows(path, DTYPE_U32, labels.data.shape) as write:
+        write(labels.data)
 
 
 def bilinear_taps(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,9 +12,11 @@ class ConfusionMatrix:
 
     def __init__(self, num_classes: int, ignore_index: int | None = None):
         if num_classes < 1:
-            raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+            raise SegfuseError("bad_class_count",
+                               f"num_classes must be >= 1, got {num_classes}")
         if ignore_index is not None and 0 <= ignore_index < num_classes:
-            raise ValueError(
+            raise SegfuseError(
+                "bad_ignore_index",
                 f"ignore_index {ignore_index} must lie outside 0..{num_classes - 1}")
         self.num_classes = num_classes
         self.ignore_index = ignore_index

@@ -20,14 +20,18 @@ The similarities are one stacked product at feature resolution, which numpy
 runs as one BLAS call per source row.  The rest runs over tiles of output
 rows, so no resized array exists at full resolution; `pooled_scores` runs
 the same tiles as `build_prior` and stops before the log-softmax.  Up to
-`threads` tiles run at once on a thread pool, each writing its own output
-rows, so up to `threads` tile working sets are live together.  The tile
-height comes from the output shape alone and all work after the products is
-elementwise per output pixel, so the output bytes depend on neither the
-tile height nor the thread count.
+`threads` tiles run at once on a thread pool, and the finished tiles go to
+one sink in row order: `build_prior` and `pooled_scores` fill an array,
+and the `prior` command writes each tile to its output file, so it never
+holds the log prior.  At most `2 * threads` finished tiles wait for the
+sink.  The tile height comes from the output shape alone and all work
+after the products is elementwise per output pixel, so the output bytes
+depend on neither the tile height nor the thread count.
 """
 from __future__ import annotations
 
+import collections
+import itertools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -37,8 +41,8 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
-from .grid import (DenseGrid, _all_finite, _tile_rows, bilinear_taps,
-                   interpolate_axis)
+from .grid import (DTYPE_F32, DenseGrid, _all_finite, _tile_rows, _write_rows,
+                   bilinear_taps, interpolate_axis)
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
@@ -163,9 +167,11 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         bank: PromptBank, out_h: int, out_w: int,
                         normalize_order: str, threads: int) -> None:
     if normalize_order not in NORMALIZE_ORDERS:
-        raise ValueError(f"normalize_order must be one of {NORMALIZE_ORDERS}")
+        raise SegfuseError(
+            "bad_normalize_order",
+            f"normalize_order must be one of {NORMALIZE_ORDERS}, got '{normalize_order}'")
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise SegfuseError("bad_threads", f"threads must be >= 1, got {threads}")
     if features.data.ndim != 3:
         raise ShapeError("features need 3 axes (H, W, D)", code="dim_mismatch")
     if features.channels != store.dim:
@@ -220,16 +226,47 @@ def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
     return same, pair
 
 
+def _map_in_order(fn, items, workers: int, consume) -> None:
+    """Call `consume(item, fn(item))` for each item in order.
+
+    With more than one worker, `fn` runs on a pool of `workers` threads and
+    at most `2 * workers` items are submitted but not yet consumed, so a slow
+    consumer holds the pool back instead of letting results pile up.  If
+    `fn` or `consume` fails, the items not yet started are cancelled and the
+    pool is joined before the error propagates.
+    """
+    if workers == 1:
+        for item in items:
+            consume(item, fn(item))
+        return
+    items = iter(items)
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque(
+            (item, pool.submit(fn, item))
+            for item in itertools.islice(items, 2 * workers))
+        try:
+            while pending:
+                item, future = pending.popleft()
+                consume(item, future.result())
+                for later in itertools.islice(items, 1):
+                    pending.append((later, pool.submit(fn, later)))
+        finally:
+            for _, future in pending:
+                future.cancel()
+
+
 def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
                   out_h: int, out_w: int, normalize_order: str, threads: int,
-                  dtype, finish) -> np.ndarray:
-    """The (out_h, out_w, C) array of `dtype` holding `finish(pooled scores)`.
+                  dtype, finish, sink=None) -> np.ndarray | None:
+    """`finish(pooled scores)` as `dtype`, over tiles of whole output rows.
 
-    This is the one kernel behind `build_prior` and `pooled_scores`.  Each
-    row tile is one call that blends, re-normalizes, pools and finishes its
-    rows into the output, and up to `threads` tiles run at once.  The output
-    is allocated once the features are no longer needed.  After the last
-    tile it logs how many zero-norm pixels it met.
+    This is the one kernel behind `build_prior`, `pooled_scores` and the
+    `prior` command.  Each row tile is one call that blends, re-normalizes,
+    pools and finishes its rows, and up to `threads` tiles run at once.
+    The finished tiles go to `sink(rows, values)` in row order, and the
+    kernel returns None.  Without a sink the kernel fills and returns an
+    (out_h, out_w, C) array, allocated once the features are no longer
+    needed.  After the last tile it logs how many zero-norm pixels it met.
     """
     zero_pixels = 0
     if normalize_order in ("before", "both"):
@@ -250,9 +287,14 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
     sims_src = src @ store.vectors.astype(np.float64).T
     del src
     segments = _segments_by_length(store.offsets)
-    out = np.empty((out_h, out_w, store.num_classes), dtype=dtype)
+    out = None
+    if sink is None:
+        out = np.empty((out_h, out_w, store.num_classes), dtype=dtype)
 
-    def tile(rows: slice) -> int:
+        def sink(rows, values):
+            out[rows] = values
+
+    def tile(rows: slice) -> tuple[int, np.ndarray]:
         y0, y1, fy = (t[rows] for t in taps_y)
         sims = (sims_src[rows] if identity_y
                 else interpolate_axis(sims_src, (y0, y1, fy), axis=0))
@@ -271,22 +313,18 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
             # it in place is safe: no other tile reads these rows.
             sims /= np.where(zero, 1.0, norms)[..., None]
             zero_count = int(zero.sum())
-        out[rows] = finish(_pool_segments(sims, segments, store.num_classes,
-                                          mode))
-        return zero_count
+        pooled = _pool_segments(sims, segments, store.num_classes, mode)
+        return zero_count, finish(pooled).astype(dtype, copy=False)
+
+    def consume(rows: slice, result) -> None:
+        nonlocal zero_pixels
+        zero_pixels += result[0]
+        sink(rows, result[1])
 
     # The tile budget covers the float64 similarities at output resolution.
     step = _tile_rows(out_h, out_w * store.num_vectors * 8)
     tiles = [slice(r0, min(r0 + step, out_h)) for r0 in range(0, out_h, step)]
-    workers = min(threads, len(tiles))
-    if workers == 1:
-        zero_counts = [tile(rows) for rows in tiles]
-    else:
-        # Tiles write disjoint output rows; map returns the counts in tile
-        # order and raises the first error a tile met.
-        with ThreadPoolExecutor(workers) as pool:
-            zero_counts = list(pool.map(tile, tiles))
-    zero_pixels += sum(zero_counts)
+    _map_in_order(tile, tiles, min(threads, len(tiles)), consume)
     if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
                        zero_pixels)
@@ -331,3 +369,20 @@ def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
                         threads)
     return _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
                          threads, np.float64, lambda pooled: pooled)
+
+
+def _write_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
+                 mode: Aggregation, out_h: int, out_w: int, path, *,
+                 normalize_order: str, threads: int) -> None:
+    """`save_grid(build_prior(...), path)`, writing each tile as it is finished.
+
+    The output is opened, and checked against the free space of its file
+    system, before any similarity is computed, and the whole log prior is
+    never held.
+    """
+    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
+                        threads)
+    with _write_rows(path, DTYPE_F32, (out_h, out_w, store.num_classes)) as write:
+        _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
+                      threads, np.float32, log_prior_array,
+                      lambda rows, values: write(values))

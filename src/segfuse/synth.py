@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, store_from_array
+from .errors import SegfuseError
 from .fusion import EvidenceBundle
 from .grid import DenseGrid, LabelMap, _tile_rows
 from .prior import normalize_pixels_array
@@ -105,9 +106,9 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     fh = feature_height if feature_height is not None else height
     fw = feature_width if feature_width is not None else width
     if min(height, width, fh, fw, dim, num_classes, synonyms_per_class) < 1:
-        raise ValueError("scene dimensions must be >= 1")
+        raise SegfuseError("bad_scene_size", "scene dimensions must be >= 1")
     if drift < 0 or overlap < 0:
-        raise ValueError("drift and overlap must be >= 0")
+        raise SegfuseError("bad_scene_noise", "drift and overlap must be >= 0")
     rng = np.random.default_rng(seed)
     store, bank = _prompt_embeddings(rng, dim, num_classes, synonyms_per_class,
                                      drift)

@@ -1,10 +1,11 @@
 """CLI wrappers: exit codes, file outputs and bitwise parity with the library."""
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from segfuse import (Aggregation, DenseGrid, FusionConfig,
+from segfuse import (Aggregation, DenseGrid, FusionConfig, LabelMap,
                      build_prior, fuse_and_decode, generate_scene,
                      load_embeddings, load_grid, load_label_map,
                      load_prompt_file, save_grid, save_label_map)
@@ -69,7 +70,33 @@ def test_out_of_memory_scene_exit_1(tmp_path, capsys, command):
 def test_gen_non_positive_feature_grid_exit_1(tmp_path, capsys, flag):
     for value in ("0", "-2"):
         assert main(["gen", flag, value, "--out-dir", str(tmp_path / "s")]) == 1
-        assert "scene dimensions must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "segfuse: error: bad_scene_size: scene dimensions must be >= 1\n")
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--height", "0"], "bad_scene_size"),
+    (["--classes", "0"], "bad_scene_size"),
+    (["--drift", "-1"], "bad_scene_noise"),
+    (["--overlap", "-0.5"], "bad_scene_noise"),
+])
+def test_gen_bad_scene_exit_1_with_code(tmp_path, capsys, flags, code):
+    out = tmp_path / "s"
+    assert main(["gen", *flags, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"segfuse: error: {code}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--classes", "0"], "bad_class_count"),
+    (["--classes", "4", "--ignore-index", "2"], "bad_ignore_index"),
+])
+def test_eval_bad_classes_exit_1_with_code(tmp_path, capsys, flags, code):
+    labels = tmp_path / "l.cft1"
+    save_label_map(LabelMap(np.zeros((2, 2), dtype=np.uint32)), labels)
+    assert main(["eval", "--gt", str(labels), "--pred", str(labels),
+                 *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"segfuse: error: {code}: ")
 
 
 def test_prior_output_is_normalized(tmp_path):
@@ -160,7 +187,7 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
     pools = []
 
     class RecordingExecutor:
-        """Records `max_workers` and runs the tiles in the calling thread."""
+        """Records `max_workers` and runs each tile in the calling thread."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -171,8 +198,10 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(prior_module, "ThreadPoolExecutor", RecordingExecutor)
     outputs = []

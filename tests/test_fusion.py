@@ -59,18 +59,28 @@ def test_logit_matches_reference():
         assert out[idx] == pytest.approx(oracle.prob_to_logit(p[idx]), abs=1e-5)
 
 
+def _converting_calls(bundle):
+    """The calls that convert probability evidence: each must fail."""
+    prior = _uniform_prior(*bundle.mask_evidence.dims)
+    return (lambda: to_logit(bundle), lambda: fuse(bundle, prior, FusionConfig()),
+            lambda: fuse_and_decode(bundle, prior, FusionConfig()))
+
+
 def test_probability_range_validated():
-    with pytest.raises(SegfuseError) as err:
-        _bundle(np.full((1, 1, 1), 1.5), kind="probabilities")
-    assert err.value.code == "probability_out_of_range"
+    for call in _converting_calls(_bundle(np.full((1, 1, 1), 1.5),
+                                           kind="probabilities")):
+        with pytest.raises(SegfuseError) as err:
+            call()
+        assert err.value.code == "probability_out_of_range"
 
 
 def test_nan_probability_rejected():
     values = np.full((2, 2, 2), 0.5)
     values[1, 0, 1] = np.nan
-    with pytest.raises(SegfuseError) as err:
-        _bundle(values, kind="probabilities")
-    assert err.value.code == "probability_out_of_range"
+    for call in _converting_calls(_bundle(values, kind="probabilities")):
+        with pytest.raises(SegfuseError) as err:
+            call()
+        assert err.value.code == "probability_out_of_range"
 
 
 # --- fuse --------------------------------------------------------------------
@@ -107,6 +117,12 @@ def test_shape_mismatch_rejected():
 def test_presence_length_validated():
     with pytest.raises(ShapeError):
         _bundle(np.zeros((2, 2, 2)), presence=[1.0, 2.0, 3.0])
+
+
+def test_unknown_evidence_kind_rejected():
+    with pytest.raises(SegfuseError) as err:
+        _bundle(np.zeros((2, 2, 2)), kind="odds")
+    assert err.value.code == "bad_evidence_kind"
 
 
 # --- decode ------------------------------------------------------------------

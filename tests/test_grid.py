@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import os
+import stat
 import struct
 import tempfile
 import threading
@@ -12,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from segfuse import (DenseGrid, LabelMap, ShapeError, TensorFormatError,
-                     load_grid, load_label_map, save_grid, save_label_map)
+from segfuse import (DenseGrid, LabelMap, SegfuseError, ShapeError,
+                     TensorFormatError, load_grid, load_label_map, save_grid,
+                     save_label_map)
 from segfuse.cli import main
-from segfuse.grid import _all_finite, bilinear_taps, interpolate_axis
+from segfuse.grid import (DTYPE_F32, _all_finite, _read_rows, _write_rows,
+                          bilinear_taps, interpolate_axis)
 
 import oracle
 
@@ -396,3 +399,199 @@ def test_resize_linearity():
     r1 = _resize(g1, 8, 9)
     r2 = _resize(g2, 8, 9)
     assert np.allclose(lhs, a * r1 + b * r2, atol=1e-12)
+
+
+# --- row-tile reader and writer ----------------------------------------------
+
+def _feed_fifo(fifo, raw):
+    """Start a thread that writes `raw` into the FIFO at `fifo`."""
+    def write():
+        with open(fifo, "wb") as f:
+            f.write(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def _read_in_tiles(path, steps):
+    """The tiles `_read_rows` gives for row counts `steps`, in order."""
+    with _read_rows(path, DTYPE_F32) as reader:
+        return reader.extents, [reader.read(n) for n in steps]
+
+
+@pytest.mark.parametrize("through_fifo", [False, True])
+def test_row_reader_reads_tiles_in_order(tmp_path, through_fifo):
+    rng = np.random.default_rng(29)
+    data = rng.standard_normal((7, 5, 3)).astype(np.float32)
+    path = tmp_path / "g.cft1"
+    save_grid(DenseGrid(data), path)
+    if through_fifo:
+        fifo = tmp_path / "g.fifo"
+        os.mkfifo(fifo)
+        writer = _feed_fifo(fifo, path.read_bytes())
+        path = fifo
+    extents, tiles = _read_in_tiles(path, [3, 1, 3])
+    if through_fifo:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+    assert extents == (7, 5, 3)
+    assert [t.shape for t in tiles] == [(3, 5, 3), (1, 5, 3), (3, 5, 3)]
+    assert all(t.flags.writeable and t.flags.c_contiguous for t in tiles)
+    assert np.concatenate(tiles).tobytes() == data.tobytes()
+
+
+def _grid_bytes(shape, seed=31):
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape).astype(np.float32)
+    return (b"CFT1" + struct.pack("<BB", 1, len(shape))
+            + struct.pack("<" + "I" * len(shape), *shape) + data.tobytes())
+
+
+@pytest.mark.parametrize("through_fifo", [False, True])
+def test_row_reader_payload_cut_in_a_tile(tmp_path, through_fifo):
+    # 4 rows of 24 bytes; the payload stops 10 bytes into the third row
+    raw = _grid_bytes((4, 3, 2))[:18 + 2 * 24 + 10]
+    path = tmp_path / "cut.cft1"
+    path.write_bytes(raw)
+    read = []
+    with contextlib.ExitStack() as stack:
+        if through_fifo:
+            fifo = tmp_path / "cut.fifo"
+            os.mkfifo(fifo)
+            writer = _feed_fifo(fifo, raw)
+            stack.callback(writer.join, 10)
+            path = fifo
+        with pytest.raises(TensorFormatError) as err:
+            with _read_rows(path, DTYPE_F32) as reader:
+                for _ in range(2):
+                    read.append(reader.read(2))
+    assert err.value.code == "payload_truncated"
+    assert "payload has 58 bytes, header promises 96" in str(err.value)
+    # a regular file's size is checked on open, before any tile is read;
+    # a FIFO has no size, so the first tile arrives and the second is short
+    assert len(read) == (1 if through_fifo else 0)
+
+
+@pytest.mark.parametrize("through_fifo", [False, True])
+def test_row_reader_trailing_bytes(tmp_path, through_fifo):
+    raw = _grid_bytes((4, 3, 2)) + b"\x00"
+    path = tmp_path / "long.cft1"
+    path.write_bytes(raw)
+    read = []
+    with contextlib.ExitStack() as stack:
+        if through_fifo:
+            fifo = tmp_path / "long.fifo"
+            os.mkfifo(fifo)
+            writer = _feed_fifo(fifo, raw)
+            stack.callback(writer.join, 10)
+            path = fifo
+        with pytest.raises(TensorFormatError) as err:
+            with _read_rows(path, DTYPE_F32) as reader:
+                for _ in range(2):
+                    read.append(reader.read(2))
+    assert err.value.code == "payload_excess"
+    # a FIFO's extra byte shows when the last row has been read
+    assert len(read) == (1 if through_fifo else 0)
+
+
+def test_row_reader_checks_finiteness_per_tile(tmp_path):
+    data = np.zeros((4, 3, 2), dtype=np.float32)
+    data[3, 2, 1] = np.nan
+    path = tmp_path / "nan.cft1"
+    save_grid(DenseGrid(data), path)
+    with _read_rows(path, DTYPE_F32) as reader:
+        assert not reader.read(3).any()
+        with pytest.raises(TensorFormatError) as err:
+            reader.read(1)
+    assert err.value.code == "nonfinite_values"
+
+
+def test_row_writer_writes_tiles_after_the_header(tmp_path):
+    rng = np.random.default_rng(37)
+    data = rng.standard_normal((5, 2, 3)).astype(np.float32)
+    path = tmp_path / "w.cft1"
+    with _write_rows(path, DTYPE_F32, data.shape) as write:
+        for r0 in range(0, 5, 2):
+            write(data[r0:r0 + 2].astype(np.float64))
+    whole = tmp_path / "whole.cft1"
+    save_grid(DenseGrid(data), whole)
+    assert path.read_bytes() == whole.read_bytes()
+
+
+def test_row_writer_removes_a_regular_output_on_failure(tmp_path):
+    path = tmp_path / "partial.cft1"
+    with pytest.raises(MemoryError):
+        with _write_rows(path, DTYPE_F32, (4, 2)) as write:
+            write(np.zeros((2, 2)))
+            raise MemoryError
+    assert not path.exists()
+
+
+def test_row_writer_leaves_a_fifo_on_failure(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    with pytest.raises(MemoryError):
+        with _write_rows(fifo, DTYPE_F32, (4, 2)) as write:
+            write(np.zeros((2, 2)))
+            raise MemoryError
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert len(got[0]) == 14 + 16
+
+
+def test_row_writer_leaves_a_symlinked_output_on_failure(tmp_path):
+    # a link such as /dev/stdout is never unlinked
+    target = tmp_path / "target.cft1"
+    link = tmp_path / "link.cft1"
+    link.symlink_to(target)
+    with pytest.raises(MemoryError):
+        with _write_rows(link, DTYPE_F32, (1, 1)):
+            raise MemoryError
+    assert link.is_symlink()
+
+
+def _free_space(monkeypatch, free_bytes):
+    """Make `os.fstatvfs` report `free_bytes` available to the writer."""
+    real = os.fstatvfs
+
+    def fstatvfs(fd):
+        vfs = real(fd)
+        return os.statvfs_result(
+            vfs[:4] + (free_bytes // vfs.f_frsize,) + vfs[5:])
+
+    monkeypatch.setattr(os, "fstatvfs", fstatvfs)
+
+
+def test_row_writer_refuses_an_output_that_cannot_fit(tmp_path, monkeypatch):
+    path = tmp_path / "big.cft1"
+    path.write_bytes(b"old")
+    _free_space(monkeypatch, 1 << 20)
+    with pytest.raises(SegfuseError) as err:
+        with _write_rows(path, DTYPE_F32, (1024, 257)):
+            pytest.fail("no row may be written")
+    assert err.value.code == "insufficient_space"
+    assert "needs 1052686 bytes" in str(err.value)
+    assert not path.exists()
+    # the one-tile case, save_grid, takes the same check
+    with pytest.raises(SegfuseError) as err:
+        save_grid(DenseGrid(np.zeros((1024, 257), dtype=np.float32)), path)
+    assert err.value.code == "insufficient_space"
+    assert not path.exists()
+    with _write_rows(path, DTYPE_F32, (1024, 255)) as write:
+        write(np.zeros((1024, 255)))
+    assert path.stat().st_size == 14 + 1024 * 255 * 4
+
+
+def test_row_writer_refuses_an_extent_above_u32(tmp_path):
+    path = tmp_path / "wide.cft1"
+    with pytest.raises(TensorFormatError) as err:
+        with _write_rows(path, DTYPE_F32, (2**32, 1)):
+            pytest.fail("no row may be written")
+    assert err.value.code == "bad_extent"
+    assert not path.exists()

@@ -82,6 +82,18 @@ def test_all_undefined_raises():
     assert err.value.code == "all_classes_undefined"
 
 
+@pytest.mark.parametrize("num_classes, ignore_index, code", [
+    (0, None, "bad_class_count"),
+    (-3, None, "bad_class_count"),
+    (4, 2, "bad_ignore_index"),
+    (4, 0, "bad_ignore_index"),
+])
+def test_bad_matrix_settings_carry_codes(num_classes, ignore_index, code):
+    with pytest.raises(SegfuseError) as err:
+        ConfusionMatrix(num_classes, ignore_index=ignore_index)
+    assert err.value.code == code
+
+
 def test_label_out_of_range():
     cm = ConfusionMatrix(2)
     with pytest.raises(SegfuseError) as err:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -338,9 +339,10 @@ def test_build_prior_rejects_non_positive_threads(threads):
     rng = np.random.default_rng(104)
     bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
     for build in (build_prior, pooled_scores):
-        with pytest.raises(ValueError, match="threads"):
+        with pytest.raises(SegfuseError, match="threads") as err:
             build(feats, store, bank, Aggregation("lse", 0.1), 3, 3,
                   threads=threads)
+        assert err.value.code == "bad_threads"
 
 
 def _direct_pooled(feats, store, mode, out_h, out_w, order):
@@ -537,6 +539,67 @@ def test_build_prior_normalize_orders():
             np.zeros((7, 7, 2)), np.zeros(2),
             lam=1.0, tau_s=0.1, aggregation="lse", normalize_order=order)
         assert np.abs(log_pi.data.astype(np.float64) - ref_log_pi).max() < 1e-5
+
+
+def test_build_prior_rejects_unknown_normalize_order():
+    rng = np.random.default_rng(109)
+    bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
+    for build in (build_prior, pooled_scores):
+        with pytest.raises(SegfuseError) as err:
+            build(feats, store, bank, Aggregation("lse", 0.1), 3, 3,
+                  normalize_order="never")
+        assert err.value.code == "bad_normalize_order"
+
+
+def test_map_in_order_bounds_the_results_in_flight():
+    workers, lock = 3, threading.Lock()
+    started, consumed, most_ahead = [], [], []
+
+    def fn(item):
+        with lock:
+            started.append(item)
+        return item * item
+
+    def consume(item, result):
+        # a slow sink: the pool must wait for it, not run ahead
+        time.sleep(0.002)
+        with lock:
+            most_ahead.append(len(started) - len(consumed))
+        consumed.append((item, result))
+
+    prior_module._map_in_order(fn, range(40), workers, consume)
+    assert consumed == [(i, i * i) for i in range(40)]
+    assert max(most_ahead) <= 2 * workers
+
+
+def test_map_in_order_stops_and_joins_on_failure():
+    workers, lock = 2, threading.Lock()
+    started = []
+    before = threading.active_count()
+
+    def fn(item):
+        with lock:
+            started.append(item)
+        if item == 3:
+            raise MemoryError("tile 3")
+        return item
+
+    consumed = []
+    with pytest.raises(MemoryError, match="tile 3"):
+        prior_module._map_in_order(fn, range(100), workers,
+                                   lambda item, result: consumed.append(item))
+    assert consumed == [0, 1, 2]
+    # the tiles not yet started were cancelled, and the pool was joined
+    assert len(started) <= 4 + 2 * workers
+    assert threading.active_count() == before
+
+    def failing_sink(item, result):
+        raise OSError("sink full")
+
+    with pytest.raises(OSError, match="sink full"):
+        prior_module._map_in_order(lambda item: item, range(100), workers,
+                                   failing_sink)
+    assert threading.active_count() == before
 
 
 def test_build_prior_counts_zero_pixels(caplog):

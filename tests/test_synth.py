@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from segfuse import generate_scene
+from segfuse import SegfuseError, generate_scene
 from segfuse import grid as grid_module
 from segfuse import synth as synth_module
 
@@ -83,15 +83,19 @@ def test_presence_tracks_occupancy_rank():
 @pytest.mark.parametrize("value", [0, -2])
 @pytest.mark.parametrize("flag", ["feature_height", "feature_width"])
 def test_feature_grid_size_validation(flag, value, overlap):
-    with pytest.raises(ValueError, match="scene dimensions must be >= 1"):
+    with pytest.raises(SegfuseError, match="scene dimensions must be >= 1") as err:
         generate_scene(0, 4, 4, 4, 2, 1, 0.0, overlap, **{flag: value})
+    assert err.value.code == "bad_scene_size"
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(SegfuseError) as err:
         generate_scene(0, 0, 4, 4, 2, 1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        generate_scene(0, 4, 4, 4, 2, 1, -0.1, 0.0)
+    assert err.value.code == "bad_scene_size"
+    for drift, overlap in ((-0.1, 0.0), (0.0, -0.1)):
+        with pytest.raises(SegfuseError) as err:
+            generate_scene(0, 4, 4, 4, 2, 1, drift, overlap)
+        assert err.value.code == "bad_scene_noise"
 
 
 def test_bank_is_parse_clean():
