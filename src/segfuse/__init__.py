@@ -2,10 +2,12 @@
 
 Turns per-concept mask logits, presence logits, dense features and synonym
 text embeddings into a calibrated multi-class label map, with an evaluation
-and competition-analysis harness on top.  The array building blocks behind
-the prior (`normalize_pixels_array`, `aggregate_array` and `log_prior_array`
-in `segfuse.prior`, `bilinear_taps` and `interpolate_axis` in `segfuse.grid`)
-are imported from their modules.
+and competition-analysis harness on top.  Each stage has one library entry:
+`build_prior` (or `pooled_scores`) for the prior and `fuse_and_decode` for
+fusion and decode.  The array building blocks behind the prior
+(`normalize_pixels_array` and `log_prior_array` in `segfuse.prior`,
+`bilinear_taps` and `interpolate_axis` in `segfuse.grid`) are imported from
+their modules.
 """
 
 from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes,
@@ -13,8 +15,8 @@ from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes
 from .embeddings import EmbeddingStore, load_embeddings, store_from_array
 from .errors import (EmbeddingError, PromptFileError, SegfuseError, ShapeError,
                      TensorFormatError)
-from .fusion import (Background, EvidenceBundle, FusionConfig, decode, fuse,
-                     fuse_and_decode, write_pgm)
+from .fusion import (Background, EvidenceBundle, FusionConfig, fuse_and_decode,
+                     write_pgm)
 from .grid import (DenseGrid, LabelMap, load_grid, load_label_map, save_grid,
                    save_label_map)
 from .metrics import ConfusionMatrix, iou_report, miou
@@ -28,10 +30,10 @@ __all__ = [
     "Aggregation", "Background", "CompetitionSpec", "ConfusionMatrix",
     "DenseGrid", "EmbeddingError", "EmbeddingStore", "EvidenceBundle",
     "FusionConfig", "LabelMap", "PromptBank", "PromptFileError", "SegfuseError",
-    "ShapeError", "TensorFormatError", "build_prior", "decode",
-    "format_sweep_csv", "fuse", "fuse_and_decode", "generate_scene",
-    "iou_report", "load_embeddings", "load_grid", "load_label_map",
-    "load_prompt_file", "miou", "parse_prompt_file", "pooled_scores",
-    "restrict_to_classes", "run_sweep", "save_grid", "save_label_map",
-    "select_competitors", "store_from_array", "write_pgm", "write_sweep_csv",
+    "ShapeError", "TensorFormatError", "build_prior", "format_sweep_csv",
+    "fuse_and_decode", "generate_scene", "iou_report", "load_embeddings",
+    "load_grid", "load_label_map", "load_prompt_file", "miou",
+    "parse_prompt_file", "pooled_scores", "restrict_to_classes", "run_sweep",
+    "save_grid", "save_label_map", "select_competitors", "store_from_array",
+    "write_pgm", "write_sweep_csv",
 ]

@@ -72,8 +72,11 @@ def _add_config_options(sub, *keys):
 
 def _read_config(path) -> dict:
     """The values of a UTF-8 `key = value` file; '#' starts a comment line."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as err:
+        raise SegfuseError("bad_encoding", f"{path}: not UTF-8 text ({err})")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -151,7 +154,7 @@ def cmd_prior(args) -> int:
     store = load_embeddings(args.embeddings, bank)
     out_h = features.height if args.out_height is None else args.out_height
     out_w = features.width if args.out_width is None else args.out_width
-    mode = Aggregation.of(args.aggregation, args.tau_s)
+    mode = Aggregation(args.aggregation, args.tau_s)
     _write_prior(features, store, bank, mode, out_h, out_w, args.out,
                  normalize_order=args.normalize_order, threads=args.threads)
     return 0
@@ -178,9 +181,11 @@ def cmd_fuse(args) -> int:
                 dims, args.evidence_kind, presence, prior.extents,
                 cfg.lambda_prior)
             labels = _decode_tiles(tiles, dims, cfg)
-    save_label_map(labels, args.out)
+    # The PGM goes first: its label-range check then runs before either
+    # output is written.
     if args.pgm:
         write_pgm(labels, args.pgm)
+    save_label_map(labels, args.out)
     return 0
 
 

@@ -149,7 +149,7 @@ def run_sweep(scene: SyntheticScene, *,
                                f"sweep axis '{axis_name}' is empty")
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
-    modes = {(tau, kind): Aggregation.of(kind, tau)
+    modes = {(tau, kind): Aggregation(kind, tau)
              for tau in tau_values for kind in aggregations}
     pooled = {(name, mode): pooled_scores(features, scene.embeddings,
                                           scene.bank, mode, scene.height,

@@ -15,13 +15,13 @@ label.
 One kernel, `_fused_tiles`, computes the scores over tiles of whole rows:
 each tile is summed in float64 in the order (m + lambda * l) + z and rounded
 to float32 once, so the bytes do not depend on the tile height.  It takes
-its evidence and prior rows from a source: `fuse` and `fuse_and_decode`
-slice their arrays, and the `fuse` command reads the two files in lockstep,
-one tile of each at a time, so it never holds a whole input.  Probability
-evidence is range-checked tile by tile, where it is converted.  `fuse`
-writes the tiles into one grid; `fuse_and_decode` decodes each tile as it
-comes and never holds the H x W x C stack.  The tile height comes from the
-shape alone, through the budget the prior kernel uses too.
+its evidence and prior rows from a source: `fuse_and_decode` slices its
+arrays, and the `fuse` command reads the two files in lockstep, one tile of
+each at a time, so it never holds a whole input.  Probability evidence is
+range-checked tile by tile, where it is converted.  `_decode_tiles` decodes
+each tile as it comes, so the H x W x C stack never exists.  The tile
+height comes from the shape alone, through the budget the prior kernel uses
+too.
 """
 from __future__ import annotations
 
@@ -139,18 +139,6 @@ def _mask_logits(data: np.ndarray, kind: str) -> np.ndarray:
     return np.log(odds, out=odds).astype(np.float32)
 
 
-def to_logit(evidence: EvidenceBundle) -> DenseGrid:
-    """Mask evidence on the additive logit scale.
-
-    Logit-kind evidence passes through unchanged (logit of sigmoid is the
-    identity, so the round trip is skipped).  Probabilities are clamped to
-    [PROB_EPS, 1 - PROB_EPS] first so 0 and 1 stay finite; one outside
-    [0, 1], NaN included, fails with `probability_out_of_range`.
-    """
-    return DenseGrid(_mask_logits(evidence.mask_evidence.data,
-                                  evidence.evidence_kind))
-
-
 def _fused_rows(mask: np.ndarray, log_pi: np.ndarray, kind: str,
                 presence: np.ndarray, lambda_prior: float) -> np.ndarray:
     """Float32 fused scores of one tile, summed in float64 and rounded once.
@@ -184,15 +172,6 @@ def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
             for rows in tiles)
 
 
-def _bundle_tiles(evidence: EvidenceBundle, prior: DenseGrid,
-                  cfg: FusionConfig):
-    """`_fused_tiles` over the rows of an evidence bundle and a prior grid."""
-    mask, log_pi = evidence.mask_evidence.data, prior.data
-    return _fused_tiles(lambda rows: (mask[rows], log_pi[rows]),
-                        evidence.mask_evidence.dims, evidence.evidence_kind,
-                        evidence.presence, prior.dims, cfg.lambda_prior)
-
-
 def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
     """Decode (rows, float32 scores) tiles of an H x W x C grid into labels."""
     height, width, n_classes = dims
@@ -222,37 +201,25 @@ def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
     return LabelMap(labels, background_index=background_index)
 
 
-def fuse(evidence: EvidenceBundle, prior: DenseGrid,
-         cfg: FusionConfig) -> DenseGrid:
-    """Combine mask logits, weighted log prior and presence on one scale.
-
-    `prior` is the H x W x C log-prior grid that `build_prior` returns;
-    the result is the H x W x C fused scores.
-    """
-    tiles = _bundle_tiles(evidence, prior, cfg)
-    scores = np.empty(evidence.mask_evidence.dims, dtype=np.float32)
-    for rows, tile in tiles:
-        scores[rows] = tile
-    return DenseGrid(scores)
-
-
-def decode(scores: DenseGrid, cfg: FusionConfig) -> LabelMap:
-    """Per-pixel argmax over classes; optional background rejection.
-
-    Ties go to the smallest class index.  With background enabled, pixels
-    whose best score is below the threshold get the reserved background index
-    (default C), which must lie outside the foreground range.
-    """
-    if scores.data.ndim != 3:
-        raise ShapeError("scores need 3 axes (H, W, C)", code="dim_mismatch")
-    return _decode_tiles([(slice(None), scores.data)], scores.dims, cfg)
-
-
 def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
                     cfg: FusionConfig) -> LabelMap:
-    """`decode(fuse(...))`, decoding each row tile without the full stack."""
-    return _decode_tiles(_bundle_tiles(evidence, prior, cfg),
-                         evidence.mask_evidence.dims, cfg)
+    """Fuse mask logits, weighted log prior and presence; decode the labels.
+
+    `prior` is the H x W x C log-prior grid that `build_prior` returns.
+    Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before the logit,
+    so 0 and 1 stay finite; one outside [0, 1], NaN included, fails with
+    `probability_out_of_range`.  The decode is a per-pixel argmax with ties
+    to the smallest class index; with background enabled, pixels whose best
+    score is below the threshold get the reserved background index (default
+    C), which must lie outside the foreground range.  Each row tile is
+    decoded as it is fused, so the H x W x C score stack never exists.
+    """
+    mask, log_pi = evidence.mask_evidence.data, prior.data
+    dims = evidence.mask_evidence.dims
+    tiles = _fused_tiles(lambda rows: (mask[rows], log_pi[rows]), dims,
+                         evidence.evidence_kind, evidence.presence, prior.dims,
+                         cfg.lambda_prior)
+    return _decode_tiles(tiles, dims, cfg)
 
 
 def write_pgm(labels: LabelMap, path) -> None:

@@ -77,11 +77,8 @@ class Aggregation:
                 f"aggregation must be one of {AGGREGATION_KINDS}, got '{self.kind}'")
         if self.kind == "lse":
             check_tau_s(self.tau_s)
-
-    @classmethod
-    def of(cls, kind: str, tau_s: float = DEFAULT_TAU) -> "Aggregation":
-        """The rule `kind`; average and max ignore `tau_s`, so they compare equal."""
-        return cls(kind, tau_s) if kind == "lse" else cls(kind)
+        else:  # average and max ignore `tau_s`, so they compare equal
+            object.__setattr__(self, "tau_s", DEFAULT_TAU)
 
 
 def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -139,20 +136,6 @@ def _pool_segments(sims: np.ndarray, segments, n_classes: int,
     for classes, columns in segments:
         pooled[..., classes] = _pool_in_place(sims[..., columns], mode)
     return pooled
-
-
-def aggregate_array(u: np.ndarray, mode: Aggregation) -> np.ndarray:
-    """Pool synonym scores along the last axis.
-
-    lse computes log sum_j exp(u_j / tau_s) with max subtraction; average and
-    max operate on the raw scores.  Reduction order is the synonym file order.
-    This is the one-segment case of the pooling `build_prior` runs.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    m = u.shape[-1]
-    if m == 0:
-        raise SegfuseError("empty_synonym_set", "cannot aggregate zero synonyms")
-    return _pool_segments(u, _segments_by_length(((0, m),)), 1, mode)[..., 0]
 
 
 def log_prior_array(u: np.ndarray) -> np.ndarray:

@@ -80,8 +80,12 @@ def format_prompt_file(bank: PromptBank) -> str:
 
 
 def load_prompt_file(path) -> PromptBank:
-    with open(path, encoding="utf-8") as f:
-        return parse_prompt_file(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as err:
+        raise PromptFileError("bad_encoding", f"{path}: not UTF-8 text ({err})")
+    return parse_prompt_file(text)
 
 
 def save_prompt_file(bank: PromptBank, path) -> None:

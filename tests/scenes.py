@@ -1,11 +1,33 @@
-"""Shared scene fixtures for the competition and acceptance tests."""
+"""Shared scene fixtures, and probes into the prior and fusion kernels."""
 import math
 
 import numpy as np
 
 from segfuse import (DenseGrid, EvidenceBundle, LabelMap, parse_prompt_file,
                      store_from_array)
+from segfuse import fusion as fusion_module
+from segfuse import prior as prior_module
 from segfuse.synth import SyntheticScene
+
+
+def fused_scores(evidence, prior, cfg):
+    """The float32 H x W x C scores that `fuse_and_decode` decodes.
+
+    The library never holds the whole stack, so this concatenates the row
+    tiles of its one fusion kernel.
+    """
+    mask, log_pi = evidence.mask_evidence.data, prior.data
+    tiles = fusion_module._fused_tiles(
+        lambda rows: (mask[rows], log_pi[rows]), evidence.mask_evidence.dims,
+        evidence.evidence_kind, evidence.presence, prior.dims, cfg.lambda_prior)
+    return np.concatenate([tile for _, tile in tiles])
+
+
+def pool_synonyms(u, mode):
+    """The prior kernel's pooling of the last axis of `u` as one class."""
+    u = np.asarray(u, dtype=np.float64)
+    segments = prior_module._segments_by_length(((0, u.shape[-1]),))
+    return prior_module._pool_segments(u, segments, 1, mode)[..., 0]
 
 
 def scene_params(seed):

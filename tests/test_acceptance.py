@@ -12,17 +12,17 @@ import pytest
 
 from segfuse import (Aggregation, ConfusionMatrix, DenseGrid, EvidenceBundle,
                      FusionConfig, LabelMap, PromptFileError,
-                     TensorFormatError, build_prior, decode, fuse,
-                     fuse_and_decode, generate_scene, load_grid, miou,
+                     TensorFormatError, build_prior, fuse_and_decode,
+                     generate_scene, load_grid, miou,
                      parse_prompt_file, pooled_scores, run_sweep, save_grid,
                      select_competitors, CompetitionSpec, format_sweep_csv)
 from segfuse.cli import main
 from segfuse.metrics import per_class_iou
-from segfuse.prior import aggregate_array, log_prior_array
+from segfuse.prior import log_prior_array
 from segfuse.prompts import format_prompt_file
 
 import oracle
-from scenes import confusable_scene, scene_params
+from scenes import confusable_scene, fused_scores, pool_synonyms, scene_params
 
 N_SCENES = 120
 LAMBDA = 0.7
@@ -42,8 +42,8 @@ def pipeline_runs():
         scene = generate_scene(**scene_params(seed))
         prior = build_prior(scene.features, scene.embeddings, scene.bank,
                             Aggregation("lse", TAU), scene.height, scene.width)
-        scores = fuse(scene.evidence, prior, FusionConfig(LAMBDA))
-        labels = decode(scores, FusionConfig(LAMBDA))
+        scores = fused_scores(scene.evidence, prior, FusionConfig(LAMBDA))
+        labels = fuse_and_decode(scene.evidence, prior, FusionConfig(LAMBDA))
         ref_log_pi, ref_scores, ref_labels = oracle.pipeline(
             scene.features.data, scene.embeddings.vectors,
             scene.embeddings.offsets, scene.evidence.mask_evidence.data,
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence(pipeline_runs):
     worst_score = 0.0
     for scene, prior, scores, labels, ref_log_pi, ref_scores, ref_labels in runs:
         ok = ok and np.array_equal(labels.data.astype(np.int64), ref_labels)
-        score_err = np.abs(scores.data.astype(np.float64)
+        score_err = np.abs(scores.astype(np.float64)
                            - ref_scores).max()
         prior_err = np.abs(prior.data.astype(np.float64)
                            - ref_log_pi).max()
@@ -90,12 +90,12 @@ def test_criterion_3_lse_properties():
     checked = 0
     for m in range(1, 11):
         u = rng.uniform(-1e4, 1e4, size=(1000, m))
-        lse = aggregate_array(u, Aggregation("lse", TAU))
+        lse = pool_synonyms(u, Aggregation("lse", TAU))
         ok = ok and bool(np.isfinite(lse).all())
         peak = u.max(axis=1)
         ok = ok and bool((peak <= lse * TAU + 1e-9).all())
         ok = ok and bool((lse * TAU <= peak + TAU * math.log(m) + 1e-9).all())
-        sharp = aggregate_array(u, Aggregation("lse", 1e-3))
+        sharp = pool_synonyms(u, Aggregation("lse", 1e-3))
         ok = ok and bool(np.abs(sharp - peak / 1e-3).max() < 1e-3)
         checked += u.shape[0]
     _report(3, "lse bounds, finiteness and max limit", ok and checked == 10_000)
@@ -109,7 +109,7 @@ def test_criterion_4_aggregation_ablation_parity():
                                0.3 + 0.02 * seed)
         outputs = {}
         for kind in ("lse", "average", "max"):
-            mode = Aggregation.of(kind, TAU)
+            mode = Aggregation(kind, TAU)
             prior = build_prior(scene.features, scene.embeddings, scene.bank,
                                 mode, scene.height, scene.width)
             outputs[kind] = fuse_and_decode(scene.evidence, prior,

@@ -1,5 +1,7 @@
 """CLI wrappers: exit codes, file outputs and bitwise parity with the library."""
 import os
+import re
+import struct
 from concurrent.futures import Future
 
 import numpy as np
@@ -178,6 +180,28 @@ def test_non_positive_threads_is_usage_error(command, threads, capsys):
 def test_threads_defaults_to_usable_cpus(command):
     args = build_parser().parse_args(_COMMANDS[command])
     assert args.threads == len(os.sched_getaffinity(0))
+
+
+def _save_c300(directory, height, width):
+    """Evidence, presence and prior files whose labels all decode to 299."""
+    logits = np.zeros((height, width, 300), dtype=np.float32)
+    logits[..., 299] = 1.0
+    save_grid(DenseGrid(logits), directory / "c300_evidence.cft1")
+    save_grid(DenseGrid(np.zeros((300, 1), np.float32)),
+              directory / "c300_presence.cft1")
+    save_grid(DenseGrid(np.zeros_like(logits)), directory / "c300_prior.cft1")
+
+
+def test_fuse_pgm_overflow_leaves_no_output(tmp_path, capsys):
+    _save_c300(tmp_path, 16, 16)
+    labels, pgm = tmp_path / "labels.cft1", tmp_path / "view.pgm"
+    assert main(["fuse", "--evidence", str(tmp_path / "c300_evidence.cft1"),
+                 "--presence", str(tmp_path / "c300_presence.cft1"),
+                 "--prior", str(tmp_path / "c300_prior.cft1"),
+                 "--out", str(labels), "--pgm", str(pgm)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "segfuse: error: pgm_label_overflow: ")
+    assert not labels.exists() and not pgm.exists()
 
 
 def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
@@ -547,6 +571,19 @@ def test_bad_config_key_exit_1(tmp_path, capsys):
         assert not (tmp_path / "o.cft1").exists()
 
 
+def test_non_utf8_config_exit_1(tmp_path, capsys):
+    scene_dir = _gen(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"# r\xe9glages\ntau_s = 0.25\n")
+    out = tmp_path / "o.cft1"
+    capsys.readouterr()
+    assert main(_prior_argv(scene_dir, out) + ["--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"segfuse: error: bad_encoding: {config}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _prior_argv(scene_dir, out):
     return ["prior", "--features", str(scene_dir / "features.cft1"),
             "--embeddings", str(scene_dir / "embeddings.cft1"),
@@ -616,3 +653,128 @@ def test_sweep_bad_input_exit_1_with_code(tmp_path, capsys, flags, code):
                  "--out", str(out), *flags]) == 1
     assert capsys.readouterr().err.startswith(f"segfuse: error: {code}: ")
     assert not out.exists()
+
+
+# --- corpus of bad invocations ------------------------------------------------
+
+def _cft1_header(dtype, *extents):
+    return (b"CFT1" + struct.pack("<BB", dtype, len(extents))
+            + struct.pack(f"<{len(extents)}I", *extents))
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """A 4x4, C3 scene with its prior, and one malformed input of each kind."""
+    d = tmp_path_factory.mktemp("corpus")
+    scene = d / "scene"
+    assert main(["gen", "--height", "4", "--width", "4", "--dim", "4",
+                 "--classes", "3", "--synonyms", "2", "--out-dir",
+                 str(scene)]) == 0
+    assert main(["prior", "--features", str(scene / "features.cft1"),
+                 "--embeddings", str(scene / "embeddings.cft1"),
+                 "--prompts", str(scene / "prompts.txt"),
+                 "--out", str(d / "prior.cft1")]) == 0
+    logits = (scene / "mask_logits.cft1").read_bytes()
+    nan = load_grid(scene / "mask_logits.cft1").data.copy()
+    nan[3, 3, 2] = np.nan
+    files = {
+        "magic.cft1": b"XXXX" + bytes(16),
+        "dtype.cft1": _cft1_header(9, 2, 2) + bytes(16),
+        "ndim.cft1": _cft1_header(1, 1, 1, 1, 1) + bytes(4),
+        "extent.cft1": _cft1_header(1, 4, 0, 3),
+        "nan.cft1": _cft1_header(1, 4, 4, 3) + nan.tobytes(),
+        "truncated.cft1": logits[:-2],
+        "excess.cft1": logits + bytes(1),
+        "rows.cft1": _cft1_header(1, 1, 4) + np.ones(4, np.float32).tobytes(),
+        "line.conf": b"tau_s 0.25\n",
+        "value.conf": b"tau_s = abc\n",
+        "key.conf": b"speed = 11\n",
+        "latin1.conf": "# réglages\n".encode("latin-1"),
+        "latin1.txt": "café, coffee\nthé\n".encode("latin-1"),
+    }
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+    _save_c300(d, 2, 2)
+    return d
+
+
+_PRIOR = ("prior --features {d}/scene/features.cft1 --embeddings "
+          "{d}/scene/embeddings.cft1 --prompts {d}/scene/prompts.txt "
+          "--out {o}/out.cft1")
+_FUSE = ("fuse --evidence {d}/scene/mask_logits.cft1 --presence "
+         "{d}/scene/presence.cft1 --prior {d}/prior.cft1 --out {o}/out.cft1")
+_C300 = (_FUSE.replace("scene/mask_logits", "c300_evidence")
+         .replace("scene/presence", "c300_presence"))
+_SWEEP = ("sweep --height 4 --width 4 --dim 4 --classes 3 --synonyms 2 "
+          "--out {o}/out.csv")
+_EVAL = "eval --gt {d}/scene/gt.cft1 --pred {d}/scene/gt.cft1"
+
+# (argv, the code of an exit-1 failure, or 2 for a usage error); {d} holds
+# the inputs and {o} is the case's own, empty, output directory.
+BAD_INVOCATIONS = {
+    "bad_magic": (_PRIOR.replace("scene/features", "magic"), "bad_magic"),
+    "bad_dtype": (_FUSE.replace("scene/mask_logits", "dtype"), "bad_dtype"),
+    "float_label_map": (_EVAL.replace("gt.cft1 --pred", "features.cft1 --pred")
+                        + " --classes 3", "bad_dtype"),
+    "bad_ndim": (_PRIOR.replace("scene/features", "ndim"), "bad_ndim"),
+    "zero_extent": (_FUSE.replace("scene/mask_logits", "extent"), "bad_extent"),
+    "nan_payload": (_FUSE.replace("scene/mask_logits", "nan"),
+                    "nonfinite_values"),
+    "truncated_payload": (_FUSE.replace("{d}/prior", "{d}/truncated"),
+                          "payload_truncated"),
+    "trailing_bytes": (_FUSE.replace("{d}/prior", "{d}/excess"),
+                       "payload_excess"),
+    "embedding_rows": (_PRIOR.replace("scene/embeddings", "rows"),
+                       "row_count_mismatch"),
+    "feature_dim": (_PRIOR.replace("scene/features", "scene/mask_logits"),
+                    "dim_mismatch"),
+    "bad_config_line": (_PRIOR + " --config {d}/line.conf", "bad_config_line"),
+    "bad_config_value": (_PRIOR + " --config {d}/value.conf",
+                         "bad_config_value"),
+    "unknown_config_key": (_PRIOR + " --config {d}/key.conf",
+                           "unknown_config_key"),
+    "non_utf8_config": (_FUSE + " --config {d}/latin1.conf", "bad_encoding"),
+    "non_utf8_prompts": (_PRIOR.replace("scene/prompts", "latin1"),
+                         "bad_encoding"),
+    "zero_tau": (_PRIOR + " --tau-s 0", "bad_tau_s"),
+    "nan_lambda": (_FUSE + " --lambda-prior nan", "bad_lambda_prior"),
+    "nan_threshold": (_FUSE + " --background-threshold nan",
+                      "bad_background_threshold"),
+    "index_without_threshold": (_FUSE + " --background-index 7",
+                                "background_index_without_threshold"),
+    "logits_as_probabilities": (_FUSE + " --evidence-kind probabilities",
+                                "probability_out_of_range"),
+    "prior_dims": (_C300, "shape_mismatch"),
+    "pgm_overflow": (_C300.replace("{d}/prior", "{d}/c300_prior")
+                     + " --pgm {o}/out.pgm", "pgm_label_overflow"),
+    "bad_p": (_SWEEP + " --p 2", "bad_ratio"),
+    "target_class": (_SWEEP + " --target-class 3", "bad_class_index"),
+    "gen_height_0": ("gen --height 0 --out-dir {o}/out", "bad_scene_size"),
+    "eval_classes_0": (_EVAL + " --classes 0", "bad_class_count"),
+    "eval_label_range": (_EVAL + " --classes 1", "label_out_of_range"),
+    "no_command": ("", 2),
+    "unknown_flag": (_PRIOR + " --no-such-flag", 2),
+    "threads_0": (_PRIOR + " --threads 0", 2),
+    "bad_choice": (_FUSE + " --evidence-kind odds", 2),
+    "missing_required": (_EVAL, 2),
+    "non_integer": ("gen --height tall --out-dir {o}/out", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INVOCATIONS))
+def test_bad_invocation_corpus(corpus_dir, tmp_path, capsys, case):
+    template, expect = BAD_INVOCATIONS[case]
+    argv = [arg.format(d=corpus_dir, o=tmp_path) for arg in template.split()]
+    capsys.readouterr()
+    if expect == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+    else:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"segfuse: error: ([a-z_]+): [^\n]+\n", err)
+        assert match, err
+        assert match.group(1) == expect
+    assert not any(tmp_path.iterdir())

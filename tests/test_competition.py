@@ -197,7 +197,7 @@ def test_sweep_labels_are_log_softmax_of_pooled_columns(monkeypatch):
     assert len(labels) == len(rows)
     pooled = {}
     for row, got in zip(rows, labels):
-        mode = Aggregation.of(row.aggregation, row.tau_s)
+        mode = Aggregation(row.aggregation, row.tau_s)
         if mode not in pooled:
             pooled[mode] = pooled_scores(scene.features, scene.embeddings,
                                          scene.bank, mode, 14, 13)
@@ -223,7 +223,7 @@ def _restricted_reference(scene, sources, excluded, normalize_order):
                                          CompetitionSpec(0, p, sel)))
         bank, store, evidence = restrict_to_classes(
             scene.bank, scene.embeddings, scene.evidence, comp)
-        prior = build_prior(features, store, bank, Aggregation.of(kind, tau),
+        prior = build_prior(features, store, bank, Aggregation(kind, tau),
                             scene.height, scene.width,
                             normalize_order=normalize_order)
         sub = fuse_and_decode(evidence, prior, FusionConfig(lam))

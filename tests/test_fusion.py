@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from segfuse import (Background, DenseGrid, EvidenceBundle, FusionConfig,
-                     LabelMap, SegfuseError, ShapeError, decode, fuse,
-                     fuse_and_decode, write_pgm)
+                     LabelMap, SegfuseError, ShapeError, fuse_and_decode,
+                     write_pgm)
 from segfuse import fusion as fusion_module
 from segfuse import grid as grid_module
-from segfuse.fusion import to_logit
 from segfuse.prior import log_prior_array
 
 import oracle
+from scenes import fused_scores
 
 
 def _bundle(logits, presence=None, kind="logits"):
@@ -31,30 +31,46 @@ def _uniform_prior(h, w, c):
     return _prior(np.zeros((h, w, c)))
 
 
-# --- to_logit ----------------------------------------------------------------
+def _decode(values, background=None):
+    """`fuse_and_decode` with lambda = 0 and zero presence: the scores it
+    decodes equal `values` bit for bit."""
+    return fuse_and_decode(_bundle(values), _uniform_prior(*np.shape(values)),
+                           FusionConfig(0.0, background))
+
+
+def _reference_decode(scores, cfg):
+    """Argmax with first-wins ties, then background rejection, in numpy."""
+    labels = np.argmax(scores, axis=2).astype(np.uint32)
+    if cfg.background is not None:
+        labels[scores.max(axis=2) < cfg.background.threshold] = scores.shape[2]
+    return labels
+
+
+# --- mask logits -------------------------------------------------------------
+
+def _logits(p, kind="probabilities"):
+    return fusion_module._mask_logits(np.asarray(p, dtype=np.float32), kind)
+
 
 def test_logit_midpoint():
-    b = _bundle(np.full((1, 1, 1), 0.5), kind="probabilities")
-    assert to_logit(b).data[0, 0, 0] == pytest.approx(0.0, abs=1e-7)
+    assert _logits(np.full((1, 1, 1), 0.5))[0, 0, 0] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_logit_of_one_is_clamped():
-    b = _bundle(np.full((1, 1, 1), 1.0), kind="probabilities")
-    v = to_logit(b).data[0, 0, 0]
+    v = _logits(np.full((1, 1, 1), 1.0))[0, 0, 0]
     assert np.isfinite(v)
     assert v == pytest.approx(13.815509557935018, abs=1e-4)
 
 
 def test_logit_kind_passes_through_bitwise():
     data = np.full((1, 1, 1), 3.2, dtype=np.float32)
-    b = _bundle(data)
-    assert to_logit(b).data.tobytes() == data.tobytes()
+    assert _logits(data, "logits").tobytes() == data.tobytes()
 
 
 def test_logit_matches_reference():
     rng = np.random.default_rng(3)
     p = rng.uniform(0.0, 1.0, size=(4, 4, 2)).astype(np.float32)
-    out = to_logit(_bundle(p, kind="probabilities")).data
+    out = _logits(p)
     for idx in np.ndindex(4, 4, 2):
         assert out[idx] == pytest.approx(oracle.prob_to_logit(p[idx]), abs=1e-5)
 
@@ -62,7 +78,8 @@ def test_logit_matches_reference():
 def _converting_calls(bundle):
     """The calls that convert probability evidence: each must fail."""
     prior = _uniform_prior(*bundle.mask_evidence.dims)
-    return (lambda: to_logit(bundle), lambda: fuse(bundle, prior, FusionConfig()),
+    return (lambda: _logits(bundle.mask_evidence.data),
+            lambda: fused_scores(bundle, prior, FusionConfig()),
             lambda: fuse_and_decode(bundle, prior, FusionConfig()))
 
 
@@ -83,22 +100,22 @@ def test_nan_probability_rejected():
         assert err.value.code == "probability_out_of_range"
 
 
-# --- fuse --------------------------------------------------------------------
+# --- fused scores ------------------------------------------------------------
 
 def test_degenerate_fusion_returns_mask_logits():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((4, 4, 3)).astype(np.float32)
     prior = _uniform_prior(4, 4, 3)
-    out = fuse(_bundle(logits), prior, FusionConfig(lambda_prior=0.0))
-    assert out.data.tobytes() == logits.tobytes()
+    out = fused_scores(_bundle(logits), prior, FusionConfig(lambda_prior=0.0))
+    assert out.tobytes() == logits.tobytes()
 
 
 def test_uniform_prior_closed_form():
     prior = _uniform_prior(2, 2, 2)
     evidence = _bundle(np.full((2, 2, 2), 0.5), kind="probabilities")
-    out = fuse(evidence, prior, FusionConfig(lambda_prior=0.7))
-    assert np.allclose(out.data, 0.7 * math.log(0.5), atol=1e-6)
-    assert out.data[0, 0, 0] == pytest.approx(-0.48520302639196167, abs=1e-6)
+    out = fused_scores(evidence, prior, FusionConfig(lambda_prior=0.7))
+    assert np.allclose(out, 0.7 * math.log(0.5), atol=1e-6)
+    assert out[0, 0, 0] == pytest.approx(-0.48520302639196167, abs=1e-6)
 
 
 def test_presence_bias_dominates_equal_logits():
@@ -111,7 +128,13 @@ def test_presence_bias_dominates_equal_logits():
 def test_shape_mismatch_rejected():
     prior = _uniform_prior(2, 2, 3)
     with pytest.raises(ShapeError):
-        fuse(_bundle(np.zeros((2, 2, 2))), prior, FusionConfig())
+        fuse_and_decode(_bundle(np.zeros((2, 2, 2))), prior, FusionConfig())
+
+
+def test_evidence_without_class_axis_rejected():
+    with pytest.raises(ShapeError) as err:
+        EvidenceBundle(DenseGrid(np.zeros((2, 3), np.float32)))
+    assert err.value.code == "shape_mismatch"
 
 
 def test_presence_length_validated():
@@ -127,40 +150,25 @@ def test_unknown_evidence_kind_rejected():
 
 # --- decode ------------------------------------------------------------------
 
-def _scores(values):
-    return fuse(_bundle(values), _uniform_prior(*np.shape(values)),
-                FusionConfig(lambda_prior=0.0))
-
-
 def test_decode_argmax():
-    labels = decode(_scores([[[1.0, 2.0]]]), FusionConfig())
-    assert labels.data[0, 0] == 1
+    assert _decode([[[1.0, 2.0]]]).data[0, 0] == 1
 
 
 def test_decode_tie_goes_to_smallest_index():
-    labels = decode(_scores([[[2.0, 2.0]]]), FusionConfig())
-    assert labels.data[0, 0] == 0
-
-
-def test_decode_rejects_grid_without_class_axis():
-    with pytest.raises(ShapeError) as err:
-        decode(DenseGrid(np.zeros((2, 3), np.float32)), FusionConfig())
-    assert err.value.code == "dim_mismatch"
+    assert _decode([[[2.0, 2.0]]]).data[0, 0] == 0
 
 
 def test_background_threshold_minus_inf_is_vacuous():
     rng = np.random.default_rng(11)
     values = rng.standard_normal((4, 4, 3)).astype(np.float32)
-    plain = decode(_scores(values), FusionConfig())
-    rejected = decode(_scores(values),
-                      FusionConfig(background=Background(float("-inf"))))
+    plain = _decode(values)
+    rejected = _decode(values, Background(float("-inf")))
     assert np.array_equal(plain.data, rejected.data)
     assert rejected.background_index == 3
 
 
 def test_background_threshold_plus_inf_rejects_everything():
-    labels = decode(_scores(np.ones((2, 2, 2))),
-                    FusionConfig(background=Background(float("inf"))))
+    labels = _decode(np.ones((2, 2, 2)), Background(float("inf")))
     assert (labels.data == 2).all()
 
 
@@ -168,7 +176,7 @@ def test_background_rejection_threshold():
     values = np.zeros((1, 2, 2), dtype=np.float32)
     values[0, 0] = [3.0, 1.0]   # confident pixel
     values[0, 1] = [-1.0, -2.0]  # weak pixel
-    labels = decode(_scores(values), FusionConfig(background=Background(0.0)))
+    labels = _decode(values, Background(0.0))
     assert labels.data[0, 0] == 0
     assert labels.data[0, 1] == 2
 
@@ -196,8 +204,7 @@ def test_background_index_must_fit_uint32(index):
 
 def test_background_index_collision():
     with pytest.raises(SegfuseError) as err:
-        decode(_scores(np.ones((1, 1, 3))),
-               FusionConfig(background=Background(0.0, index=1)))
+        _decode(np.ones((1, 1, 3)), Background(0.0, index=1))
     assert err.value.code == "background_index_collision"
 
 
@@ -210,8 +217,9 @@ def test_fuse_and_decode_equals_two_step():
         cfg = FusionConfig(lambda_prior=0.7,
                            background=Background(0.5) if trial % 2 else None)
         one = fuse_and_decode(_bundle(logits, presence), prior, cfg)
-        two = decode(fuse(_bundle(logits, presence), prior, cfg), cfg)
-        assert np.array_equal(one.data, two.data)
+        two = _reference_decode(fused_scores(_bundle(logits, presence), prior,
+                                             cfg), cfg)
+        assert np.array_equal(one.data, two)
 
 
 def _tile_scene(rng, kind, shape=(9, 5, 4)):
@@ -238,10 +246,11 @@ def test_fuse_tile_height_is_irrelevant(monkeypatch):
             for rows in (1, 2, 7, height):
                 monkeypatch.setattr(grid_module, "_TILE_BYTES", rows * row_bytes)
                 assert fusion_module._tile_rows(height, row_bytes) == rows
-                scores = fuse(evidence, prior, cfg)
+                scores = fused_scores(evidence, prior, cfg)
                 labels = fuse_and_decode(evidence, prior, cfg)
-                assert np.array_equal(labels.data, decode(scores, cfg).data)
-                outputs.add((scores.data.tobytes(), labels.data.tobytes()))
+                assert np.array_equal(labels.data,
+                                      _reference_decode(scores, cfg))
+                outputs.add((scores.tobytes(), labels.data.tobytes()))
             assert len(outputs) == 1, (kind, background)
 
 
@@ -300,7 +309,7 @@ def test_nan_score_fails_decode(where):
 
 
 def test_single_class_decodes_to_zero():
-    labels = decode(_scores(np.full((3, 3, 1), -2.0)), FusionConfig())
+    labels = _decode(np.full((3, 3, 1), -2.0))
     assert (labels.data == 0).all()
 
 
@@ -324,8 +333,8 @@ def test_pipeline_labels_match_reference_on_random_fixture():
 def test_constant_shift_does_not_change_labels():
     rng = np.random.default_rng(19)
     values = rng.standard_normal((5, 5, 4)).astype(np.float32)
-    base = decode(_scores(values), FusionConfig())
-    shifted = decode(_scores(values + np.float32(11.0)), FusionConfig())
+    base = _decode(values)
+    shifted = _decode(values + np.float32(11.0))
     assert np.array_equal(base.data, shifted.data)
 
 
@@ -335,8 +344,8 @@ def test_score_monotone_in_log_pi():
     hi = lo.copy()
     hi[0, 0, 0] = 1.0
     cfg = FusionConfig(lambda_prior=0.5)
-    s_lo = fuse(_bundle(logits), _prior(lo), cfg).data
-    s_hi = fuse(_bundle(logits), _prior(hi), cfg).data
+    s_lo = fused_scores(_bundle(logits), _prior(lo), cfg)
+    s_hi = fused_scores(_bundle(logits), _prior(hi), cfg)
     assert s_hi[0, 0, 0] >= s_lo[0, 0, 0]
 
 
@@ -344,10 +353,10 @@ def test_lambda_continuity_on_clear_gaps():
     rng = np.random.default_rng(23)
     logits = rng.standard_normal((8, 8, 3)).astype(np.float32)
     prior = _prior(rng.standard_normal((8, 8, 3)).astype(np.float32))
-    a = fuse(_bundle(logits), prior, FusionConfig(0.7))
-    b = fuse(_bundle(logits), prior, FusionConfig(0.7 + 1e-9))
-    la, lb = decode(a, FusionConfig()), decode(b, FusionConfig())
-    sorted_scores = np.sort(a.data, axis=2)
+    a = fused_scores(_bundle(logits), prior, FusionConfig(0.7))
+    la = fuse_and_decode(_bundle(logits), prior, FusionConfig(0.7))
+    lb = fuse_and_decode(_bundle(logits), prior, FusionConfig(0.7 + 1e-9))
+    sorted_scores = np.sort(a, axis=2)
     gap = sorted_scores[:, :, -1] - sorted_scores[:, :, -2]
     clear = gap > 1e-6
     assert np.array_equal(la.data[clear], lb.data[clear])
@@ -358,8 +367,8 @@ def test_presence_broadcast_uniform_over_pixels():
     logits = rng.standard_normal((4, 4, 3)).astype(np.float32)
     prior = _prior(rng.standard_normal((4, 4, 3)).astype(np.float32))
     z = np.array([0.5, -1.5, 2.0], dtype=np.float32)
-    with_z = fuse(_bundle(logits, z), prior, FusionConfig(0.7)).data
-    without = fuse(_bundle(logits), prior, FusionConfig(0.7)).data
+    with_z = fused_scores(_bundle(logits, z), prior, FusionConfig(0.7))
+    without = fused_scores(_bundle(logits), prior, FusionConfig(0.7))
     diff = with_z.astype(np.float64) - without.astype(np.float64)
     # per class, the shift is the same at every pixel
     spread = diff.max(axis=(0, 1)) - diff.min(axis=(0, 1))
@@ -372,11 +381,10 @@ def test_kind_equivalence_where_gap_is_clear():
     probs = (1.0 / (1.0 + np.exp(-logits.astype(np.float64)))).astype(np.float32)
     prior = _prior(rng.standard_normal((8, 8, 3)).astype(np.float32))
     cfg = FusionConfig(0.7)
-    s_logit = fuse(_bundle(logits), prior, cfg)
-    s_prob = fuse(_bundle(probs, kind="probabilities"), prior, cfg)
-    l_logit = decode(s_logit, cfg)
-    l_prob = decode(s_prob, cfg)
-    sorted_scores = np.sort(s_logit.data, axis=2)
+    s_logit = fused_scores(_bundle(logits), prior, cfg)
+    l_logit = fuse_and_decode(_bundle(logits), prior, cfg)
+    l_prob = fuse_and_decode(_bundle(probs, kind="probabilities"), prior, cfg)
+    sorted_scores = np.sort(s_logit, axis=2)
     gap = sorted_scores[:, :, -1] - sorted_scores[:, :, -2]
     clear = gap > 1e-4
     assert clear.any()

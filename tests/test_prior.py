@@ -16,10 +16,10 @@ from segfuse import (Aggregation, DenseGrid, SegfuseError, ShapeError,
                      store_from_array)
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
-from segfuse.prior import (aggregate_array, log_prior_array,
-                           normalize_pixels_array)
+from segfuse.prior import log_prior_array, normalize_pixels_array
 
 import oracle
+from scenes import pool_synonyms
 
 
 # --- similarity --------------------------------------------------------------
@@ -92,34 +92,34 @@ def test_normalize_pixels_block_size_is_irrelevant(monkeypatch):
 # --- aggregation -------------------------------------------------------------
 
 def test_lse_singleton_is_scaled_score():
-    out = aggregate_array(np.array([[0.5]]), Aggregation("lse", 0.1))
+    out = pool_synonyms(np.array([[0.5]]), Aggregation("lse", 0.1))
     assert out[0] == pytest.approx(5.0, abs=0.0)
 
 
 def test_lse_two_zeros_is_ln2():
-    out = aggregate_array(np.array([[0.0, 0.0]]), Aggregation("lse", 1.0))
+    out = pool_synonyms(np.array([[0.0, 0.0]]), Aggregation("lse", 1.0))
     assert out[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_max_mode_and_small_tau_limit():
     u = np.array([[0.9, 0.1]])
-    assert aggregate_array(u, Aggregation("max"))[0] == pytest.approx(0.9)
-    lse = aggregate_array(u, Aggregation("lse", 0.001))[0]
+    assert pool_synonyms(u, Aggregation("max"))[0] == pytest.approx(0.9)
+    lse = pool_synonyms(u, Aggregation("lse", 0.001))[0]
     assert abs(lse - 0.9 / 0.001) < 1e-6
 
 
 def test_average_mode():
-    out = aggregate_array(np.array([[0.2, 0.4, 0.9]]), Aggregation("average"))
+    out = pool_synonyms(np.array([[0.2, 0.4, 0.9]]), Aggregation("average"))
     assert out[0] == pytest.approx(0.5)
 
 
 def test_aggregation_matches_reference():
     rng = np.random.default_rng(5)
     for kind in ("lse", "average", "max"):
-        mode = Aggregation.of(kind, 0.1)
+        mode = Aggregation(kind, 0.1)
         for _ in range(50):
             u = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 7)))
-            got = aggregate_array(u[None, :], mode)[0]
+            got = pool_synonyms(u[None, :], mode)[0]
             ref = oracle.aggregate(u, kind, 0.1)
             assert got == pytest.approx(ref, abs=1e-9)
 
@@ -130,7 +130,7 @@ def test_lse_bounds():
     for _ in range(200):
         m = int(rng.integers(1, 8))
         u = rng.uniform(-1e4, 1e4, size=m)
-        lse = aggregate_array(u[None, :], Aggregation("lse", tau))[0]
+        lse = pool_synonyms(u[None, :], Aggregation("lse", tau))[0]
         assert np.isfinite(lse)
         assert u.max() / tau <= lse + 1e-9
         assert lse <= u.max() / tau + math.log(m) + 1e-9
@@ -138,23 +138,17 @@ def test_lse_bounds():
 
 def test_lse_strictly_monotone_in_each_score():
     u = np.array([0.3, -0.2, 0.8])
-    base = aggregate_array(u[None, :], Aggregation("lse", 0.1))[0]
+    base = pool_synonyms(u[None, :], Aggregation("lse", 0.1))[0]
     for j in range(3):
         bumped = u.copy()
         bumped[j] += 0.05
-        assert aggregate_array(bumped[None, :], Aggregation("lse", 0.1))[0] > base
-
-
-def test_empty_synonym_set_rejected():
-    with pytest.raises(SegfuseError) as err:
-        aggregate_array(np.zeros((2, 0)), Aggregation("lse", 0.1))
-    assert err.value.code == "empty_synonym_set"
+        assert pool_synonyms(bumped[None, :], Aggregation("lse", 0.1))[0] > base
 
 
 def test_aggregate_class_grids():
     # one class's synonym similarity grids, stacked on the last axis
     sims = np.stack([np.full((2, 3), 0.5), np.full((2, 3), 0.1)], axis=-1)
-    out = aggregate_array(sims, Aggregation("max"))
+    out = pool_synonyms(sims, Aggregation("max"))
     assert out.shape == (2, 3)
     assert (out == 0.5).all()
 
@@ -168,8 +162,9 @@ def test_aggregation_validation():
             Aggregation("lse", tau)
         assert err.value.code == "bad_tau_s"
     # average and max carry no temperature
-    assert Aggregation.of("max", 0.0) == Aggregation.of("max", 0.5)
-    assert Aggregation.of("lse", 0.5) == Aggregation("lse", 0.5)
+    assert Aggregation("max", 0.0) == Aggregation("max", 0.5)
+    assert Aggregation("average", math.nan) == Aggregation("average")
+    assert Aggregation("lse", 0.5) != Aggregation("lse", 0.25)
 
 
 # --- log prior ---------------------------------------------------------------
@@ -262,7 +257,7 @@ def test_build_prior_matches_reference():
     rng = np.random.default_rng(97)
     bank, store, feats = _scene_pieces(rng, 8, 8, 16, [3, 1, 2, 3])
     for kind in ("lse", "average", "max"):
-        mode = Aggregation.of(kind, 0.1)
+        mode = Aggregation(kind, 0.1)
         log_pi = build_prior(feats, store, bank, mode, 8, 8)
         ref_log_pi, _, _ = oracle.pipeline(
             feats.data, store.vectors, store.offsets,
@@ -289,7 +284,7 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
     for out_h, out_w in ((9, 8), (13, 11), (4, 5), (9, 13)):
         row_bytes = out_w * store.num_vectors * 8
         for kind in ("lse", "average", "max"):
-            mode = Aggregation.of(kind, 0.1)
+            mode = Aggregation(kind, 0.1)
             for order in ("before", "after", "both"):
                 outputs = set()
                 for rows in sorted({1, 2, min(7, out_h), out_h}):
@@ -321,7 +316,7 @@ def test_build_prior_thread_count_is_irrelevant(monkeypatch):
         monkeypatch.setattr(grid_module, "_TILE_BYTES",
                             out_w * store.num_vectors * 8)
         for kind in ("lse", "average", "max"):
-            mode = Aggregation.of(kind, 0.1)
+            mode = Aggregation(kind, 0.1)
             for order in ("before", "after", "both"):
                 outputs = {
                     (build_prior(feats, store, bank, mode, out_h, out_w,
@@ -354,8 +349,12 @@ def _direct_pooled(feats, store, mode, out_h, out_w, order):
     if order in ("after", "both"):
         resized, _ = normalize_pixels_array(resized)
     sims = resized @ store.vectors.astype(np.float64).T
-    return np.stack([aggregate_array(sims[..., start:start + count], mode)
-                     for start, count in store.offsets], axis=-1)
+    pooled = np.empty(sims.shape[:-1] + (len(store.offsets),))
+    for idx in np.ndindex(sims.shape[:-1]):
+        pooled[idx] = [oracle.aggregate(sims[idx][start:start + count],
+                                        mode.kind, mode.tau_s)
+                       for start, count in store.offsets]
+    return pooled
 
 
 @pytest.mark.parametrize("in_hw,out_hw", [
@@ -371,7 +370,7 @@ def test_pooled_scores_match_direct_resize(in_hw, out_hw):
     rng = np.random.default_rng(131)
     bank, store, feats = _scene_pieces(rng, *in_hw, 24, [3, 1, 2])
     for kind in ("lse", "average", "max"):
-        mode = Aggregation.of(kind, 0.1)
+        mode = Aggregation(kind, 0.1)
         for order in ("before", "after", "both"):
             got = pooled_scores(feats, store, bank, mode, *out_hw,
                                 normalize_order=order)
@@ -647,7 +646,7 @@ def test_argmax_consistent_across_modes_for_singletons():
     bank, store, feats = _scene_pieces(rng, 6, 6, 9, [1, 1, 1, 1])
     argmaxes = []
     for kind in ("lse", "average", "max"):
-        mode = Aggregation.of(kind, 0.1)
+        mode = Aggregation(kind, 0.1)
         log_pi = build_prior(feats, store, bank, mode, 6, 6)
         argmaxes.append(np.argmax(log_pi.data, axis=2))
     assert np.array_equal(argmaxes[0], argmaxes[1])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from segfuse import PromptFileError, parse_prompt_file
+from segfuse import PromptFileError, load_prompt_file, parse_prompt_file
 from segfuse.prompts import format_prompt_file
 
 
@@ -65,6 +65,15 @@ def test_duplicate_canonical_rejected():
     with pytest.raises(PromptFileError) as err:
         parse_prompt_file("cat\ndog\ncat, kitty\n")
     assert err.value.code == "duplicate_canonical"
+
+
+def test_non_utf8_prompt_file_rejected(tmp_path):
+    path = tmp_path / "prompts.txt"
+    path.write_bytes("café, coffee\n".encode("latin-1"))
+    with pytest.raises(PromptFileError) as err:
+        load_prompt_file(path)
+    assert err.value.code == "bad_encoding"
+    assert str(path) in str(err.value)
 
 
 def test_stray_commas_dropped():
