@@ -3,11 +3,12 @@
 Turns per-concept mask logits, presence logits, dense features and synonym
 text embeddings into a calibrated multi-class label map, with an evaluation
 and competition-analysis harness on top.  Each stage has one library entry:
-`build_prior` (or `pooled_scores`) for the prior and `fuse_and_decode` for
-fusion and decode.  The array building blocks behind the prior
-(`normalize_pixels_array` and `log_prior_array` in `segfuse.prior`,
-`bilinear_taps` and `interpolate_axis` in `segfuse.grid`) are imported from
-their modules.
+`build_prior` (or `pooled_scores`) for the prior, which reads features,
+embeddings and a pooling rule, and `fuse_and_decode` for fusion and decode,
+which reads evidence, the log prior and a `FusionConfig`.  The array
+building blocks behind the prior (`normalize_pixels_array` and
+`log_prior_array` in `segfuse.prior`, `bilinear_taps` and
+`interpolate_axis` in `segfuse.grid`) are imported from their modules.
 """
 
 from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes,

@@ -4,7 +4,8 @@ Every command is a thin wrapper over the library; outputs are byte-identical
 to the corresponding library calls.  `prior` writes its output and `fuse`
 reads its two grids one row tile at a time, through the row reader and
 writer of `grid`, so neither holds a whole H x W x C grid.  Exit codes: 0
-success, 1 validation or I/O failure or `out_of_memory`, 2 usage error.
+success, 1 a coded validation failure, `io_error` or `out_of_memory`, 2
+usage error.
 
 The run settings live in one table, `_SETTINGS`: each key's default, its
 argparse keywords and its check.  The flags, the `--config` file reader and
@@ -20,10 +21,9 @@ import sys
 from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
 from .embeddings import load_embeddings
-from .errors import SegfuseError, ShapeError
-from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background, FusionConfig,
-                     _decode_tiles, _fused_tiles, check_lambda_prior,
-                     write_pgm)
+from .errors import SegfuseError
+from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background, _decode_tiles,
+                     _fused_tiles, check_lambda_prior, write_pgm)
 from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
                    save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
@@ -138,16 +138,6 @@ def _scene(args):
                           args.overlap, args.feature_height, args.feature_width)
 
 
-def _load_presence(path, n_classes):
-    grid = load_grid(path)
-    presence = grid.data.ravel()
-    if presence.shape[0] != n_classes:
-        raise ShapeError(
-            f"{path}: presence has {presence.shape[0]} entries for "
-            f"{n_classes} classes")
-    return presence
-
-
 def cmd_prior(args) -> int:
     bank = load_prompt_file(args.prompts)
     features = load_grid(args.features)
@@ -155,7 +145,7 @@ def cmd_prior(args) -> int:
     out_h = features.height if args.out_height is None else args.out_height
     out_w = features.width if args.out_width is None else args.out_width
     mode = Aggregation(args.aggregation, args.tau_s)
-    _write_prior(features, store, bank, mode, out_h, out_w, args.out,
+    _write_prior(features, store, mode, out_h, out_w, args.out,
                  normalize_order=args.normalize_order, threads=args.threads)
     return 0
 
@@ -170,17 +160,16 @@ def cmd_fuse(args) -> int:
     background = None
     if args.background_threshold is not None:
         background = Background(args.background_threshold, args.background_index)
-    cfg = FusionConfig(args.lambda_prior, background)
     with _read_rows(args.evidence, DTYPE_F32) as evidence:
         dims = evidence.extents
-        presence = _load_presence(args.presence, dims[2] if len(dims) == 3 else 1)
+        presence = load_grid(args.presence).data
         with _read_rows(args.prior, DTYPE_F32) as prior:
             tiles = _fused_tiles(
                 lambda rows: (evidence.read(rows.stop - rows.start),
                               prior.read(rows.stop - rows.start)),
                 dims, args.evidence_kind, presence, prior.extents,
-                cfg.lambda_prior)
-            labels = _decode_tiles(tiles, dims, cfg)
+                args.lambda_prior)
+            labels = _decode_tiles(tiles, dims, background)
     # The PGM goes first: its label-range check then runs before either
     # output is written.
     if args.pgm:
@@ -330,8 +319,11 @@ def main(argv=None) -> int:
         if "config" in args:
             _merge_settings(args)
         return args.func(args)
-    except (SegfuseError, OSError, ValueError) as err:
+    except SegfuseError as err:
         print(f"segfuse: error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        print(f"segfuse: error: io_error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:
         print(f"segfuse: error: out_of_memory: {err}", file=sys.stderr)

@@ -25,7 +25,7 @@ from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
 from .prior import DEFAULT_TAU, Aggregation, log_prior_array, pooled_scores
-from .prompts import PromptBank, PromptClass
+from .prompts import PromptBank
 from .synth import SyntheticScene
 
 SELECTION_MODES = ("easy", "hard")
@@ -104,15 +104,10 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
     if bad:
         raise SegfuseError("bad_class_index",
                            f"class indices {bad} out of range 0..{n - 1}")
-    new_classes = []
-    row_blocks = []
-    for new_index, ci in enumerate(kept):
-        cls = bank.classes[ci]
-        new_classes.append(PromptClass(new_index, cls.canonical, cls.synonyms))
-        start, count = store.offsets[ci]
-        row_blocks.append(store.vectors[start:start + count])
-    sub_bank = PromptBank(tuple(new_classes))
-    sub_store = store_from_array(np.concatenate(row_blocks, axis=0), sub_bank)
+    sub_bank = PromptBank(tuple(bank.classes[ci] for ci in kept))
+    rows = [store.vectors[start:start + count]
+            for start, count in (store.offsets[ci] for ci in kept)]
+    sub_store = store_from_array(np.concatenate(rows, axis=0), sub_bank)
     return sub_bank, sub_store, _restrict_evidence(evidence, kept)
 
 
@@ -151,9 +146,8 @@ def run_sweep(scene: SyntheticScene, *,
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
     modes = {(tau, kind): Aggregation(kind, tau)
              for tau in tau_values for kind in aggregations}
-    pooled = {(name, mode): pooled_scores(features, scene.embeddings,
-                                          scene.bank, mode, scene.height,
-                                          scene.width,
+    pooled = {(name, mode): pooled_scores(features, scene.embeddings, mode,
+                                          scene.height, scene.width,
                                           normalize_order=normalize_order,
                                           threads=threads)
               for name, features in sources.items()

@@ -21,7 +21,8 @@ each at a time, so it never holds a whole input.  Probability evidence is
 range-checked tile by tile, where it is converted.  `_decode_tiles` decodes
 each tile as it comes, so the H x W x C stack never exists.  The tile
 height comes from the shape alone, through the budget the prior kernel uses
-too.
+too.  Both callers pass the prior weight to `_fused_tiles` and the
+background rule to `_decode_tiles`.
 """
 from __future__ import annotations
 
@@ -73,10 +74,6 @@ class EvidenceBundle:
     def __post_init__(self):
         self.presence = _check_evidence(self.mask_evidence.dims,
                                         self.evidence_kind, self.presence)
-
-    @property
-    def num_classes(self) -> int:
-        return self.mask_evidence.channels
 
 
 @dataclass(frozen=True)
@@ -172,10 +169,10 @@ def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
             for rows in tiles)
 
 
-def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
+def _decode_tiles(tiles, dims: tuple[int, ...],
+                  background: Background | None) -> LabelMap:
     """Decode (rows, float32 scores) tiles of an H x W x C grid into labels."""
     height, width, n_classes = dims
-    background = cfg.background
     background_index = None
     if background is not None:
         background_index = (background.index if background.index is not None
@@ -198,7 +195,7 @@ def _decode_tiles(tiles, dims: tuple[int, ...], cfg: FusionConfig) -> LabelMap:
         if background_index is not None:
             labels[rows][best.reshape(tile_labels.shape)
                          < background.threshold] = background_index
-    return LabelMap(labels, background_index=background_index)
+    return LabelMap(labels)
 
 
 def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
@@ -219,7 +216,7 @@ def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
     tiles = _fused_tiles(lambda rows: (mask[rows], log_pi[rows]), dims,
                          evidence.evidence_kind, evidence.presence, prior.dims,
                          cfg.lambda_prior)
-    return _decode_tiles(tiles, dims, cfg)
+    return _decode_tiles(tiles, dims, cfg.background)
 
 
 def write_pgm(labels: LabelMap, path) -> None:

@@ -97,7 +97,6 @@ class LabelMap:
     """Per-pixel class indices (uint32, H x W)."""
 
     data: np.ndarray
-    background_index: int | None = None
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.uint32)

@@ -20,7 +20,13 @@ class ConfusionMatrix:
                 f"ignore_index {ignore_index} must lie outside 0..{num_classes - 1}")
         self.num_classes = num_classes
         self.ignore_index = ignore_index
-        self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        try:
+            self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        except ValueError:  # numpy's refusal of a size it cannot address
+            raise SegfuseError(
+                "bad_class_count",
+                f"a {num_classes} x {num_classes} count matrix is too large "
+                f"to address")
 
     def accumulate(self, gt: LabelMap, pred: LabelMap) -> "ConfusionMatrix":
         """Add one image pair; pixels labeled ignore_index on either side are skipped."""

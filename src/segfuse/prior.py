@@ -147,8 +147,8 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
 
 
 def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
-                        bank: PromptBank, out_h: int, out_w: int,
-                        normalize_order: str, threads: int) -> None:
+                        out_h: int, out_w: int, normalize_order: str,
+                        threads: int) -> None:
     if normalize_order not in NORMALIZE_ORDERS:
         raise SegfuseError(
             "bad_normalize_order",
@@ -161,9 +161,6 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
         raise ShapeError(
             f"feature dim {features.channels} != embedding dim {store.dim}",
             code="dim_mismatch")
-    if store.num_classes != bank.num_classes:
-        raise ShapeError(
-            f"store has {store.num_classes} classes, bank has {bank.num_classes}")
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
     if not _all_finite(features.data):
@@ -329,32 +326,34 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     the exact norm of each resized feature vector, taken from neighbour Gram
     maps; the result equals the resize-first order up to float64 rounding.
     Up to `threads` row tiles run at once; the output bytes never depend on
-    it.
+    it.  `bank` is only checked against the store's class count.
     """
-    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
-                        threads)
+    if store.num_classes != bank.num_classes:
+        raise ShapeError(
+            f"store has {store.num_classes} classes, bank has {bank.num_classes}")
+    _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     return DenseGrid(_tiled_kernel(features, store, mode, out_h, out_w,
                                    normalize_order, threads, np.float32,
                                    log_prior_array))
 
 
-def pooled_scores(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
+def pooled_scores(features: DenseGrid, store: EmbeddingStore,
                   mode: Aggregation, out_h: int, out_w: int, *,
                   normalize_order: str = "both",
                   threads: int = 1) -> np.ndarray:
     """Float64 (out_h, out_w, C) pooled class scores, before the log-softmax.
 
-    Same inputs, kernel and `threads` as `build_prior`.  A class's pooled
-    score depends only on its own synonyms, so a caller comparing class
-    subsets slices columns of one full array and log-softmaxes each slice.
+    Same inputs but the bank, kernel and `threads` as `build_prior`.  A
+    class's pooled score depends only on its own synonyms, so a caller
+    comparing class subsets slices columns of one full array and
+    log-softmaxes each slice.
     """
-    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
-                        threads)
+    _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     return _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
                          threads, np.float64, lambda pooled: pooled)
 
 
-def _write_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
+def _write_prior(features: DenseGrid, store: EmbeddingStore,
                  mode: Aggregation, out_h: int, out_w: int, path, *,
                  normalize_order: str, threads: int) -> None:
     """`save_grid(build_prior(...), path)`, writing each tile as it is finished.
@@ -363,8 +362,7 @@ def _write_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     system, before any similarity is computed, and the whole log prior is
     never held.
     """
-    _check_prior_inputs(features, store, bank, out_h, out_w, normalize_order,
-                        threads)
+    _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     with _write_rows(path, DTYPE_F32, (out_h, out_w, store.num_classes)) as write:
         _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
                       threads, np.float32, log_prior_array,

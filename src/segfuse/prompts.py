@@ -15,9 +15,11 @@ MAX_SYNONYMS = 10
 
 @dataclass(frozen=True)
 class PromptClass:
-    class_index: int
-    canonical: str
     synonyms: tuple[str, ...]
+
+    @property
+    def canonical(self) -> str:
+        return self.synonyms[0]
 
     @property
     def m_c(self) -> int:
@@ -69,7 +71,7 @@ def parse_prompt_file(text: str) -> PromptBank:
                 f"line {lineno}: '{canonical}' already defined on line "
                 f"{seen_canonical[canonical]}")
         seen_canonical[canonical] = lineno
-        classes.append(PromptClass(len(classes), canonical, tuple(synonyms)))
+        classes.append(PromptClass(tuple(synonyms)))
     if not classes:
         raise PromptFileError("empty_prompt_file", "no classes found")
     return PromptBank(tuple(classes))

@@ -12,15 +12,18 @@ Scenes are built in bounded memory.  The outputs (uint32 ground truth,
 float32 features and mask logits) are allocated whole, after the small
 prompt embeddings and before any grid-sized work, so a scene too large for
 memory raises `MemoryError` at its first large allocation, which the CLI
-reports as `out_of_memory` with exit 1.  Ground truth, features and mask
-logits are then computed in float64 over blocks of whole rows and rounded
-into the outputs, so no full-size float64 array exists.  The block height
+reports as `out_of_memory` with exit 1; one whose arrays numpy cannot
+address at all fails with `bad_scene_size` before anything is drawn.
+Ground truth, features and mask logits are then computed in float64 over
+blocks of whole rows and rounded into the outputs, so no full-size float64
+array exists.  The block height
 comes from `_tile_rows` over the float64 bytes a block holds per row; every
 step is per pixel and the noise is drawn block by block in row order,
 features first, so the bytes do not depend on the block height.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import SegfuseError
 from .fusion import EvidenceBundle
 from .grid import DenseGrid, LabelMap, _tile_rows
 from .prior import normalize_pixels_array
-from .prompts import PromptBank, PromptClass
+from .prompts import MAX_SYNONYMS, PromptBank, PromptClass
 
 MASK_MARGIN = 2.5
 MASK_NOISE_SCALE = 2.0
@@ -43,10 +46,8 @@ _NOISY_BLOCK_BYTES = 24
 
 @dataclass
 class SyntheticScene:
-    seed: int
     height: int
     width: int
-    dim: int
     num_classes: int
     features: DenseGrid
     gt: LabelMap
@@ -83,7 +84,7 @@ def _prompt_embeddings(rng, dim: int, num_classes: int,
             else:
                 rows.append(canon[ci].copy())
         names = (f"class{ci}",) + tuple(f"class{ci} v{j}" for j in range(1, m_c))
-        classes.append(PromptClass(ci, names[0], names))
+        classes.append(PromptClass(names))
     bank = PromptBank(tuple(classes))
     return store_from_array(np.stack(rows), bank), bank
 
@@ -107,8 +108,20 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     fw = feature_width if feature_width is not None else width
     if min(height, width, fh, fw, dim, num_classes, synonyms_per_class) < 1:
         raise SegfuseError("bad_scene_size", "scene dimensions must be >= 1")
-    if drift < 0 or overlap < 0:
-        raise SegfuseError("bad_scene_noise", "drift and overlap must be >= 0")
+    # A prompt file holds at most MAX_SYNONYMS variants per class.
+    if synonyms_per_class > MAX_SYNONYMS:
+        raise SegfuseError("bad_scene_size", f"synonyms per class must be <= "
+                           f"{MAX_SYNONYMS}, got {synonyms_per_class}")
+    # numpy refuses an array whose byte size overflows its index type with a
+    # bare ValueError, before allocating anything.
+    if 8 * max(num_classes * dim, height * width * num_classes,
+               fh * fw * dim) > np.iinfo(np.intp).max:
+        raise SegfuseError("bad_scene_size", "scene too large to address")
+    if not (0.0 <= drift < math.inf and 0.0 <= overlap < math.inf):
+        raise SegfuseError("bad_scene_noise",
+                           "drift and overlap must be finite and >= 0")
+    if seed < 0:
+        raise SegfuseError("bad_scene_seed", f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     store, bank = _prompt_embeddings(rng, dim, num_classes, synonyms_per_class,
                                      drift)
@@ -154,7 +167,7 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     presence = np.log((occupancy + 1.0) / (total - occupancy + 1.0)).astype(np.float32)
 
     return SyntheticScene(
-        seed=seed, height=height, width=width, dim=dim, num_classes=num_classes,
+        height=height, width=width, num_classes=num_classes,
         features=DenseGrid(feats), gt=LabelMap(gt),
         evidence=EvidenceBundle(DenseGrid(logits), "logits", presence),
         embeddings=store, bank=bank)

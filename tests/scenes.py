@@ -85,7 +85,7 @@ def confusable_scene(seed=404, height=16, width=16, dim=8, num_classes=6,
     logits = margin * sign + mask_noise * rng.standard_normal(
         (height, width, num_classes))
     return SyntheticScene(
-        seed, height, width, dim, num_classes,
+        height, width, num_classes,
         DenseGrid(feats.astype(np.float32)), LabelMap(gt),
         EvidenceBundle(DenseGrid(logits.astype(np.float32)), "logits",
                        np.zeros(num_classes, dtype=np.float32)),

@@ -1,11 +1,18 @@
 """The public surface: `segfuse.__all__` is pinned, so growth shows in a diff.
 
-The README's error-code table is checked against the codes the source raises.
+So are the parameters of each stage entry and the fields of the records
+passed between stages: an input or field that nothing reads shows in a diff
+too.  The README's error-code table is checked against the codes the source
+raises.
 """
+import dataclasses
+import inspect
 import pathlib
 import re
 
 import segfuse
+from segfuse.prompts import PromptClass
+from segfuse.synth import SyntheticScene
 
 PUBLIC = {
     # data types and configuration
@@ -41,6 +48,43 @@ def test_every_public_name_imports():
     assert PUBLIC <= set(namespace)
     for name in PUBLIC:
         assert namespace[name] is getattr(segfuse, name)
+
+
+# `build_prior`, `select_competitors` and `fuse_and_decode` keep `bank` and
+# `cfg` while the benchmark's own checks still pass them.
+SIGNATURES = {
+    "build_prior": ("features", "store", "bank", "mode", "out_h", "out_w",
+                    "normalize_order", "threads"),
+    "pooled_scores": ("features", "store", "mode", "out_h", "out_w",
+                      "normalize_order", "threads"),
+    "fuse_and_decode": ("evidence", "prior", "cfg"),
+    "select_competitors": ("store", "bank", "spec"),
+    "run_sweep": ("scene", "target_class", "p_values", "selections",
+                  "lambda_values", "tau_values", "aggregations",
+                  "feature_sources", "normalize_order", "excluded", "threads"),
+    "generate_scene": ("seed", "height", "width", "dim", "num_classes",
+                       "synonyms_per_class", "drift", "overlap",
+                       "feature_height", "feature_width"),
+}
+
+FIELDS = {
+    segfuse.LabelMap: ("data",),
+    segfuse.EvidenceBundle: ("mask_evidence", "evidence_kind", "presence"),
+    PromptClass: ("synonyms",),
+    SyntheticScene: ("height", "width", "num_classes", "features", "gt",
+                     "evidence", "embeddings", "bank"),
+}
+
+
+def test_stage_signatures_are_pinned():
+    for name, params in SIGNATURES.items():
+        signature = inspect.signature(getattr(segfuse, name))
+        assert tuple(signature.parameters) == params, name
+
+
+def test_record_fields_are_pinned():
+    for cls, fields in FIELDS.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields, cls
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

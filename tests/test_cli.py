@@ -691,6 +691,7 @@ def corpus_dir(tmp_path_factory):
         "key.conf": b"speed = 11\n",
         "latin1.conf": "# réglages\n".encode("latin-1"),
         "latin1.txt": "café, coffee\nthé\n".encode("latin-1"),
+        "flat.cft1": _cft1_header(1, 4, 4) + np.ones(16, np.float32).tobytes(),
     }
     for name, data in files.items():
         (d / name).write_bytes(data)
@@ -750,7 +751,18 @@ BAD_INVOCATIONS = {
     "bad_p": (_SWEEP + " --p 2", "bad_ratio"),
     "target_class": (_SWEEP + " --target-class 3", "bad_class_index"),
     "gen_height_0": ("gen --height 0 --out-dir {o}/out", "bad_scene_size"),
+    "gen_unaddressable": ("gen --height 10000000000 --width 10000000000 "
+                          "--out-dir {o}/out", "bad_scene_size"),
+    "gen_synonyms_11": ("gen --synonyms 11 --out-dir {o}/out", "bad_scene_size"),
+    "gen_nan_drift": ("gen --drift nan --out-dir {o}/out", "bad_scene_noise"),
+    "gen_negative_seed": ("gen --seed -1 --out-dir {o}/out", "bad_scene_seed"),
+    "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
+    "missing_input": (_PRIOR.replace("scene/features", "missing"), "io_error"),
+    "input_is_directory": (_EVAL.replace("scene/gt.cft1 --pred", "scene --pred")
+                           + " --classes 3", "io_error"),
     "eval_classes_0": (_EVAL + " --classes 0", "bad_class_count"),
+    "eval_classes_unaddressable": (_EVAL + " --classes 10000000000",
+                                   "bad_class_count"),
     "eval_label_range": (_EVAL + " --classes 1", "label_out_of_range"),
     "no_command": ("", 2),
     "unknown_flag": (_PRIOR + " --no-such-flag", 2),
@@ -777,4 +789,13 @@ def test_bad_invocation_corpus(corpus_dir, tmp_path, capsys, case):
         match = re.fullmatch(r"segfuse: error: ([a-z_]+): [^\n]+\n", err)
         assert match, err
         assert match.group(1) == expect
+    assert not any(tmp_path.iterdir())
+
+
+def test_two_axis_evidence_is_reported_as_such(corpus_dir, tmp_path, capsys):
+    # The evidence's axes are checked before the presence count they imply.
+    template = _FUSE.replace("scene/mask_logits", "flat")
+    assert main(template.format(d=corpus_dir, o=tmp_path).split()) == 1
+    assert capsys.readouterr().err == (
+        "segfuse: error: shape_mismatch: mask evidence needs 3 axes (H, W, C)\n")
     assert not any(tmp_path.iterdir())

@@ -164,7 +164,6 @@ def test_background_threshold_minus_inf_is_vacuous():
     plain = _decode(values)
     rejected = _decode(values, Background(float("-inf")))
     assert np.array_equal(plain.data, rejected.data)
-    assert rejected.background_index == 3
 
 
 def test_background_threshold_plus_inf_rejects_everything():

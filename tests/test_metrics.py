@@ -85,6 +85,8 @@ def test_all_undefined_raises():
 @pytest.mark.parametrize("num_classes, ignore_index, code", [
     (0, None, "bad_class_count"),
     (-3, None, "bad_class_count"),
+    # numpy refuses this C x C matrix before allocating anything
+    (10**10, None, "bad_class_count"),
     (4, 2, "bad_ignore_index"),
     (4, 0, "bad_ignore_index"),
 ])

@@ -34,7 +34,7 @@ def _similarity(feats, embedding):
     store = store_from_array(np.asarray(embedding, dtype=np.float64)[None, :],
                              bank)
     h, w = feats.shape[:2]
-    return pooled_scores(DenseGrid(feats), store, bank, Aggregation("max"),
+    return pooled_scores(DenseGrid(feats), store, Aggregation("max"),
                          h, w)[:, :, 0]
 
 
@@ -237,6 +237,12 @@ def _scene_pieces(rng, h, w, d, class_synonyms):
     return bank, store, feats
 
 
+def _entries(bank):
+    """Both prior entries, each called as (features, store, mode, ...)."""
+    return (lambda feats, store, *args, **kwargs:
+            build_prior(feats, store, bank, *args, **kwargs), pooled_scores)
+
+
 def test_build_prior_single_class_is_zero():
     rng = np.random.default_rng(81)
     bank, store, feats = _scene_pieces(rng, 4, 4, 8, [2])
@@ -301,7 +307,7 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                     monkeypatch.setattr(prior_module, "log_prior_array", record)
                     log_pi = build_prior(feats, store, bank, mode, out_h, out_w,
                                          normalize_order=order)
-                    full = pooled_scores(feats, store, bank, mode, out_h, out_w,
+                    full = pooled_scores(feats, store, mode, out_h, out_w,
                                          normalize_order=order)
                     outputs.add((np.concatenate(pooled).tobytes(),
                                  log_pi.data.tobytes(), full.tobytes()))
@@ -322,7 +328,7 @@ def test_build_prior_thread_count_is_irrelevant(monkeypatch):
                     (build_prior(feats, store, bank, mode, out_h, out_w,
                                  normalize_order=order,
                                  threads=threads).data.tobytes(),
-                     pooled_scores(feats, store, bank, mode, out_h, out_w,
+                     pooled_scores(feats, store, mode, out_h, out_w,
                                    normalize_order=order,
                                    threads=threads).tobytes())
                     for threads in (1, 2, 3)}
@@ -333,10 +339,9 @@ def test_build_prior_thread_count_is_irrelevant(monkeypatch):
 def test_build_prior_rejects_non_positive_threads(threads):
     rng = np.random.default_rng(104)
     bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
-    for build in (build_prior, pooled_scores):
+    for build in _entries(bank):
         with pytest.raises(SegfuseError, match="threads") as err:
-            build(feats, store, bank, Aggregation("lse", 0.1), 3, 3,
-                  threads=threads)
+            build(feats, store, Aggregation("lse", 0.1), 3, 3, threads=threads)
         assert err.value.code == "bad_threads"
 
 
@@ -372,7 +377,7 @@ def test_pooled_scores_match_direct_resize(in_hw, out_hw):
     for kind in ("lse", "average", "max"):
         mode = Aggregation(kind, 0.1)
         for order in ("before", "after", "both"):
-            got = pooled_scores(feats, store, bank, mode, *out_hw,
+            got = pooled_scores(feats, store, mode, *out_hw,
                                 normalize_order=order)
             want = _direct_pooled(feats, store, mode, *out_hw, order)
             assert np.abs(got - want).max() < 1e-12, (kind, order)
@@ -543,9 +548,9 @@ def test_build_prior_normalize_orders():
 def test_build_prior_rejects_unknown_normalize_order():
     rng = np.random.default_rng(109)
     bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
-    for build in (build_prior, pooled_scores):
+    for build in _entries(bank):
         with pytest.raises(SegfuseError) as err:
-            build(feats, store, bank, Aggregation("lse", 0.1), 3, 3,
+            build(feats, store, Aggregation("lse", 0.1), 3, 3,
                   normalize_order="never")
         assert err.value.code == "bad_normalize_order"
 
@@ -626,9 +631,9 @@ def test_build_prior_rejects_nonfinite_features(bad):
     rng = np.random.default_rng(112)
     bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
     feats.data[1, 2, 3] = bad
-    for build in (build_prior, pooled_scores):
+    for build in _entries(bank):
         with pytest.raises(SegfuseError) as err:
-            build(feats, store, bank, Aggregation("lse", 0.1), 3, 3)
+            build(feats, store, Aggregation("lse", 0.1), 3, 3)
         assert err.value.code == "nonfinite_values"
 
 

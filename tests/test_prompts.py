@@ -46,7 +46,6 @@ def test_dedup_counts_toward_cap():
 def test_comments_and_blank_lines_skipped():
     bank = parse_prompt_file("# header\n\ncat\n  \n# more\ndog\n")
     assert [c.canonical for c in bank.classes] == ["cat", "dog"]
-    assert [c.class_index for c in bank.classes] == [0, 1]
 
 
 def test_empty_file_rejected():

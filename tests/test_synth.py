@@ -1,5 +1,6 @@
 """Synthetic scene generation: determinism and structural guarantees."""
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -96,6 +97,24 @@ def test_parameter_validation():
         with pytest.raises(SegfuseError) as err:
             generate_scene(0, 4, 4, 4, 2, 1, drift, overlap)
         assert err.value.code == "bad_scene_noise"
+
+
+@pytest.mark.parametrize("changes, code", [
+    ({"seed": -1}, "bad_scene_seed"),
+    ({"synonyms_per_class": 11}, "bad_scene_size"),
+    # numpy would refuse these arrays with a bare ValueError
+    ({"height": 10**10, "width": 10**10}, "bad_scene_size"),
+    ({"feature_height": 10**10, "feature_width": 10**10}, "bad_scene_size"),
+    ({"dim": 10**20}, "bad_scene_size"),
+    ({"drift": math.nan}, "bad_scene_noise"),
+    ({"overlap": math.inf}, "bad_scene_noise"),
+])
+def test_scene_arguments_carry_codes(changes, code):
+    args = dict(seed=0, height=4, width=4, dim=4, num_classes=2,
+                synonyms_per_class=1, drift=0.0, overlap=0.0)
+    with pytest.raises(SegfuseError) as err:
+        generate_scene(**{**args, **changes})
+    assert err.value.code == code
 
 
 def test_bank_is_parse_clean():
