@@ -247,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="segfuse",
         description="Calibrate and fuse per-concept segmentation evidence "
                     "into a multi-class label map.")
-    commands = parser.add_subparsers(dest="command", required=True)
+    # Without abbreviations, `sweep --aggregation` is not --aggregation-grid.
+    strict = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True,
+                                     parser_class=strict)
 
     prior = commands.add_parser("prior", help="compute the log-prior stack")
     prior.add_argument("--features", required=True)
@@ -286,11 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated competitor ratios")
     sweep.add_argument("--selection", default="easy,hard",
                        help=f"comma-separated subset of {SELECTION_MODES}")
-    sweep.add_argument("--lambda-grid", dest="lambda_grid",
-                       help="comma-separated lambda_prior axis")
-    sweep.add_argument("--tau-grid", dest="tau_grid",
-                       help="comma-separated tau_s axis")
-    sweep.add_argument("--aggregation-grid", dest="aggregation_grid",
+    sweep.add_argument("--lambda-grid", help="comma-separated lambda_prior axis")
+    sweep.add_argument("--tau-grid", help="comma-separated tau_s axis")
+    sweep.add_argument("--aggregation-grid",
                        help=f"comma-separated subset of {AGGREGATION_KINDS}")
     sweep.add_argument("--alt-features", action="append",
                        help="extra feature source as name=path (repeatable)")
@@ -298,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how non-competitor gt pixels are scored")
     sweep.add_argument("--out", required=True)
     _add_threads_option(sweep)
-    _add_config_options(sweep, "lambda_prior", "tau_s", "aggregation",
-                        "normalize_order")
+    _add_config_options(sweep, "normalize_order")
     sweep.set_defaults(func=cmd_sweep)
 
     gen = commands.add_parser("gen", help="write a seeded synthetic scene to disk")

@@ -9,8 +9,8 @@ as raw logits (passed through bit-exactly) or probabilities (clamped, then
 mapped through log(p / (1 - p)) and rounded to float32).  Decoding is a
 per-pixel argmax with ties going to the smallest class index, plus optional
 background rejection for pixels whose best score falls below a threshold.
-A NaN score, wherever it came from, fails the decode instead of choosing a
-label.
+A NaN score, wherever it came from, or an infinite best score (a float32
+overflow, say) fails the decode instead of choosing a label.
 
 One kernel, `_fused_tiles`, computes the scores over tiles of whole rows:
 each tile is summed in float64 in the order (m + lambda * l) + z and rounded
@@ -19,8 +19,8 @@ its evidence and prior rows from a source: `fuse_and_decode` slices its
 arrays, and the `fuse` command reads the two files in lockstep, one tile of
 each at a time, so it never holds a whole input.  Probability evidence is
 range-checked tile by tile, where it is converted.  `_decode_tiles` decodes
-each tile as it comes, so the H x W x C stack never exists.  The tile
-height comes from the shape alone, through the budget the prior kernel uses
+each tile as it comes, so the H x W x C stack never exists.  The tiles
+come from the shape alone, through the `_row_tiles` the prior kernel uses
 too.  Both callers pass the prior weight to `_fused_tiles` and the
 background rule to `_decode_tiles`.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
-from .grid import DenseGrid, LabelMap, _tile_rows
+from .grid import DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
@@ -141,13 +141,15 @@ def _fused_rows(mask: np.ndarray, log_pi: np.ndarray, kind: str,
     """Float32 fused scores of one tile, summed in float64 and rounded once.
 
     The float64 temporaries are freed on return, before the tile is decoded.
+    A score too large for float32 becomes an infinity, without a warning.
     """
     mask_logits = _mask_logits(mask, kind)
-    # lambda * l + m equals m + lambda * l bit for bit: IEEE addition commutes.
-    scores = np.multiply(log_pi, lambda_prior, dtype=np.float64)
-    scores += mask_logits
-    scores += presence
-    return scores.astype(np.float32)
+    with np.errstate(over="ignore"):
+        # lambda * l + m is m + lambda * l bit for bit: IEEE addition commutes.
+        scores = np.multiply(log_pi, lambda_prior, dtype=np.float64)
+        scores += mask_logits
+        scores += presence
+        return scores.astype(np.float32)
 
 
 def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
@@ -162,9 +164,7 @@ def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
     presence = _check_evidence(dims, kind, presence).astype(np.float64)
     if prior_dims != dims:
         raise ShapeError(f"prior dims {prior_dims} != evidence dims {dims}")
-    height, width, n_classes = dims
-    step = _tile_rows(height, width * n_classes * _TILE_BYTES_PER_SCORE)
-    tiles = (slice(r0, min(r0 + step, height)) for r0 in range(0, height, step))
+    tiles = _row_tiles(dims[0], math.prod(dims[1:]) * _TILE_BYTES_PER_SCORE)
     return ((rows, _fused_rows(*read(rows), kind, presence, lambda_prior))
             for rows in tiles)
 
@@ -186,11 +186,11 @@ def _decode_tiles(tiles, dims: tuple[int, ...],
     for rows, scores in tiles:
         tile_labels = np.argmax(scores, axis=2)
         # argmax stops at a pixel's first NaN, so the best score is NaN
-        # exactly where any of the pixel's scores is.
+        # exactly where any of the pixel's scores is, and infinite on overflow.
         best = scores.reshape(-1)[tile_labels.ravel()
                                   + np.arange(0, scores.size, n_classes)]
-        if np.isnan(best).any():
-            raise SegfuseError("nonfinite_scores", "fused scores hold NaN")
+        if not _all_finite(best):
+            raise SegfuseError("nonfinite_scores", "best fused score is NaN or Inf")
         labels[rows] = tile_labels
         if background_index is not None:
             labels[rows][best.reshape(tile_labels.shape)

@@ -19,9 +19,9 @@ block; `_write_rows` writes the header and then the rows in order.  A load
 or a save is the one-block case of these, read straight into the array that
 is returned or written from the array's own memory, so there is one read
 path and one write path, and neither makes a full-size copy.  A failed
-write removes its output if that is a regular file.  `_tile_rows` is the
-row-tile height that the prior and fusion kernels and scene generation
-share, and `_all_finite` is the one NaN/Inf check.
+write removes its output if that is a regular file.  `_row_tiles` is the
+one row tiling, which every blocked loop walks, and `_all_finite` is the
+one NaN/Inf check.
 """
 from __future__ import annotations
 
@@ -51,9 +51,10 @@ _STREAM_CHUNK = 1 << 20
 _TILE_BYTES = 1 << 20
 
 
-def _tile_rows(height: int, row_bytes: int) -> int:
-    """Rows per tile of `row_bytes` working bytes per row; a function of the shape only."""
-    return max(1, min(height, _TILE_BYTES // row_bytes))
+def _row_tiles(height: int, row_bytes: int) -> list[slice]:
+    """In-order row slices covering 0..height; a function of the shape only."""
+    step = max(1, min(height, _TILE_BYTES // row_bytes))  # rows per tile
+    return [slice(r0, min(r0 + step, height)) for r0 in range(0, height, step)]
 
 
 def _all_finite(arr: np.ndarray) -> bool:

@@ -14,19 +14,21 @@ re-normalization after the resize divides each similarity by the exact norm
 of the resized feature vector, which comes from neighbour Gram maps made
 once at feature resolution: dot products of each feature vector with itself
 and its right and lower neighbours, and across both diagonals of each 2x2
-block.  An axis whose size does not change is not interpolated.
+block, into one out_h x out_w array per call.  An axis whose size does not
+change is not interpolated.
 
 The similarities are one stacked product at feature resolution, which numpy
-runs as one BLAS call per source row.  The rest runs over tiles of output
-rows, so no resized array exists at full resolution; `pooled_scores` runs
-the same tiles as `build_prior` and stops before the log-softmax.  Up to
-`threads` tiles run at once on a thread pool, and the finished tiles go to
-one sink in row order: `build_prior` and `pooled_scores` fill an array,
-and the `prior` command writes each tile to its output file, so it never
-holds the log prior.  At most `2 * threads` finished tiles wait for the
-sink.  The tile height comes from the output shape alone and all work
-after the products is elementwise per output pixel, so the output bytes
-depend on neither the tile height nor the thread count.
+runs as one BLAS call per source row.  Tiles of output rows then only blend,
+divide and pool, so no resized array exists at full resolution;
+`pooled_scores` runs the same tiles as `build_prior` and stops before the
+log-softmax.  Up to `threads` tiles run at once on a thread pool, and the
+finished tiles go to one sink in row order: `build_prior` and
+`pooled_scores` fill an array, and the `prior` command writes each tile to
+its output file, so it never holds the log prior.  At most `2 * threads`
+finished tiles wait for the sink.  `_row_tiles` cuts the tiles from the
+output shape alone and all work after the products is elementwise per
+output pixel, so the output bytes depend on neither the tile height nor the
+thread count.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import SegfuseError, ShapeError
-from .grid import (DTYPE_F32, DenseGrid, _all_finite, _tile_rows, _write_rows,
+from .grid import (DTYPE_F32, DenseGrid, _all_finite, _row_tiles, _write_rows,
                    bilinear_taps, interpolate_axis)
 from .prompts import PromptBank
 
@@ -91,10 +93,9 @@ def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
     """
     feats = np.array(feats, dtype=np.float64)
     rows = feats.reshape(-1, feats.shape[-1])
-    step = _tile_rows(rows.shape[0], rows.shape[1] * 8)
     zero_pixels = 0
-    for r0 in range(0, rows.shape[0], step):
-        block = rows[r0:r0 + step]
+    for tile in _row_tiles(rows.shape[0], rows.shape[1] * 8):
+        block = rows[tile]
         norms = np.sqrt((block * block).sum(axis=-1))
         zero = norms == 0.0
         block /= np.where(zero, 1.0, norms)[:, None]
@@ -172,17 +173,17 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", a, b)
 
 
-def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
-                identity_y: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-norm terms of the resized feature vectors, blended along x.
+def _resized_norms(src: np.ndarray, taps_y, taps_x, identity_y: bool,
+                   identity_x: bool) -> np.ndarray:
+    """The (out_h, out_w) exact norms of the resized feature vectors.
 
     A resized vector is a tap-weighted sum of at most four source vectors, so
     its squared norm is a weighted sum of their dot products.  These come
     from neighbour Gram maps at feature resolution, taken on views of `src`:
     self, right, down, and down-right plus right x down (always weighted
-    alike, so kept as one sum).  Returns, per source row y and output column,
-    `same[y]`, the squared norm of row y's x-blend, and `pair[y]`, twice the
-    dot product of the x-blends of rows y and y + 1.
+    alike, so kept as one sum).  They are blended along x into `same[y]`, the
+    squared norm of row y's x-blend, and `pair[y]`, twice the dot product of
+    the x-blends of rows y and y + 1, which are then blended along y.
     """
     self_dots = _dots(src, src)
     # A second tap has weight 0 where it clamps at the last row or column and
@@ -191,19 +192,27 @@ def _norm_terms(src: np.ndarray, taps_x, identity_x: bool,
     if not identity_y:
         down[:-1] = _dots(src[:-1], src[1:])
     if identity_x:  # the x-blend of a map is the map itself
-        return self_dots, 2.0 * down
-    right, diagonals = np.zeros_like(self_dots), np.zeros_like(self_dots)
-    right[:, :-1] = _dots(src[:, :-1], src[:, 1:])
-    if not identity_y:
-        diagonals[:-1, :-1] = (_dots(src[:-1, :-1], src[1:, 1:])
-                               + _dots(src[:-1, 1:], src[1:, :-1]))
-    x0, x1, fx = taps_x
-    a, b = 1.0 - fx, fx
-    same = a * a * self_dots[:, x0] + b * b * self_dots[:, x1] \
-        + 2.0 * a * b * right[:, x0]
-    pair = 2.0 * (a * a * down[:, x0] + b * b * down[:, x1]
-                  + a * b * diagonals[:, x0])
-    return same, pair
+        same, pair = self_dots, 2.0 * down
+    else:
+        right, diagonals = np.zeros_like(self_dots), np.zeros_like(self_dots)
+        right[:, :-1] = _dots(src[:, :-1], src[:, 1:])
+        if not identity_y:
+            diagonals[:-1, :-1] = (_dots(src[:-1, :-1], src[1:, 1:])
+                                   + _dots(src[:-1, 1:], src[1:, :-1]))
+        x0, x1, fx = taps_x
+        a, b = 1.0 - fx, fx
+        same = a * a * self_dots[:, x0] + b * b * self_dots[:, x1] \
+            + 2.0 * a * b * right[:, x0]
+        pair = 2.0 * (a * a * down[:, x0] + b * b * down[:, x1]
+                      + a * b * diagonals[:, x0])
+    y0, y1, fy = taps_y
+    c, d = (1.0 - fy)[:, None], fy[:, None]
+    norms = c * c * same[y0]  # summed in place: fewer full-size temporaries
+    norms += d * d * same[y1]
+    norms += c * d * pair[y0]
+    # Rounding can take a vanishing norm below zero; a pixel whose taps hold
+    # only zero vectors gets exactly 0.
+    return np.sqrt(np.maximum(norms, 0.0, out=norms), out=norms)
 
 
 def _map_in_order(fn, items, workers: int, consume) -> None:
@@ -241,25 +250,27 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
     """`finish(pooled scores)` as `dtype`, over tiles of whole output rows.
 
     This is the one kernel behind `build_prior`, `pooled_scores` and the
-    `prior` command.  Each row tile is one call that blends, re-normalizes,
-    pools and finishes its rows, and up to `threads` tiles run at once.
-    The finished tiles go to `sink(rows, values)` in row order, and the
-    kernel returns None.  Without a sink the kernel fills and returns an
-    (out_h, out_w, C) array, allocated once the features are no longer
-    needed.  After the last tile it logs how many zero-norm pixels it met.
+    `prior` command.  It makes the (out_h, out_w) float64 norms of the
+    resized feature vectors once, and logs how many are zero.  Each row tile
+    is then one call that only blends, divides, pools and finishes its rows,
+    and up to `threads` tiles run at once.  The finished tiles go to
+    `sink(rows, values)` in row order, and the kernel returns None.  Without
+    a sink the kernel fills and returns an (out_h, out_w, C) array, allocated
+    once the features are no longer needed.
     """
     zero_pixels = 0
     if normalize_order in ("before", "both"):
         src, zero_pixels = normalize_pixels_array(features.data)
     else:
         src = features.data.astype(np.float64)
-    in_h, in_w = features.height, features.width
-    identity_y, identity_x = out_h == in_h, out_w == in_w
-    taps_y = bilinear_taps(in_h, out_h)
-    taps_x = bilinear_taps(in_w, out_w)
-    renormalize = normalize_order in ("after", "both")
-    if renormalize:
-        same, pair = _norm_terms(src, taps_x, identity_x, identity_y)
+    identity_y, identity_x = out_h == features.height, out_w == features.width
+    taps_y = bilinear_taps(features.height, out_h)
+    taps_x = bilinear_taps(features.width, out_w)
+    divisor = None
+    if normalize_order in ("after", "both"):
+        divisor = _resized_norms(src, taps_y, taps_x, identity_y, identity_x)
+        zero_pixels += int(np.count_nonzero(divisor == 0.0))
+        divisor[divisor == 0.0] = 1.0  # a zero vector stays zero
 
     # (in_h, in_w, N) similarities at feature resolution, one BLAS product
     # per source row, on BLAS's own threads before any tile starts; the
@@ -274,37 +285,21 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
         def sink(rows, values):
             out[rows] = values
 
-    def tile(rows: slice) -> tuple[int, np.ndarray]:
-        y0, y1, fy = (t[rows] for t in taps_y)
-        sims = (sims_src[rows] if identity_y
-                else interpolate_axis(sims_src, (y0, y1, fy), axis=0))
+    def tile(rows: slice) -> np.ndarray:
+        sims = (sims_src[rows] if identity_y else interpolate_axis(
+            sims_src, tuple(t[rows] for t in taps_y), axis=0))
         if not identity_x:
             sims = interpolate_axis(sims, taps_x, axis=1)
-        zero_count = 0
-        if renormalize:
-            # The exact norm of each resized vector.  Rounding can take a
-            # vanishing one below zero; a pixel whose taps hold only zero
-            # vectors gets exactly 0.
-            c, d = (1.0 - fy)[:, None], fy[:, None]
-            norms = np.sqrt(np.maximum(
-                c * c * same[y0] + d * d * same[y1] + c * d * pair[y0], 0.0))
-            zero = norms == 0.0
+        if divisor is not None:
             # On an identity grid `sims` is a view of `sims_src`.  Dividing
             # it in place is safe: no other tile reads these rows.
-            sims /= np.where(zero, 1.0, norms)[..., None]
-            zero_count = int(zero.sum())
+            sims /= divisor[rows, :, None]
         pooled = _pool_segments(sims, segments, store.num_classes, mode)
-        return zero_count, finish(pooled).astype(dtype, copy=False)
-
-    def consume(rows: slice, result) -> None:
-        nonlocal zero_pixels
-        zero_pixels += result[0]
-        sink(rows, result[1])
+        return finish(pooled).astype(dtype, copy=False)
 
     # The tile budget covers the float64 similarities at output resolution.
-    step = _tile_rows(out_h, out_w * store.num_vectors * 8)
-    tiles = [slice(r0, min(r0 + step, out_h)) for r0 in range(0, out_h, step)]
-    _map_in_order(tile, tiles, min(threads, len(tiles)), consume)
+    tiles = _row_tiles(out_h, out_w * store.num_vectors * 8)
+    _map_in_order(tile, tiles, min(threads, len(tiles)), sink)
     if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
                        zero_pixels)

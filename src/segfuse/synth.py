@@ -15,11 +15,10 @@ memory raises `MemoryError` at its first large allocation, which the CLI
 reports as `out_of_memory` with exit 1; one whose arrays numpy cannot
 address at all fails with `bad_scene_size` before anything is drawn.
 Ground truth, features and mask logits are then computed in float64 over
-blocks of whole rows and rounded into the outputs, so no full-size float64
-array exists.  The block height
-comes from `_tile_rows` over the float64 bytes a block holds per row; every
-step is per pixel and the noise is drawn block by block in row order,
-features first, so the bytes do not depend on the block height.
+the row tiles of `_row_tiles`, from the float64 bytes a tile holds per row,
+and rounded into the outputs, so no full-size float64 array exists.  Every
+step is per pixel and the noise is drawn tile by tile in row order,
+features first, so the bytes do not depend on the tile height.
 """
 from __future__ import annotations
 
@@ -28,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, store_from_array
+from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
 from .errors import SegfuseError
 from .fusion import EvidenceBundle
-from .grid import DenseGrid, LabelMap, _tile_rows
+from .grid import DenseGrid, LabelMap, _row_tiles
 from .prior import normalize_pixels_array
 from .prompts import MAX_SYNONYMS, PromptBank, PromptClass
 
@@ -135,32 +134,27 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     cx = rng.uniform(0.0, width, num_classes)
     dy2 = (np.arange(height, dtype=np.float64)[:, None] - cy) ** 2
     dx2 = (np.arange(width, dtype=np.float64)[:, None] - cx) ** 2
-    step = _tile_rows(height, width * num_classes * _GT_BLOCK_BYTES)
-    for r0 in range(0, height, step):
-        dist2 = dy2[r0:r0 + step, None, :] + dx2
-        gt[r0:r0 + step] = np.argmin(dist2, axis=2)
+    for rows in _row_tiles(height, width * num_classes * _GT_BLOCK_BYTES):
+        gt[rows] = np.argmin(dy2[rows, None, :] + dx2, axis=2)
 
     # Features start from the store's float32 rows so overlap=0 reproduces the
     # stored canonical embeddings bit for bit.
-    starts = [store.offsets[c][0] for c in range(num_classes)]
-    canon64 = store.vectors[starts].astype(np.float64)
+    canon64 = canonical_vectors(store).astype(np.float64)
     sy, sx = _nearest_source(height, fh), _nearest_source(width, fw)
-    step = _tile_rows(fh, fw * dim * _NOISY_BLOCK_BYTES)
-    for r0 in range(0, fh, step):
-        block = canon64[gt[np.ix_(sy[r0:r0 + step], sx)]]
+    for rows in _row_tiles(fh, fw * dim * _NOISY_BLOCK_BYTES):
+        block = canon64[gt[np.ix_(sy[rows], sx)]]
         if overlap > 0:
             block += overlap * rng.standard_normal(block.shape) / np.sqrt(dim)
             block, _ = normalize_pixels_array(block)
-        feats[r0:r0 + step] = block
+        feats[rows] = block
 
     labels = np.arange(num_classes)
-    step = _tile_rows(height, width * num_classes * _NOISY_BLOCK_BYTES)
-    for r0 in range(0, height, step):
-        block = np.where(gt[r0:r0 + step, :, None] == labels, 1.0, -1.0)
+    for rows in _row_tiles(height, width * num_classes * _NOISY_BLOCK_BYTES):
+        block = np.where(gt[rows, :, None] == labels, 1.0, -1.0)
         block *= MASK_MARGIN
         if overlap > 0:
             block += overlap * MASK_NOISE_SCALE * rng.standard_normal(block.shape)
-        logits[r0:r0 + step] = block
+        logits[rows] = block
 
     occupancy = np.bincount(gt.ravel(), minlength=num_classes).astype(np.float64)
     total = float(height * width)

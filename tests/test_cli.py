@@ -265,6 +265,10 @@ def test_fuse_threads_is_usage_error(capsys):
     ("fuse", "--aggregation", "max"),
     ("fuse", "--normalize-order", "after"),
     ("sweep", "--background-threshold", "0"),
+    # each sweep axis has one flag, its --*-grid
+    ("sweep", "--lambda-prior", "0.5"),
+    ("sweep", "--tau-s", "0.2"),
+    ("sweep", "--aggregation", "max"),
 ])
 def test_flag_the_command_does_not_read_is_usage_error(command, flag, value,
                                                         capsys):
@@ -739,6 +743,7 @@ BAD_INVOCATIONS = {
                          "bad_encoding"),
     "zero_tau": (_PRIOR + " --tau-s 0", "bad_tau_s"),
     "nan_lambda": (_FUSE + " --lambda-prior nan", "bad_lambda_prior"),
+    "overflowing_lambda": (_FUSE + " --lambda-prior 1e308", "nonfinite_scores"),
     "nan_threshold": (_FUSE + " --background-threshold nan",
                       "bad_background_threshold"),
     "index_without_threshold": (_FUSE + " --background-index 7",

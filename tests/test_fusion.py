@@ -244,7 +244,7 @@ def test_fuse_tile_height_is_irrelevant(monkeypatch):
             outputs = set()
             for rows in (1, 2, 7, height):
                 monkeypatch.setattr(grid_module, "_TILE_BYTES", rows * row_bytes)
-                assert fusion_module._tile_rows(height, row_bytes) == rows
+                assert fusion_module._row_tiles(height, row_bytes)[0] == slice(0, rows)
                 scores = fused_scores(evidence, prior, cfg)
                 labels = fuse_and_decode(evidence, prior, cfg)
                 assert np.array_equal(labels.data,
@@ -305,6 +305,31 @@ def test_nan_score_fails_decode(where):
             fuse_and_decode(_bundle(logits, presence), prior,
                             FusionConfig(0.7, background))
         assert err.value.code == "nonfinite_scores"
+
+
+def test_overflowing_best_score_fails_decode_without_warning():
+    # 1e308 * log_pi is finite in float64 and -inf in float32, for every
+    # class; pyproject turns a RuntimeWarning into a test error
+    rng = np.random.default_rng(53)
+    logits = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    prior = _prior(rng.standard_normal((3, 4, 5)))
+    for background in (None, Background(0.0)):
+        with pytest.raises(SegfuseError) as err:
+            fuse_and_decode(_bundle(logits), prior,
+                            FusionConfig(1e308, background))
+        assert err.value.code == "nonfinite_scores"
+
+
+def test_overflow_below_the_best_score_still_decodes():
+    # 2**126 scales exactly, so the best class stays finite and the argmax is
+    # the prior's, while classes whose log prior is below -4 overflow
+    rng = np.random.default_rng(59)
+    logits = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    prior = _prior(3.0 * rng.standard_normal((3, 4, 5)))
+    cfg = FusionConfig(2.0**126)
+    assert np.isneginf(fused_scores(_bundle(logits), prior, cfg)).any()
+    labels = fuse_and_decode(_bundle(logits), prior, cfg)
+    assert np.array_equal(labels.data, np.argmax(prior.data, axis=2))
 
 
 def test_single_class_decodes_to_zero():

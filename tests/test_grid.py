@@ -17,8 +17,9 @@ from segfuse import (DenseGrid, LabelMap, SegfuseError, ShapeError,
                      TensorFormatError, load_grid, load_label_map, save_grid,
                      save_label_map)
 from segfuse.cli import main
-from segfuse.grid import (DTYPE_F32, _all_finite, _read_rows, _write_rows,
-                          bilinear_taps, interpolate_axis)
+from segfuse.grid import (_TILE_BYTES, DTYPE_F32, _all_finite, _read_rows,
+                          _row_tiles, _write_rows, bilinear_taps,
+                          interpolate_axis)
 
 import oracle
 
@@ -323,6 +324,22 @@ def _resize(src, out_h, out_w):
     src = np.asarray(src, dtype=np.float64)
     rows = interpolate_axis(src, bilinear_taps(src.shape[0], out_h), axis=0)
     return interpolate_axis(rows, bilinear_taps(src.shape[1], out_w), axis=1)
+
+
+@pytest.mark.parametrize("row_bytes", [
+    1, _TILE_BYTES // 7, _TILE_BYTES // 3, _TILE_BYTES // 2 + 1, _TILE_BYTES,
+    _TILE_BYTES + 1, 5 * _TILE_BYTES])
+def test_row_tiles_cover_every_row_once_in_order(row_bytes):
+    for height in range(1, 50):
+        tiles = _row_tiles(height, row_bytes)
+        rows = [r for tile in tiles for r in range(tile.start, tile.stop)]
+        assert rows == list(range(height)), (height, tiles)
+        sizes = [tile.stop - tile.start for tile in tiles]
+        assert min(sizes) >= 1 and tiles[0].start == 0
+        # every tile but the last has the full height, within the budget
+        # unless a single row is over it
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+        assert sizes[0] == 1 or sizes[0] * row_bytes <= _TILE_BYTES
 
 
 def test_resize_constant_stays_constant():

@@ -296,7 +296,7 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                 for rows in sorted({1, 2, min(7, out_h), out_h}):
                     monkeypatch.setattr(grid_module, "_TILE_BYTES",
                                         rows * row_bytes)
-                    assert prior_module._tile_rows(out_h, row_bytes) == rows
+                    assert prior_module._row_tiles(out_h, row_bytes)[0] == slice(0, rows)
                     # also compare the float64 pooled scores, before rounding
                     pooled = []
 
@@ -400,7 +400,7 @@ def test_zero_norm_count_under_upsampling(caplog, monkeypatch):
     rng = np.random.default_rng(137)
     bank, store, feats = _scene_pieces(rng, 6, 7, 8, [2, 1])
     feats.data[:3, :4] = 0.0
-    # one-row tiles, so the count is summed over tiles
+    # one-row tiles: the count is taken once per call, not per tile
     monkeypatch.setattr(grid_module, "_TILE_BYTES", 15 * store.num_vectors * 8)
     for order, before in (("after", 0), ("both", 12)):
         resized = oracle.bilinear(feats.data, 13, 15)

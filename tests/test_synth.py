@@ -249,7 +249,7 @@ def test_refuse_shape_default_blocks_are_partial():
             (height, width * classes * synth_module._GT_BLOCK_BYTES),
             (fh, fw * dim * synth_module._NOISY_BLOCK_BYTES),
             (height, width * classes * synth_module._NOISY_BLOCK_BYTES)):
-        assert 1 < grid_module._tile_rows(rows, row_bytes) < rows
+        assert 1 < grid_module._row_tiles(rows, row_bytes)[0].stop < rows
 
 
 def test_generate_scene_holds_no_full_float64_stack():
