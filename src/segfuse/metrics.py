@@ -1,4 +1,4 @@
-"""Confusion-matrix accumulation, per-class IoU and mIoU."""
+"""Per-class intersection and union counts, per-class IoU and mIoU."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,25 +8,23 @@ from .grid import LabelMap
 
 
 class ConfusionMatrix:
-    """Pooled gt-by-prediction pixel counts; rows = ground truth, cols = prediction."""
+    """Pooled per-class pixel counts in O(C) memory: the confusion matrix's
+    diagonal (`intersection`), row sums (`gt_pixels`), column sums (`pred_pixels`)."""
 
     def __init__(self, num_classes: int, ignore_index: int | None = None):
-        if num_classes < 1:
+        # no uint32 label names a class past 2**32 - 1
+        if not 1 <= num_classes <= 2**32:
             raise SegfuseError("bad_class_count",
-                               f"num_classes must be >= 1, got {num_classes}")
+                               f"num_classes must lie in 1..2**32, got {num_classes}")
         if ignore_index is not None and 0 <= ignore_index < num_classes:
             raise SegfuseError(
                 "bad_ignore_index",
                 f"ignore_index {ignore_index} must lie outside 0..{num_classes - 1}")
         self.num_classes = num_classes
         self.ignore_index = ignore_index
-        try:
-            self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-        except ValueError:  # numpy's refusal of a size it cannot address
-            raise SegfuseError(
-                "bad_class_count",
-                f"a {num_classes} x {num_classes} count matrix is too large "
-                f"to address")
+        self.intersection = np.zeros(num_classes, dtype=np.int64)
+        self.gt_pixels = np.zeros(num_classes, dtype=np.int64)
+        self.pred_pixels = np.zeros(num_classes, dtype=np.int64)
 
     def accumulate(self, gt: LabelMap, pred: LabelMap) -> "ConfusionMatrix":
         """Add one image pair; pixels labeled ignore_index on either side are skipped."""
@@ -42,17 +40,17 @@ class ConfusionMatrix:
                 "label_out_of_range",
                 f"labels must be < {self.num_classes} or == ignore_index")
         n = self.num_classes
-        self.counts += np.bincount(g * n + p, minlength=n * n).reshape(n, n)
+        self.intersection += np.bincount(g[g == p], minlength=n)
+        self.gt_pixels += np.bincount(g, minlength=n)
+        self.pred_pixels += np.bincount(p, minlength=n)
         return self
 
 
 def per_class_iou(cm: ConfusionMatrix) -> np.ndarray:
     """IoU per class; classes absent from both gt and prediction come back NaN."""
-    counts = cm.counts.astype(np.float64)
-    inter = np.diag(counts)
-    union = counts.sum(axis=1) + counts.sum(axis=0) - inter
-    with np.errstate(invalid="ignore"):
-        return np.where(union > 0, inter / np.where(union > 0, union, 1.0), np.nan)
+    union = cm.gt_pixels + cm.pred_pixels - cm.intersection
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN
+        return cm.intersection / union
 
 
 def miou(cm: ConfusionMatrix) -> float:

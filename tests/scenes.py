@@ -1,5 +1,7 @@
-"""Shared scene fixtures, and probes into the prior and fusion kernels."""
+"""Shared scene fixtures, probes into the prior and fusion kernels, and a
+traced-memory probe."""
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -21,6 +23,20 @@ def fused_scores(evidence, prior, cfg):
         lambda rows: (mask[rows], log_pi[rows]), evidence.mask_evidence.dims,
         evidence.evidence_kind, evidence.presence, prior.dims, cfg.lambda_prior)
     return np.concatenate([tile for _, tile in tiles])
+
+
+def traced_peak(run):
+    """Bytes `run()` holds at its peak beyond what was live before it."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
 
 
 def pool_synonyms(u, mode):

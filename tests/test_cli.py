@@ -167,6 +167,14 @@ _COMMANDS = {
 _THREADED_COMMANDS = ("prior", "sweep")
 
 
+@pytest.fixture
+def scratch_cwd(tmp_path, monkeypatch):
+    """Run from `tmp_path`: a case that parses by mistake runs its command,
+    and the relative paths above must not land in the working directory."""
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.usefixtures("scratch_cwd")
 @pytest.mark.parametrize("command", _THREADED_COMMANDS)
 @pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_non_positive_threads_is_usage_error(command, threads, capsys):
@@ -241,6 +249,7 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.usefixtures("scratch_cwd")
 def test_eval_threads_is_usage_error(capsys):
     # eval has nothing to schedule, so it takes no --threads
     with pytest.raises(SystemExit) as exc:
@@ -250,6 +259,7 @@ def test_eval_threads_is_usage_error(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("scratch_cwd")
 def test_fuse_threads_is_usage_error(capsys):
     # scheduling the fusion tiles measured no faster, so fuse takes no --threads
     with pytest.raises(SystemExit) as exc:
@@ -258,6 +268,7 @@ def test_fuse_threads_is_usage_error(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("scratch_cwd")
 @pytest.mark.parametrize("command, flag, value", [
     ("prior", "--lambda-prior", "0.5"),
     ("prior", "--background-threshold", "0"),

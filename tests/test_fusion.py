@@ -1,6 +1,5 @@
 """Unified-scale fusion, decoding and the PGM export."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from segfuse import grid as grid_module
 from segfuse.prior import log_prior_array
 
 import oracle
-from scenes import fused_scores
+from scenes import fused_scores, traced_peak
 
 
 def _bundle(logits, presence=None, kind="logits"):
@@ -273,16 +272,7 @@ def test_fuse_and_decode_holds_no_full_stack(kind):
     shape = (64, 64, 150)
     evidence, prior = _tile_scene(rng, kind, shape)
     cfg = FusionConfig(0.7, Background(0.0))
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fuse_and_decode(evidence, prior, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    peak = traced_peak(lambda: fuse_and_decode(evidence, prior, cfg))
     # one float64 (H, W, C) stack is 4.7 MiB here
     assert peak < math.prod(shape) * 8 / 4
 

@@ -1,4 +1,4 @@
-"""Confusion matrix, IoU and mIoU behavior."""
+"""Per-class counts, IoU and mIoU behavior."""
 import numpy as np
 import pytest
 
@@ -7,34 +7,47 @@ from segfuse import (ConfusionMatrix, LabelMap, SegfuseError, ShapeError,
 from segfuse.metrics import per_class_iou
 
 import oracle
+from scenes import traced_peak
 
 
 def _lm(values):
     return LabelMap(np.asarray(values, dtype=np.uint32))
 
 
+def _counts(cm):
+    """The counts IoU reads: intersection, gt pixels and pred pixels per class."""
+    return np.stack([cm.intersection, cm.gt_pixels, cm.pred_pixels])
+
+
+def _oracle_counts(gt, pred, n_classes, ignore_index=None):
+    """The hand-rolled confusion matrix's diagonal, row sums and column sums."""
+    counts = oracle.confusion(gt, pred, n_classes, ignore_index)
+    return np.stack([np.diag(counts), counts.sum(axis=1), counts.sum(axis=0)])
+
+
 def test_matching_pixels_hit_diagonal():
     cm = ConfusionMatrix(2)
     cm.accumulate(_lm([[1, 1], [1, 1]]), _lm([[1, 1], [1, 1]]))
-    assert cm.counts[1, 1] == 4
-    assert cm.counts.sum() == 4
+    assert cm.intersection.tolist() == [0, 4]
+    assert cm.gt_pixels.tolist() == [0, 4]
+    assert cm.pred_pixels.tolist() == [0, 4]
 
 
 def test_ignore_index_skips_everything():
     cm = ConfusionMatrix(2, ignore_index=255)
     cm.accumulate(_lm([[255, 255]]), _lm([[0, 1]]))
-    assert cm.counts.sum() == 0
+    assert not _counts(cm).any()
 
 
 def test_hand_counted_confusion():
     cm = ConfusionMatrix(2)
     cm.accumulate(_lm([[0, 0], [1, 1]]), _lm([[0, 1], [1, 1]]))
-    assert cm.counts[0, 0] == 1
-    assert cm.counts[0, 1] == 1
-    assert cm.counts[1, 1] == 2
-    assert cm.counts[1, 0] == 0
-    ref = oracle.confusion([[0, 0], [1, 1]], [[0, 1], [1, 1]], 2)
-    assert np.array_equal(cm.counts, ref)
+    # the matrix [[1, 1], [0, 2]]: its diagonal, row sums and column sums
+    assert cm.intersection.tolist() == [1, 2]
+    assert cm.gt_pixels.tolist() == [2, 2]
+    assert cm.pred_pixels.tolist() == [1, 3]
+    ref = _oracle_counts([[0, 0], [1, 1]], [[0, 1], [1, 1]], 2)
+    assert np.array_equal(_counts(cm), ref)
 
 
 def test_hand_counted_iou_and_miou():
@@ -44,7 +57,8 @@ def test_hand_counted_iou_and_miou():
     assert vals[0] == pytest.approx(0.5, abs=1e-9)
     assert vals[1] == pytest.approx(2.0 / 3.0, abs=1e-9)
     assert miou(cm) == pytest.approx(7.0 / 12.0, abs=1e-9)
-    assert oracle.mean_iou(cm.counts) == pytest.approx(miou(cm), abs=1e-12)
+    ref = oracle.confusion([[0, 0], [1, 1]], [[0, 1], [1, 1]], 2)
+    assert oracle.mean_iou(ref) == pytest.approx(miou(cm), abs=1e-12)
 
 
 def test_perfect_prediction():
@@ -85,7 +99,8 @@ def test_all_undefined_raises():
 @pytest.mark.parametrize("num_classes, ignore_index, code", [
     (0, None, "bad_class_count"),
     (-3, None, "bad_class_count"),
-    # numpy refuses this C x C matrix before allocating anything
+    # no uint32 label names a class past 2**32 - 1
+    (2**32 + 1, None, "bad_class_count"),
     (10**10, None, "bad_class_count"),
     (4, 2, "bad_ignore_index"),
     (4, 0, "bad_ignore_index"),
@@ -117,7 +132,8 @@ def test_pixel_order_irrelevant():
     a = ConfusionMatrix(3).accumulate(_lm(gt.reshape(6, 6)), _lm(pred.reshape(6, 6)))
     b = ConfusionMatrix(3).accumulate(_lm(gt[perm].reshape(6, 6)),
                                       _lm(pred[perm].reshape(6, 6)))
-    assert np.array_equal(a.counts, b.counts)
+    assert np.array_equal(_counts(a), _counts(b))
+    assert np.array_equal(_counts(a), _oracle_counts(gt, pred, 3))
 
 
 def test_incremental_equals_pooled():
@@ -131,18 +147,24 @@ def test_incremental_equals_pooled():
     pooled = ConfusionMatrix(4)
     pooled.accumulate(_lm(np.concatenate([g for g, _ in images], axis=0)),
                       _lm(np.concatenate([p for _, p in images], axis=0)))
-    assert np.array_equal(one_by_one.counts, pooled.counts)
+    assert np.array_equal(_counts(one_by_one), _counts(pooled))
+    assert np.array_equal(_counts(pooled), _oracle_counts(
+        np.concatenate([g for g, _ in images]),
+        np.concatenate([p for _, p in images]), 4))
 
 
 def test_miou_bounds_random():
     rng = np.random.default_rng(17)
     for _ in range(20):
         cm = ConfusionMatrix(3)
-        cm.accumulate(_lm(rng.integers(0, 3, size=(6, 6)).astype(np.uint32)),
-                      _lm(rng.integers(0, 3, size=(6, 6)).astype(np.uint32)))
+        gt = rng.integers(0, 3, size=(6, 6)).astype(np.uint32)
+        pred = rng.integers(0, 3, size=(6, 6)).astype(np.uint32)
+        cm.accumulate(_lm(gt), _lm(pred))
         value = miou(cm)
         assert 0.0 <= value <= 1.0
-        off_diag = cm.counts.sum() - np.trace(cm.counts)
+        assert value == pytest.approx(
+            oracle.mean_iou(oracle.confusion(gt, pred, 3)), abs=1e-12)
+        off_diag = cm.gt_pixels.sum() - cm.intersection.sum()
         assert (value == 1.0) == (off_diag == 0)
 
 
@@ -155,3 +177,14 @@ def test_iou_report_format():
     assert lines[1] == "0,0.500000"
     assert lines[2] == "1,0.666667"
     assert lines[3] == "miou,0.583333"
+
+
+def test_counts_hold_no_class_by_class_matrix():
+    rng = np.random.default_rng(23)
+    classes = 2048
+    gt = _lm(rng.integers(0, classes, size=(64, 64)))
+    pred = _lm(rng.integers(0, classes, size=(64, 64)))
+    peak = traced_peak(lambda: iou_report(
+        ConfusionMatrix(classes).accumulate(gt, pred)))
+    # a C x C int64 matrix alone is 32 MiB here
+    assert peak < 2**20, peak

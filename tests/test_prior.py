@@ -6,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from segfuse import prior as prior_module
 from segfuse.prior import log_prior_array, normalize_pixels_array
 
 import oracle
-from scenes import pool_synonyms
+from scenes import pool_synonyms, traced_peak
 
 
 # --- similarity --------------------------------------------------------------
@@ -478,20 +477,6 @@ def test_build_prior_bytes_ignore_blas_threads():
     assert len(digests) == 1
 
 
-def _traced_peak(build):
-    """Bytes `build()` holds at its peak beyond what was live before it."""
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        build()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 def test_build_prior_holds_no_full_resolution_similarities():
     rng = np.random.default_rng(139)
     in_h, in_w, out_h, out_w, dim = 32, 32, 256, 256, 64
@@ -507,7 +492,7 @@ def test_build_prior_holds_no_full_resolution_similarities():
         # each extra worker holds one more tile working set
         threaded_bound = bound + 4 * grid_module._TILE_BYTES * (threads - 1)
         for order in ("before", "after", "both"):
-            peak = _traced_peak(lambda: build_prior(
+            peak = traced_peak(lambda: build_prior(
                 feats, store, bank, Aggregation("lse", 0.1), out_h, out_w,
                 normalize_order=order, threads=threads))
             assert peak < threaded_bound, (threads, order)
@@ -526,7 +511,7 @@ def test_build_prior_frees_the_features_before_the_output():
     # 12 MiB below the output beside two feature copies (57.1 MiB here)
     assert bound <= out_bytes + 2 * feature_copy - 12 * 2**20
     for order in ("before", "both"):
-        peak = _traced_peak(lambda: build_prior(
+        peak = traced_peak(lambda: build_prior(
             feats, store, bank, Aggregation("lse", 0.1), out_h, out_w,
             normalize_order=order))
         assert peak < bound, order

@@ -3,7 +3,6 @@ import itertools
 import os
 import stat
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from segfuse import DenseGrid, load_grid, save_grid
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.cli import main
+
+from scenes import traced_peak
 
 
 def _gen(tmp_path, classes=4, size=12, dim=8, synonyms=3):
@@ -215,26 +216,12 @@ def test_fuse_reads_two_fifos_in_lockstep(tmp_path, one_row_tiles):
     assert got.read_bytes() == want.read_bytes()
 
 
-def _traced_peak(run):
-    """Bytes `run()` holds at its peak beyond what was live before it."""
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
-
-
 def test_fuse_holds_less_than_one_input_grid(tmp_path):
     height, width, classes = 64, 64, 150
     paths = _fuse_inputs(tmp_path, height, width, classes)
     grid_bytes = height * width * classes * 4
     out = tmp_path / "labels.cft1"
-    peak = _traced_peak(lambda: main(_fuse_argv(
+    peak = traced_peak(lambda: main(_fuse_argv(
         paths["evidence"], paths["presence"], paths["prior"], out)))
     assert os.path.getsize(out) == 14 + height * width * 4
     # the tiles and the labels, where loading both inputs took two grids
@@ -247,7 +234,7 @@ def test_prior_holds_less_than_its_output(tmp_path):
     out_h = out_w = 256
     out_bytes = out_h * out_w * 40 * 4
     for threads in ("1", "2"):
-        peak = _traced_peak(lambda: main(_prior_argv(
+        peak = traced_peak(lambda: main(_prior_argv(
             scene_dir, out, "--out-height", str(out_h),
             "--out-width", str(out_w), "--threads", threads)))
         assert os.path.getsize(out) == 18 + out_bytes

@@ -1,7 +1,6 @@
 """Synthetic scene generation: determinism and structural guarantees."""
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ import pytest
 from segfuse import SegfuseError, generate_scene
 from segfuse import grid as grid_module
 from segfuse import synth as synth_module
+
+from scenes import traced_peak
 
 
 def test_same_seed_reproduces_everything_bitwise():
@@ -254,16 +255,9 @@ def test_refuse_shape_default_blocks_are_partial():
 
 def test_generate_scene_holds_no_full_float64_stack():
     args = SCENE_DIGESTS["chain_s1"][0]
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        scene = _scene(args)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    made = []
+    peak = traced_peak(lambda: made.append(_scene(args)))
+    scene = made[0]
     outputs = sum(arr.nbytes for arr in (
         scene.features.data, scene.gt.data, scene.evidence.mask_evidence.data,
         scene.evidence.presence, scene.embeddings.vectors))
