@@ -22,8 +22,8 @@ from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
 from .embeddings import load_embeddings
 from .errors import SegfuseError
-from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background, _decode_tiles,
-                     _fused_tiles, check_lambda_prior, write_pgm)
+from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
+                     _fuse_and_decode_rows, check_lambda_prior, write_pgm)
 from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
                    save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
@@ -164,12 +164,11 @@ def cmd_fuse(args) -> int:
         dims = evidence.extents
         presence = load_grid(args.presence).data
         with _read_rows(args.prior, DTYPE_F32) as prior:
-            tiles = _fused_tiles(
+            labels = _fuse_and_decode_rows(
                 lambda rows: (evidence.read(rows.stop - rows.start),
                               prior.read(rows.stop - rows.start)),
                 dims, args.evidence_kind, presence, prior.extents,
-                args.lambda_prior)
-            labels = _decode_tiles(tiles, dims, background)
+                args.lambda_prior, background)
     # The PGM goes first: its label-range check then runs before either
     # output is written.
     if args.pgm:

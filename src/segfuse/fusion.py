@@ -12,17 +12,15 @@ background rejection for pixels whose best score falls below a threshold.
 A NaN score, wherever it came from, or an infinite best score (a float32
 overflow, say) fails the decode instead of choosing a label.
 
-One kernel, `_fused_tiles`, computes the scores over tiles of whole rows:
-each tile is summed in float64 in the order (m + lambda * l) + z and rounded
-to float32 once, so the bytes do not depend on the tile height.  It takes
-its evidence and prior rows from a source: `fuse_and_decode` slices its
-arrays, and the `fuse` command reads the two files in lockstep, one tile of
-each at a time, so it never holds a whole input.  Probability evidence is
-range-checked tile by tile, where it is converted.  `_decode_tiles` decodes
-each tile as it comes, so the H x W x C stack never exists.  The tiles
-come from the shape alone, through the `_row_tiles` the prior kernel uses
-too.  Both callers pass the prior weight to `_fused_tiles` and the
-background rule to `_decode_tiles`.
+One function, `_fuse_and_decode_rows`, fuses and decodes each tile of whole
+rows in turn, so the H x W x C score stack never exists.  Each tile is
+summed in float64 in the order (m + lambda * l) + z and rounded to float32
+once, so the bytes do not depend on the tile height.  It takes its evidence
+and prior rows from a source: `fuse_and_decode` slices its arrays, and the
+`fuse` command reads the two files in lockstep, one tile of each at a time,
+so it never holds a whole input.  Probability evidence is range-checked
+tile by tile, where it is converted.  The tiles come from the shape alone,
+through the `_row_tiles` the prior kernel uses too.
 """
 from __future__ import annotations
 
@@ -32,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
-from .grid import DenseGrid, LabelMap, _all_finite, _row_tiles
+from .grid import _MAX_LABEL, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
 # tile, plus p and 1 - p in float64 for probability evidence.
 _TILE_BYTES_PER_SCORE = 20
-# Largest background index a uint32 label map can hold.
-_MAX_LABEL = 2**32 - 1
 
 EVIDENCE_KINDS = ("logits", "probabilities")
 
@@ -152,26 +148,18 @@ def _fused_rows(mask: np.ndarray, log_pi: np.ndarray, kind: str,
         return scores.astype(np.float32)
 
 
-def _fused_tiles(read, dims: tuple[int, ...], kind: str, presence,
-                 prior_dims: tuple[int, ...], lambda_prior: float):
-    """A generator of (rows, float32 fused scores) per tile of whole rows.
+def _fuse_and_decode_rows(read, dims: tuple[int, ...], kind: str, presence,
+                          prior_dims: tuple[int, ...], lambda_prior: float,
+                          background: Background | None) -> LabelMap:
+    """Fuse and decode an H x W x C grid one tile of whole rows at a time.
 
-    The evidence and the prior dims are checked before it is returned, so
-    before the first read.  `read(rows)` returns the mask evidence and
-    log-prior rows `rows`; it is called once per tile, in row order, so it
-    can read two files in lockstep.
+    Everything is checked before the first read.  `read(rows)` returns the
+    mask evidence and log-prior rows `rows`; it is called once per tile, in
+    row order, so it can read two files in lockstep.
     """
     presence = _check_evidence(dims, kind, presence).astype(np.float64)
     if prior_dims != dims:
         raise ShapeError(f"prior dims {prior_dims} != evidence dims {dims}")
-    tiles = _row_tiles(dims[0], math.prod(dims[1:]) * _TILE_BYTES_PER_SCORE)
-    return ((rows, _fused_rows(*read(rows), kind, presence, lambda_prior))
-            for rows in tiles)
-
-
-def _decode_tiles(tiles, dims: tuple[int, ...],
-                  background: Background | None) -> LabelMap:
-    """Decode (rows, float32 scores) tiles of an H x W x C grid into labels."""
     height, width, n_classes = dims
     background_index = None
     if background is not None:
@@ -183,7 +171,8 @@ def _decode_tiles(tiles, dims: tuple[int, ...],
                 f"background index {background_index} collides with a foreground "
                 f"class (need >= {n_classes})")
     labels = np.empty((height, width), dtype=np.uint32)
-    for rows, scores in tiles:
+    for rows in _row_tiles(height, width * n_classes * _TILE_BYTES_PER_SCORE):
+        scores = _fused_rows(*read(rows), kind, presence, lambda_prior)
         tile_labels = np.argmax(scores, axis=2)
         # argmax stops at a pixel's first NaN, so the best score is NaN
         # exactly where any of the pixel's scores is, and infinite on overflow.
@@ -213,10 +202,9 @@ def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
     """
     mask, log_pi = evidence.mask_evidence.data, prior.data
     dims = evidence.mask_evidence.dims
-    tiles = _fused_tiles(lambda rows: (mask[rows], log_pi[rows]), dims,
-                         evidence.evidence_kind, evidence.presence, prior.dims,
-                         cfg.lambda_prior)
-    return _decode_tiles(tiles, dims, cfg.background)
+    return _fuse_and_decode_rows(lambda rows: (mask[rows], log_pi[rows]), dims,
+                                 evidence.evidence_kind, evidence.presence,
+                                 prior.dims, cfg.lambda_prior, cfg.background)
 
 
 def write_pgm(labels: LabelMap, path) -> None:

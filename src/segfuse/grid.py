@@ -43,8 +43,7 @@ DTYPE_U32 = 2
 _MAX_EXTENT = 2**32 - 1
 
 _DTYPE_NP = {DTYPE_F32: np.dtype("<f4"), DTYPE_U32: np.dtype("<u4")}
-# Read size for inputs without a file size, such as pipes and FIFOs, and the
-# slice size of the finiteness check.
+# Read size for inputs without a file size, such as pipes and FIFOs.
 _STREAM_CHUNK = 1 << 20
 # Budget for the working arrays of one row tile of a kernel.  Small tiles
 # keep the working set in cache; a tile never goes below one row.
@@ -91,6 +90,10 @@ class DenseGrid:
     @property
     def channels(self) -> int:
         return self.data.shape[2] if self.data.ndim == 3 else 1
+
+
+# Largest label a uint32 `LabelMap` holds.
+_MAX_LABEL = 2**32 - 1
 
 
 @dataclass
@@ -191,13 +194,9 @@ class _RowReader:
             raise _payload_truncated(self._path, self._got, self._size)
         if not self._sized:
             arr = np.frombuffer(buf, dtype=self._dtype).reshape(shape)
-        if self._dtype.kind == "f":
-            flat = arr.reshape(-1)
-            step = _STREAM_CHUNK // flat.itemsize
-            for start in range(0, flat.size, step):
-                if not _all_finite(flat[start:start + step]):
-                    raise TensorFormatError("nonfinite_values",
-                                            f"{self._path}: payload has NaN/Inf")
+        if self._dtype.kind == "f" and not _all_finite(arr):
+            raise TensorFormatError("nonfinite_values",
+                                    f"{self._path}: payload has NaN/Inf")
         self._rows_left -= n
         if self._rows_left == 0 and self._f.read(1):
             raise _payload_excess(self._path)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SegfuseError, ShapeError
-from .grid import LabelMap
+from .grid import _MAX_LABEL, LabelMap
 
 
 class ConfusionMatrix:
@@ -12,8 +12,8 @@ class ConfusionMatrix:
     diagonal (`intersection`), row sums (`gt_pixels`), column sums (`pred_pixels`)."""
 
     def __init__(self, num_classes: int, ignore_index: int | None = None):
-        # no uint32 label names a class past 2**32 - 1
-        if not 1 <= num_classes <= 2**32:
+        # no uint32 label names a class past _MAX_LABEL
+        if not 1 <= num_classes <= _MAX_LABEL + 1:
             raise SegfuseError("bad_class_count",
                                f"num_classes must lie in 1..2**32, got {num_classes}")
         if ignore_index is not None and 0 <= ignore_index < num_classes:

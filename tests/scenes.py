@@ -15,14 +15,13 @@ from segfuse.synth import SyntheticScene
 def fused_scores(evidence, prior, cfg):
     """The float32 H x W x C scores that `fuse_and_decode` decodes.
 
-    The library never holds the whole stack, so this concatenates the row
-    tiles of its one fusion kernel.
+    The library never holds the whole stack.  Every step of its per-tile
+    fusion is elementwise, so one call over the whole grid gives the same
+    bytes as the tiles.
     """
-    mask, log_pi = evidence.mask_evidence.data, prior.data
-    tiles = fusion_module._fused_tiles(
-        lambda rows: (mask[rows], log_pi[rows]), evidence.mask_evidence.dims,
-        evidence.evidence_kind, evidence.presence, prior.dims, cfg.lambda_prior)
-    return np.concatenate([tile for _, tile in tiles])
+    return fusion_module._fused_rows(
+        evidence.mask_evidence.data, prior.data, evidence.evidence_kind,
+        evidence.presence.astype(np.float64), cfg.lambda_prior)
 
 
 def traced_peak(run):

@@ -2,6 +2,8 @@
 import os
 import re
 import struct
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import numpy as np
@@ -707,6 +709,7 @@ def corpus_dir(tmp_path_factory):
         "latin1.conf": "# réglages\n".encode("latin-1"),
         "latin1.txt": "café, coffee\nthé\n".encode("latin-1"),
         "flat.cft1": _cft1_header(1, 4, 4) + np.ones(16, np.float32).tobytes(),
+        "cut_extents.cft1": _cft1_header(1, 4, 4, 3)[:9],
     }
     for name, data in files.items():
         (d / name).write_bytes(data)
@@ -740,10 +743,14 @@ BAD_INVOCATIONS = {
                           "payload_truncated"),
     "trailing_bytes": (_FUSE.replace("{d}/prior", "{d}/excess"),
                        "payload_excess"),
+    "header_cut_short": (_FUSE.replace("scene/mask_logits", "cut_extents"),
+                         "payload_truncated"),
     "embedding_rows": (_PRIOR.replace("scene/embeddings", "rows"),
                        "row_count_mismatch"),
     "feature_dim": (_PRIOR.replace("scene/features", "scene/mask_logits"),
                     "dim_mismatch"),
+    "two_axis_features": (_PRIOR.replace("scene/features", "flat"),
+                          "dim_mismatch"),
     "bad_config_line": (_PRIOR + " --config {d}/line.conf", "bad_config_line"),
     "bad_config_value": (_PRIOR + " --config {d}/value.conf",
                          "bad_config_value"),
@@ -773,6 +780,8 @@ BAD_INVOCATIONS = {
     "gen_nan_drift": ("gen --drift nan --out-dir {o}/out", "bad_scene_noise"),
     "gen_negative_seed": ("gen --seed -1 --out-dir {o}/out", "bad_scene_seed"),
     "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
+    "alt_features_without_name": (_SWEEP + " --alt-features nopath",
+                                  "bad_alt_features"),
     "missing_input": (_PRIOR.replace("scene/features", "missing"), "io_error"),
     "input_is_directory": (_EVAL.replace("scene/gt.cft1 --pred", "scene --pred")
                            + " --classes 3", "io_error"),
@@ -815,3 +824,19 @@ def test_two_axis_evidence_is_reported_as_such(corpus_dir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "segfuse: error: shape_mismatch: mask evidence needs 3 axes (H, W, C)\n")
     assert not any(tmp_path.iterdir())
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m segfuse` is the same entry point as `main`, exit code included
+    src = os.path.dirname(os.path.dirname(grid_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["gen", "--seed", "3", "--height", "4", "--width", "4", "--dim",
+            "4", "--classes", "3", "--synonyms", "2", "--out-dir"]
+    done = subprocess.run([sys.executable, "-m", "segfuse", *argv,
+                           str(tmp_path / "child")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(argv + [str(tmp_path / "parent")]) == 0
+    for path in sorted((tmp_path / "parent").iterdir()):
+        assert (tmp_path / "child" / path.name).read_bytes() == path.read_bytes()

@@ -41,6 +41,13 @@ def test_row_count_mismatch():
     assert err.value.code == "row_count_mismatch"
 
 
+def test_one_axis_rows_rejected():
+    bank = parse_prompt_file("cat\ndog\n")
+    with pytest.raises(EmbeddingError) as err:
+        store_from_array(np.ones(2), bank)
+    assert err.value.code == "bad_embedding_shape"
+
+
 def test_zero_width_rows_rejected():
     bank = parse_prompt_file("cat\ndog\n")
     with pytest.raises(EmbeddingError) as err:

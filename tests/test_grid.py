@@ -317,6 +317,18 @@ def test_grid_validates_axes():
         DenseGrid(np.zeros((2, 2, 2, 2), dtype=np.float32))
 
 
+@pytest.mark.parametrize("make, shape", [
+    (DenseGrid, (2, 0)),
+    (DenseGrid, (0, 2, 3)),
+    (LabelMap, (2, 2, 2)),
+    (LabelMap, (0, 2)),
+])
+def test_containers_reject_bad_shapes_with_code(make, shape):
+    with pytest.raises(ShapeError) as err:
+        make(np.zeros(shape))
+    assert err.value.code == "shape_mismatch"
+
+
 # --- bilinear resize ---------------------------------------------------------
 
 def _resize(src, out_h, out_w):

@@ -611,6 +611,15 @@ def test_build_prior_rejects_bad_target():
             build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h, out_w)
 
 
+def test_build_prior_rejects_a_bank_of_another_class_count():
+    rng = np.random.default_rng(113)
+    _, store, feats = _scene_pieces(rng, 2, 2, 4, [1, 2])
+    with pytest.raises(ShapeError) as err:
+        build_prior(feats, store, parse_prompt_file("a\n"),
+                    Aggregation("lse", 0.1), 2, 2)
+    assert err.value.code == "shape_mismatch"
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_build_prior_rejects_nonfinite_features(bad):
     rng = np.random.default_rng(112)
