@@ -14,8 +14,7 @@ building blocks behind the prior (`normalize_pixels_array` and
 from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes,
                           run_sweep, select_competitors, write_sweep_csv)
 from .embeddings import EmbeddingStore, load_embeddings, store_from_array
-from .errors import (EmbeddingError, PromptFileError, SegfuseError, ShapeError,
-                     TensorFormatError)
+from .errors import SegfuseError
 from .fusion import (Background, EvidenceBundle, FusionConfig, fuse_and_decode,
                      write_pgm)
 from .grid import (DenseGrid, LabelMap, load_grid, load_label_map, save_grid,
@@ -29,9 +28,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Aggregation", "Background", "CompetitionSpec", "ConfusionMatrix",
-    "DenseGrid", "EmbeddingError", "EmbeddingStore", "EvidenceBundle",
-    "FusionConfig", "LabelMap", "PromptBank", "PromptFileError", "SegfuseError",
-    "ShapeError", "TensorFormatError", "build_prior", "format_sweep_csv",
+    "DenseGrid", "EmbeddingStore", "EvidenceBundle", "FusionConfig", "LabelMap",
+    "PromptBank", "SegfuseError", "build_prior", "format_sweep_csv",
     "fuse_and_decode", "generate_scene", "iou_report", "load_embeddings",
     "load_grid", "load_label_map", "load_prompt_file", "miou",
     "parse_prompt_file", "pooled_scores", "restrict_to_classes", "run_sweep",

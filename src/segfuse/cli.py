@@ -29,7 +29,7 @@ from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
                     Aggregation, _write_prior, check_tau_s)
-from .prompts import load_prompt_file, save_prompt_file
+from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
 
@@ -72,16 +72,8 @@ def _add_config_options(sub, *keys):
 
 def _read_config(path) -> dict:
     """The values of a UTF-8 `key = value` file; '#' starts a comment line."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as err:
-        raise SegfuseError("bad_encoding", f"{path}: not UTF-8 text ({err})")
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(_read_utf8(path)):
         if "=" not in line:
             raise SegfuseError("bad_config_line", f"line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
@@ -206,6 +198,9 @@ def cmd_sweep(args) -> int:
         if not name or not path:
             raise SegfuseError("bad_alt_features",
                                f"expected name=path, got '{item}'")
+        if name in sources:
+            raise SegfuseError("bad_alt_features",
+                               f"feature source '{name}' is already defined")
         sources[name] = load_grid(path)
     rows = run_sweep(
         scene,

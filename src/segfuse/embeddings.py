@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmbeddingError
+from .errors import SegfuseError
 from .grid import _all_finite, load_grid
 from .prompts import PromptBank
 
@@ -38,7 +38,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     norms = np.sqrt((rows64 * rows64).sum(axis=1))
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise EmbeddingError("zero_norm_embedding", f"row {zero[0]} has zero norm")
+        raise SegfuseError("zero_norm_embedding", f"row {zero[0]} has zero norm")
     return (rows64 / norms[:, None]).astype(np.float32)
 
 
@@ -46,15 +46,15 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
     """Build a store from an in-memory (total_synonyms, dim) row table."""
     rows = np.asarray(rows)
     if rows.ndim != 2:
-        raise EmbeddingError("bad_embedding_shape", f"need 2 axes, got {rows.ndim}")
+        raise SegfuseError("bad_embedding_shape", f"need 2 axes, got {rows.ndim}")
     if rows.shape[1] < 1:
-        raise EmbeddingError("bad_embedding_dim", f"dim {rows.shape[1]} < 1")
+        raise SegfuseError("bad_embedding_dim", f"dim {rows.shape[1]} < 1")
     if rows.shape[0] != bank.total_synonyms:
-        raise EmbeddingError(
+        raise SegfuseError(
             "row_count_mismatch",
             f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
     if not _all_finite(rows):
-        raise EmbeddingError("nonfinite_values", "embedding rows hold NaN or Inf")
+        raise SegfuseError("nonfinite_values", "embedding rows hold NaN or Inf")
     offsets = []
     start = 0
     for cls in bank.classes:
@@ -67,7 +67,7 @@ def load_embeddings(path, bank: PromptBank) -> EmbeddingStore:
     """Load a CFT1 row table [total_synonyms x dim] and normalize it."""
     grid = load_grid(path)
     if grid.data.ndim != 2:
-        raise EmbeddingError(
+        raise SegfuseError(
             "bad_embedding_shape", f"{path}: need a 2-axis tensor, got {grid.data.ndim}")
     return store_from_array(grid.data, bank)
 

@@ -1,28 +1,9 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
 class SegfuseError(Exception):
-    """Base error; `code` is a stable machine-checkable identifier."""
+    """Every segfuse failure; `code` is a stable machine-checkable identifier."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
         self.code = code
-
-
-class TensorFormatError(SegfuseError):
-    """Malformed or inconsistent CFT1 tensor file."""
-
-
-class PromptFileError(SegfuseError):
-    """Structurally invalid prompt file."""
-
-
-class EmbeddingError(SegfuseError):
-    """Embedding table inconsistent with the prompt bank."""
-
-
-class ShapeError(SegfuseError):
-    """Grid shapes or index ranges do not line up."""
-
-    def __init__(self, message: str, code: str = "shape_mismatch"):
-        super().__init__(code, message)

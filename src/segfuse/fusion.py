@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, ShapeError
+from .errors import SegfuseError
 from .grid import _MAX_LABEL, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
@@ -50,12 +50,13 @@ def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
         raise SegfuseError("bad_evidence_kind",
                            f"evidence kind must be one of {EVIDENCE_KINDS}, got '{kind}'")
     if len(dims) != 3:
-        raise ShapeError("mask evidence needs 3 axes (H, W, C)")
+        raise SegfuseError("shape_mismatch", "mask evidence needs 3 axes (H, W, C)")
     c = dims[2]
     presence = (np.zeros(c, dtype=np.float32) if presence is None
                 else np.asarray(presence, dtype=np.float32).ravel())
     if presence.shape[0] != c:
-        raise ShapeError(f"presence has {presence.shape[0]} entries for {c} classes")
+        raise SegfuseError("shape_mismatch",
+                           f"presence has {presence.shape[0]} entries for {c} classes")
     return presence
 
 
@@ -159,7 +160,8 @@ def _fuse_and_decode_rows(read, dims: tuple[int, ...], kind: str, presence,
     """
     presence = _check_evidence(dims, kind, presence).astype(np.float64)
     if prior_dims != dims:
-        raise ShapeError(f"prior dims {prior_dims} != evidence dims {dims}")
+        raise SegfuseError("shape_mismatch",
+                           f"prior dims {prior_dims} != evidence dims {dims}")
     height, width, n_classes = dims
     background_index = None
     if background is not None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, ShapeError, TensorFormatError
+from .errors import SegfuseError
 
 MAGIC = b"CFT1"
 DTYPE_F32 = 1
@@ -70,9 +70,11 @@ class DenseGrid:
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float32)
         if arr.ndim not in (2, 3):
-            raise ShapeError(f"grid needs 2 or 3 axes, got {arr.ndim}")
+            raise SegfuseError("shape_mismatch",
+                               f"grid needs 2 or 3 axes, got {arr.ndim}")
         if any(e < 1 for e in arr.shape):
-            raise ShapeError(f"grid extents must be >= 1, got {arr.shape}")
+            raise SegfuseError("shape_mismatch",
+                               f"grid extents must be >= 1, got {arr.shape}")
         self.data = arr
 
     @property
@@ -105,9 +107,11 @@ class LabelMap:
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.uint32)
         if arr.ndim != 2:
-            raise ShapeError(f"label map needs 2 axes, got {arr.ndim}")
+            raise SegfuseError("shape_mismatch",
+                               f"label map needs 2 axes, got {arr.ndim}")
         if any(e < 1 for e in arr.shape):
-            raise ShapeError(f"label map extents must be >= 1, got {arr.shape}")
+            raise SegfuseError("shape_mismatch",
+                               f"label map extents must be >= 1, got {arr.shape}")
         self.data = arr
 
     @property
@@ -118,31 +122,31 @@ class LabelMap:
 def _read_header(f, path, want_dtype):
     head = f.read(6)
     if len(head) < 6 or head[:4] != MAGIC:
-        raise TensorFormatError("bad_magic", f"{path}: not a CFT1 file")
+        raise SegfuseError("bad_magic", f"{path}: not a CFT1 file")
     dtype_code, ndim = head[4], head[5]
     if dtype_code != want_dtype:
-        raise TensorFormatError(
+        raise SegfuseError(
             "bad_dtype", f"{path}: dtype code {dtype_code}, expected {want_dtype}")
     if ndim not in (2, 3):
-        raise TensorFormatError("bad_ndim", f"{path}: ndim {ndim}, expected 2 or 3")
+        raise SegfuseError("bad_ndim", f"{path}: ndim {ndim}, expected 2 or 3")
     raw = f.read(4 * ndim)
     if len(raw) < 4 * ndim:
-        raise TensorFormatError("payload_truncated", f"{path}: header cut short")
+        raise SegfuseError("payload_truncated", f"{path}: header cut short")
     extents = struct.unpack("<" + "I" * ndim, raw)
     if any(e == 0 for e in extents):
-        raise TensorFormatError("bad_extent", f"{path}: zero extent in {extents}")
+        raise SegfuseError("bad_extent", f"{path}: zero extent in {extents}")
     if want_dtype == DTYPE_U32 and ndim != 2:
-        raise TensorFormatError("bad_ndim", f"{path}: label map must have 2 axes")
+        raise SegfuseError("bad_ndim", f"{path}: label map must have 2 axes")
     return extents
 
 
 def _payload_truncated(path, got, size):
-    return TensorFormatError(
+    return SegfuseError(
         "payload_truncated", f"{path}: payload has {got} bytes, header promises {size}")
 
 
 def _payload_excess(path):
-    return TensorFormatError("payload_excess", f"{path}: trailing bytes after payload")
+    return SegfuseError("payload_excess", f"{path}: trailing bytes after payload")
 
 
 class _RowReader:
@@ -195,8 +199,8 @@ class _RowReader:
         if not self._sized:
             arr = np.frombuffer(buf, dtype=self._dtype).reshape(shape)
         if self._dtype.kind == "f" and not _all_finite(arr):
-            raise TensorFormatError("nonfinite_values",
-                                    f"{self._path}: payload has NaN/Inf")
+            raise SegfuseError("nonfinite_values",
+                               f"{self._path}: payload has NaN/Inf")
         self._rows_left -= n
         if self._rows_left == 0 and self._f.read(1):
             raise _payload_excess(self._path)
@@ -221,7 +225,7 @@ def _write_rows(path, dtype_code, extents):
     partial file behind.
     """
     if max(extents) > _MAX_EXTENT:
-        raise TensorFormatError(
+        raise SegfuseError(
             "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
     np_dtype = _DTYPE_NP[dtype_code]
     header = MAGIC + struct.pack("<BB", dtype_code, len(extents))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore
-from .errors import SegfuseError, ShapeError
+from .errors import SegfuseError
 from .grid import (DTYPE_F32, DenseGrid, _all_finite, _row_tiles, _write_rows,
                    bilinear_taps, interpolate_axis)
 from .prompts import PromptBank
@@ -157,13 +157,13 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
     if threads < 1:
         raise SegfuseError("bad_threads", f"threads must be >= 1, got {threads}")
     if features.data.ndim != 3:
-        raise ShapeError("features need 3 axes (H, W, D)", code="dim_mismatch")
+        raise SegfuseError("dim_mismatch", "features need 3 axes (H, W, D)")
     if features.channels != store.dim:
-        raise ShapeError(
-            f"feature dim {features.channels} != embedding dim {store.dim}",
-            code="dim_mismatch")
+        raise SegfuseError("dim_mismatch", f"feature dim {features.channels} "
+                                           f"!= embedding dim {store.dim}")
     if out_h < 1 or out_w < 1:
-        raise ShapeError(f"target dims must be >= 1, got {out_h}x{out_w}")
+        raise SegfuseError("shape_mismatch",
+                           f"target dims must be >= 1, got {out_h}x{out_w}")
     if not _all_finite(features.data):
         raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
 
@@ -324,7 +324,8 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     it.  `bank` is only checked against the store's class count.
     """
     if store.num_classes != bank.num_classes:
-        raise ShapeError(
+        raise SegfuseError(
+            "shape_mismatch",
             f"store has {store.num_classes} classes, bank has {bank.num_classes}")
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     return DenseGrid(_tiled_kernel(features, store, mode, out_h, out_w,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PromptFileError
+from .errors import SegfuseError
 
 MAX_SYNONYMS = 10
 
@@ -39,6 +39,23 @@ class PromptBank:
         return sum(c.m_c for c in self.classes)
 
 
+# Prompt files and `--config` files share these two rules.
+def _content_lines(text: str):
+    """(line number, stripped line) for each line not blank and not a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _read_utf8(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as err:
+        raise SegfuseError("bad_encoding", f"{path}: not UTF-8 text ({err})")
+
+
 def parse_prompt_file(text: str) -> PromptBank:
     """Parse a prompt document into a validated bank.
 
@@ -48,32 +65,28 @@ def parse_prompt_file(text: str) -> PromptBank:
     """
     classes = []
     seen_canonical = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         tokens = [t.strip().lower() for t in line.split(",")]
         canonical = tokens[0]
         if not canonical:
-            raise PromptFileError(
-                "empty_canonical", f"line {lineno}: first token is empty")
+            raise SegfuseError("empty_canonical", f"line {lineno}: first token is empty")
         synonyms = []
         for tok in tokens:
             if tok and tok not in synonyms:
                 synonyms.append(tok)
         if len(synonyms) > MAX_SYNONYMS:
-            raise PromptFileError(
+            raise SegfuseError(
                 "too_many_synonyms",
                 f"line {lineno}: {len(synonyms)} distinct tokens, cap is {MAX_SYNONYMS}")
         if canonical in seen_canonical:
-            raise PromptFileError(
+            raise SegfuseError(
                 "duplicate_canonical",
                 f"line {lineno}: '{canonical}' already defined on line "
                 f"{seen_canonical[canonical]}")
         seen_canonical[canonical] = lineno
         classes.append(PromptClass(tuple(synonyms)))
     if not classes:
-        raise PromptFileError("empty_prompt_file", "no classes found")
+        raise SegfuseError("empty_prompt_file", "no classes found")
     return PromptBank(tuple(classes))
 
 
@@ -82,12 +95,7 @@ def format_prompt_file(bank: PromptBank) -> str:
 
 
 def load_prompt_file(path) -> PromptBank:
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as err:
-        raise PromptFileError("bad_encoding", f"{path}: not UTF-8 text ({err})")
-    return parse_prompt_file(text)
+    return parse_prompt_file(_read_utf8(path))
 
 
 def save_prompt_file(bank: PromptBank, path) -> None:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from segfuse import (Aggregation, ConfusionMatrix, DenseGrid, EvidenceBundle,
-                     FusionConfig, LabelMap, PromptFileError,
-                     TensorFormatError, build_prior, fuse_and_decode,
+                     FusionConfig, LabelMap, SegfuseError, build_prior,
+                     fuse_and_decode,
                      generate_scene, load_grid, miou,
                      parse_prompt_file, pooled_scores, run_sweep, save_grid,
                      select_competitors, CompetitionSpec, format_sweep_csv)
@@ -303,7 +303,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     try:
         load_grid(bad_magic)
         ok = False
-    except TensorFormatError as err:
+    except SegfuseError as err:
         ok = ok and err.code == "bad_magic"
 
     truncated = tmp_path / "trunc.cft1"
@@ -312,13 +312,13 @@ def test_criterion_9_format_round_trips(tmp_path):
     try:
         load_grid(truncated)
         ok = False
-    except TensorFormatError as err:
+    except SegfuseError as err:
         ok = ok and err.code == "payload_truncated"
 
     try:
         parse_prompt_file(", ".join("abcdefghijk"))
         ok = False
-    except PromptFileError as err:
+    except SegfuseError as err:
         ok = ok and err.code == "too_many_synonyms"
 
     _report(9, "format round trips and malformed corpus", ok)

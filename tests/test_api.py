@@ -19,9 +19,8 @@ PUBLIC = {
     "Aggregation", "Background", "CompetitionSpec", "ConfusionMatrix",
     "DenseGrid", "EmbeddingStore", "EvidenceBundle", "FusionConfig",
     "LabelMap", "PromptBank",
-    # errors
-    "EmbeddingError", "PromptFileError", "SegfuseError", "ShapeError",
-    "TensorFormatError",
+    # the one error type
+    "SegfuseError",
     # file and table I/O
     "load_embeddings", "load_grid", "load_label_map", "load_prompt_file",
     "parse_prompt_file", "save_grid", "save_label_map", "store_from_array",
@@ -39,7 +38,12 @@ PUBLIC = {
 def test_all_is_pinned():
     assert len(segfuse.__all__) == len(set(segfuse.__all__))
     assert set(segfuse.__all__) == PUBLIC
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 31
+
+
+def test_every_failure_is_one_error_type():
+    # Codes, not subclasses, tell failures apart.
+    assert segfuse.SegfuseError.__subclasses__() == []
 
 
 def test_every_public_name_imports():
@@ -88,10 +92,9 @@ def test_record_fields_are_pinned():
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# A code is the first argument of an error constructor, possibly on the next
-# line, a `code=` keyword or default, or the code the CLI prints itself.
-RAISED = re.compile(r'Error\(\s*"([a-z_]+)"\s*,|\bcode(?:: str)?\s*=\s*"([a-z_]+)"'
-                    r'|segfuse: error: ([a-z_]+):')
+# A code is the first argument of `SegfuseError`, possibly on the next line,
+# or a code the CLI prints itself.
+RAISED = re.compile(r'SegfuseError\(\s*"([a-z_]+)"\s*,|segfuse: error: ([a-z_]+):')
 
 
 def _raised_codes():

@@ -782,6 +782,11 @@ BAD_INVOCATIONS = {
     "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
     "alt_features_without_name": (_SWEEP + " --alt-features nopath",
                                   "bad_alt_features"),
+    "alt_features_named_primary": (_SWEEP + " --alt-features primary="
+                                   "{d}/scene/features.cft1", "bad_alt_features"),
+    "alt_features_name_twice": (_SWEEP + " --alt-features a={d}/scene/features.cft1"
+                                " --alt-features a={d}/scene/features.cft1",
+                                "bad_alt_features"),
     "missing_input": (_PRIOR.replace("scene/features", "missing"), "io_error"),
     "input_is_directory": (_EVAL.replace("scene/gt.cft1 --pred", "scene --pred")
                            + " --classes 3", "io_error"),

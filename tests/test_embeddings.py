@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from segfuse import (DenseGrid, EmbeddingError, load_embeddings, save_grid,
+from segfuse import (DenseGrid, SegfuseError, load_embeddings, save_grid,
                      parse_prompt_file, store_from_array)
 from segfuse.embeddings import canonical_vectors, normalize_rows
 
@@ -19,7 +19,7 @@ def test_axis_vectors_normalized():
 
 def test_zero_row_rejected():
     bank = parse_prompt_file("cat\ndog\n")
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         store_from_array(np.array([[1.0, 0.0], [0.0, 0.0]]), bank)
     assert err.value.code == "zero_norm_embedding"
 
@@ -29,28 +29,28 @@ def test_nonfinite_row_rejected(bad):
     bank = parse_prompt_file("cat\ndog\n")
     rows = np.ones((2, 3))
     rows[1, 2] = bad
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         store_from_array(rows, bank)
     assert err.value.code == "nonfinite_values"
 
 
 def test_row_count_mismatch():
     bank = _bank()  # 5 synonyms total
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         store_from_array(np.ones((4, 3)), bank)
     assert err.value.code == "row_count_mismatch"
 
 
 def test_one_axis_rows_rejected():
     bank = parse_prompt_file("cat\ndog\n")
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         store_from_array(np.ones(2), bank)
     assert err.value.code == "bad_embedding_shape"
 
 
 def test_zero_width_rows_rejected():
     bank = parse_prompt_file("cat\ndog\n")
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         store_from_array(np.ones((2, 0)), bank)
     assert err.value.code == "bad_embedding_dim"
 
@@ -71,7 +71,7 @@ def test_load_rejects_3_axis_file(tmp_path):
     bank = _bank()
     path = tmp_path / "emb.cft1"
     save_grid(DenseGrid(np.ones((5, 2, 2), dtype=np.float32)), path)
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(SegfuseError) as err:
         load_embeddings(path, bank)
     assert err.value.code == "bad_embedding_shape"
 

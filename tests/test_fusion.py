@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from segfuse import (Background, DenseGrid, EvidenceBundle, FusionConfig,
-                     LabelMap, SegfuseError, ShapeError, fuse_and_decode,
+                     LabelMap, SegfuseError, fuse_and_decode,
                      write_pgm)
 from segfuse import fusion as fusion_module
 from segfuse import grid as grid_module
@@ -126,19 +126,21 @@ def test_presence_bias_dominates_equal_logits():
 
 def test_shape_mismatch_rejected():
     prior = _uniform_prior(2, 2, 3)
-    with pytest.raises(ShapeError):
+    with pytest.raises(SegfuseError) as err:
         fuse_and_decode(_bundle(np.zeros((2, 2, 2))), prior, FusionConfig())
+    assert err.value.code == "shape_mismatch"
 
 
 def test_evidence_without_class_axis_rejected():
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(SegfuseError) as err:
         EvidenceBundle(DenseGrid(np.zeros((2, 3), np.float32)))
     assert err.value.code == "shape_mismatch"
 
 
 def test_presence_length_validated():
-    with pytest.raises(ShapeError):
+    with pytest.raises(SegfuseError) as err:
         _bundle(np.zeros((2, 2, 2)), presence=[1.0, 2.0, 3.0])
+    assert err.value.code == "shape_mismatch"
 
 
 def test_unknown_evidence_kind_rejected():

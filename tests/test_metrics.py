@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from segfuse import (ConfusionMatrix, LabelMap, SegfuseError, ShapeError,
-                     iou_report, miou)
+from segfuse import ConfusionMatrix, LabelMap, SegfuseError, iou_report, miou
 from segfuse.metrics import per_class_iou
 
 import oracle
@@ -120,8 +119,9 @@ def test_label_out_of_range():
 
 def test_dim_mismatch():
     cm = ConfusionMatrix(2)
-    with pytest.raises(ShapeError):
+    with pytest.raises(SegfuseError) as err:
         cm.accumulate(_lm([[0, 0]]), _lm([[0], [0]]))
+    assert err.value.code == "shape_mismatch"
 
 
 def test_pixel_order_irrelevant():

@@ -10,9 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from segfuse import (Aggregation, DenseGrid, SegfuseError, ShapeError,
-                     build_prior, parse_prompt_file, pooled_scores,
-                     store_from_array)
+from segfuse import (Aggregation, DenseGrid, SegfuseError, build_prior,
+                     parse_prompt_file, pooled_scores, store_from_array)
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.prior import log_prior_array, normalize_pixels_array
@@ -53,7 +52,7 @@ def test_similarity_cosine_value():
 
 
 def test_similarity_dim_mismatch():
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(SegfuseError) as err:
         _similarity(np.zeros((1, 1, 3)), [1.0, 0.0])
     assert err.value.code == "dim_mismatch"
 
@@ -607,14 +606,15 @@ def test_build_prior_rejects_bad_target():
     rng = np.random.default_rng(111)
     bank, store, feats = _scene_pieces(rng, 2, 2, 4, [1])
     for out_h, out_w in ((0, 4), (4, 0), (-1, 2)):
-        with pytest.raises(ShapeError):
+        with pytest.raises(SegfuseError) as err:
             build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h, out_w)
+        assert err.value.code == "shape_mismatch"
 
 
 def test_build_prior_rejects_a_bank_of_another_class_count():
     rng = np.random.default_rng(113)
     _, store, feats = _scene_pieces(rng, 2, 2, 4, [1, 2])
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(SegfuseError) as err:
         build_prior(feats, store, parse_prompt_file("a\n"),
                     Aggregation("lse", 0.1), 2, 2)
     assert err.value.code == "shape_mismatch"
@@ -635,7 +635,7 @@ def test_build_prior_dim_mismatch():
     rng = np.random.default_rng(109)
     bank, store, _ = _scene_pieces(rng, 4, 4, 8, [2])
     feats = DenseGrid(rng.standard_normal((4, 4, 5)).astype(np.float32))
-    with pytest.raises(ShapeError) as err:
+    with pytest.raises(SegfuseError) as err:
         build_prior(feats, store, bank, Aggregation("lse", 0.1), 4, 4)
     assert err.value.code == "dim_mismatch"
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from segfuse import PromptFileError, load_prompt_file, parse_prompt_file
+from segfuse import SegfuseError, load_prompt_file, parse_prompt_file
 from segfuse.prompts import format_prompt_file
 
 
@@ -22,7 +22,7 @@ def test_comma_separated_variants():
 
 def test_eleven_tokens_rejected():
     line = ", ".join("abcdefghijk") + "\n"  # a, b, ..., k
-    with pytest.raises(PromptFileError) as err:
+    with pytest.raises(SegfuseError) as err:
         parse_prompt_file(line)
     assert err.value.code == "too_many_synonyms"
 
@@ -49,19 +49,19 @@ def test_comments_and_blank_lines_skipped():
 
 
 def test_empty_file_rejected():
-    with pytest.raises(PromptFileError) as err:
+    with pytest.raises(SegfuseError) as err:
         parse_prompt_file("# only a comment\n")
     assert err.value.code == "empty_prompt_file"
 
 
 def test_empty_canonical_rejected():
-    with pytest.raises(PromptFileError) as err:
+    with pytest.raises(SegfuseError) as err:
         parse_prompt_file("cat\n, couch\n")
     assert err.value.code == "empty_canonical"
 
 
 def test_duplicate_canonical_rejected():
-    with pytest.raises(PromptFileError) as err:
+    with pytest.raises(SegfuseError) as err:
         parse_prompt_file("cat\ndog\ncat, kitty\n")
     assert err.value.code == "duplicate_canonical"
 
@@ -69,7 +69,7 @@ def test_duplicate_canonical_rejected():
 def test_non_utf8_prompt_file_rejected(tmp_path):
     path = tmp_path / "prompts.txt"
     path.write_bytes("café, coffee\n".encode("latin-1"))
-    with pytest.raises(PromptFileError) as err:
+    with pytest.raises(SegfuseError) as err:
         load_prompt_file(path)
     assert err.value.code == "bad_encoding"
     assert str(path) in str(err.value)
