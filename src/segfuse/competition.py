@@ -24,7 +24,8 @@ from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import DEFAULT_TAU, Aggregation, log_prior_array, pooled_scores
+from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, log_prior_array,
+                    pooled_scores)
 from .prompts import PromptBank
 from .synth import SyntheticScene
 
@@ -142,6 +143,13 @@ def run_sweep(scene: SyntheticScene, *,
         if len(axis) == 0:
             raise SegfuseError("empty_sweep_axis",
                                f"sweep axis '{axis_name}' is empty")
+    for tau in tau_values:  # max and average ignore tau_s, but it is still checked
+        check_tau_s(tau)
+    # Every competitor set is picked first, so a bad ratio, selection or
+    # target fails before any pooled build.
+    groups = [(p, selection, sorted(select_competitors(
+        scene.embeddings, scene.bank, CompetitionSpec(target_class, p, selection))))
+        for p, selection in itertools.product(p_values, selections)]
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
     modes = {(tau, kind): Aggregation(kind, tau)
@@ -158,10 +166,7 @@ def run_sweep(scene: SyntheticScene, *,
     cm_args = (n, n) if excluded == "ignore" else (n + 1, None)
     rows = []
     competitors = None
-    for p, selection in itertools.product(p_values, selections):
-        group = sorted(select_competitors(
-            scene.embeddings, scene.bank,
-            CompetitionSpec(target_class, p, selection)))
+    for p, selection, group in groups:
         if group != competitors:
             competitors = group
             evidence = _restrict_evidence(scene.evidence, competitors)

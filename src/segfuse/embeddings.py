@@ -58,8 +58,8 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
     offsets = []
     start = 0
     for cls in bank.classes:
-        offsets.append((start, cls.m_c))
-        start += cls.m_c
+        offsets.append((start, len(cls)))
+        start += len(cls)
     return EmbeddingStore(normalize_rows(rows), tuple(offsets))
 
 

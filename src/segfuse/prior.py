@@ -53,16 +53,20 @@ DEFAULT_TAU = 0.10
 
 AGGREGATION_KINDS = ("lse", "average", "max")
 NORMALIZE_ORDERS = ("before", "after", "both")
+# Cosines lie in [-1, 1], so |log prior| <= 2 / tau_s + ln(m_c) + ln C,
+# which rounds to a finite float32 for any tau_s at or above this.
+MIN_TAU = 2.0 / float(np.finfo(np.float32).max)
 
 
 def check_tau_s(value: float) -> None:
-    """The one check on a pooling temperature: finite and > 0 (NaN fails too).
+    """The one check on a pooling temperature: finite and >= MIN_TAU.
 
-    An infinite temperature would pool every class to log(m_c), whatever the
-    features say.
+    NaN fails too.  An infinite temperature would pool every class to
+    log(m_c), whatever the features say.
     """
-    if not 0.0 < value < math.inf:
-        raise SegfuseError("bad_tau_s", f"tau_s must be finite and > 0, got {value}")
+    if not MIN_TAU <= value < math.inf:
+        raise SegfuseError("bad_tau_s", f"tau_s must be finite and >= {MIN_TAU:.6g} "
+                                        f"(2 / float32 max), got {value}")
 
 
 @dataclass(frozen=True)
@@ -218,16 +222,12 @@ def _resized_norms(src: np.ndarray, taps_y, taps_x, identity_y: bool,
 def _map_in_order(fn, items, workers: int, consume) -> None:
     """Call `consume(item, fn(item))` for each item in order.
 
-    With more than one worker, `fn` runs on a pool of `workers` threads and
-    at most `2 * workers` items are submitted but not yet consumed, so a slow
-    consumer holds the pool back instead of letting results pile up.  If
-    `fn` or `consume` fails, the items not yet started are cancelled and the
-    pool is joined before the error propagates.
+    `fn` runs on a pool of `workers` threads, even one, and `consume` on the
+    calling thread.  At most `2 * workers` items are submitted but not yet
+    consumed, so a slow consumer holds the pool back instead of letting
+    results pile up.  If `fn` or `consume` fails, the items not yet started
+    are cancelled and the pool is joined before the error propagates.
     """
-    if workers == 1:
-        for item in items:
-            consume(item, fn(item))
-        return
     items = iter(items)
     with ThreadPoolExecutor(workers) as pool:
         pending = collections.deque(

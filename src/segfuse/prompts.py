@@ -2,7 +2,8 @@
 
 File format: one class per line, comma-separated variants, first token is the
 canonical name.  Lines starting with '#' are comments.  Tokens are lowercased
-and trimmed at parse time; commas inside a token are not representable.
+and trimmed at parse time; commas inside a token are not representable.  A
+bank holds each class as the tuple of its synonyms, canonical first.
 """
 from __future__ import annotations
 
@@ -14,21 +15,8 @@ MAX_SYNONYMS = 10
 
 
 @dataclass(frozen=True)
-class PromptClass:
-    synonyms: tuple[str, ...]
-
-    @property
-    def canonical(self) -> str:
-        return self.synonyms[0]
-
-    @property
-    def m_c(self) -> int:
-        return len(self.synonyms)
-
-
-@dataclass(frozen=True)
 class PromptBank:
-    classes: tuple[PromptClass, ...]
+    classes: tuple[tuple[str, ...], ...]
 
     @property
     def num_classes(self) -> int:
@@ -36,7 +24,7 @@ class PromptBank:
 
     @property
     def total_synonyms(self) -> int:
-        return sum(c.m_c for c in self.classes)
+        return sum(len(c) for c in self.classes)
 
 
 # Prompt files and `--config` files share these two rules.
@@ -84,14 +72,14 @@ def parse_prompt_file(text: str) -> PromptBank:
                 f"line {lineno}: '{canonical}' already defined on line "
                 f"{seen_canonical[canonical]}")
         seen_canonical[canonical] = lineno
-        classes.append(PromptClass(tuple(synonyms)))
+        classes.append(tuple(synonyms))
     if not classes:
         raise SegfuseError("empty_prompt_file", "no classes found")
     return PromptBank(tuple(classes))
 
 
 def format_prompt_file(bank: PromptBank) -> str:
-    return "".join(", ".join(c.synonyms) + "\n" for c in bank.classes)
+    return "".join(", ".join(c) + "\n" for c in bank.classes)
 
 
 def load_prompt_file(path) -> PromptBank:

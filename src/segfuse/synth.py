@@ -22,7 +22,6 @@ features first, so the bytes do not depend on the tile height.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +31,13 @@ from .errors import SegfuseError
 from .fusion import EvidenceBundle
 from .grid import DenseGrid, LabelMap, _row_tiles
 from .prior import normalize_pixels_array
-from .prompts import MAX_SYNONYMS, PromptBank, PromptClass
+from .prompts import MAX_SYNONYMS, PromptBank
 
 MASK_MARGIN = 2.5
 MASK_NOISE_SCALE = 2.0
+# A scene is pure noise long before drift or overlap reaches this, and its
+# float32 mask logits would overflow near 1e37.
+MAX_NOISE = 1e6
 # Float64 bytes per element that a block holds at once: the distances for
 # ground truth; for features and mask logits, three arrays of its rows (the
 # rows, the noise and its scaled copy, or the rows and their normalized copy).
@@ -83,7 +85,7 @@ def _prompt_embeddings(rng, dim: int, num_classes: int,
             else:
                 rows.append(canon[ci].copy())
         names = (f"class{ci}",) + tuple(f"class{ci} v{j}" for j in range(1, m_c))
-        classes.append(PromptClass(names))
+        classes.append(names)
     bank = PromptBank(tuple(classes))
     return store_from_array(np.stack(rows), bank), bank
 
@@ -116,9 +118,9 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     if 8 * max(num_classes * dim, height * width * num_classes,
                fh * fw * dim) > np.iinfo(np.intp).max:
         raise SegfuseError("bad_scene_size", "scene too large to address")
-    if not (0.0 <= drift < math.inf and 0.0 <= overlap < math.inf):
+    if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
         raise SegfuseError("bad_scene_noise",
-                           "drift and overlap must be finite and >= 0")
+                           f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
     if seed < 0:
         raise SegfuseError("bad_scene_seed", f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -11,7 +11,6 @@ import pathlib
 import re
 
 import segfuse
-from segfuse.prompts import PromptClass
 from segfuse.synth import SyntheticScene
 
 PUBLIC = {
@@ -74,7 +73,7 @@ SIGNATURES = {
 FIELDS = {
     segfuse.LabelMap: ("data",),
     segfuse.EvidenceBundle: ("mask_evidence", "evidence_kind", "presence"),
-    PromptClass: ("synonyms",),
+    segfuse.PromptBank: ("classes",),
     SyntheticScene: ("height", "width", "num_classes", "features", "gt",
                      "evidence", "embeddings", "bank"),
 }

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -16,6 +17,8 @@ from segfuse import (Aggregation, DenseGrid, FusionConfig, LabelMap,
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.cli import build_parser, main
+from segfuse.prior import MIN_TAU
+from segfuse.synth import MAX_NOISE
 
 
 def _gen(tmp_path, seed=5, **kw):
@@ -246,8 +249,8 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
                      "--prompts", str(scene_dir / "prompts.txt"),
                      "--out", str(out), "--threads", threads]) == 0
         outputs.append(out.read_bytes())
-    # one worker starts no pool
-    assert pools == [12]
+    # one worker runs on a pool too, of one thread
+    assert pools == [12, 1]
     assert outputs[0] == outputs[1]
 
 
@@ -410,6 +413,23 @@ def test_prior_zero_tau_exit_1(tmp_path, capsys):
                      "--out", str(tmp_path / "o.cft1"), "--tau-s", tau]) == 1
         assert "bad_tau_s" in capsys.readouterr().err
         assert not (tmp_path / "o.cft1").exists()
+
+
+def test_extreme_accepted_settings_write_finite_outputs(tmp_path):
+    # The noisiest accepted scene and the coldest accepted temperature: no
+    # overflow on the way, and every float output reads back as finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene_dir = _gen(tmp_path, drift=MAX_NOISE, overlap=MAX_NOISE)
+        out = tmp_path / "prior.cft1"
+        assert main(["prior", "--features", str(scene_dir / "features.cft1"),
+                     "--embeddings", str(scene_dir / "embeddings.cft1"),
+                     "--prompts", str(scene_dir / "prompts.txt"),
+                     "--out", str(out), "--tau-s", repr(MIN_TAU)]) == 0
+    for name in ("embeddings", "features", "mask_logits", "presence"):
+        load_grid(scene_dir / f"{name}.cft1")  # refuses a non-finite value
+    # the log prior reaches the float32 range it was bounded by
+    assert load_grid(out).data.min() < -1e37
 
 
 def test_sweep_zero_tau_grid_exit_1(tmp_path, capsys):
@@ -760,6 +780,12 @@ BAD_INVOCATIONS = {
     "non_utf8_prompts": (_PRIOR.replace("scene/prompts", "latin1"),
                          "bad_encoding"),
     "zero_tau": (_PRIOR + " --tau-s 0", "bad_tau_s"),
+    "underflowing_tau": (_PRIOR + " --tau-s 1e-40", "bad_tau_s"),
+    "sweep_negative_tau_with_max": (_SWEEP + " --tau-grid -1 --aggregation-grid max",
+                                    "bad_tau_s"),
+    "sweep_nan_tau_with_average": (_SWEEP + " --tau-grid nan,0.1 "
+                                   "--aggregation-grid average,max", "bad_tau_s"),
+    "sweep_underflowing_tau": (_SWEEP + " --tau-grid 1e-40", "bad_tau_s"),
     "nan_lambda": (_FUSE + " --lambda-prior nan", "bad_lambda_prior"),
     "overflowing_lambda": (_FUSE + " --lambda-prior 1e308", "nonfinite_scores"),
     "nan_threshold": (_FUSE + " --background-threshold nan",
@@ -778,6 +804,10 @@ BAD_INVOCATIONS = {
                           "--out-dir {o}/out", "bad_scene_size"),
     "gen_synonyms_11": ("gen --synonyms 11 --out-dir {o}/out", "bad_scene_size"),
     "gen_nan_drift": ("gen --drift nan --out-dir {o}/out", "bad_scene_noise"),
+    "gen_overflowing_drift": ("gen --drift 1e200 --out-dir {o}/out",
+                              "bad_scene_noise"),
+    "gen_overflowing_overlap": ("gen --overlap 1e200 --out-dir {o}/out",
+                                "bad_scene_noise"),
     "gen_negative_seed": ("gen --seed -1 --out-dir {o}/out", "bad_scene_seed"),
     "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
     "alt_features_without_name": (_SWEEP + " --alt-features nopath",

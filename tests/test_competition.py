@@ -120,7 +120,7 @@ def test_restrict_to_classes_reindexes():
         scene.bank, scene.embeddings, scene.evidence, keep)
     assert bank.num_classes == 2
     assert bank.classes == tuple(scene.bank.classes[ci] for ci in keep)
-    assert bank.classes[0].canonical == scene.bank.classes[1].canonical
+    assert bank.classes[0][0] == scene.bank.classes[1][0]
     assert store.num_vectors == bank.total_synonyms
     assert np.array_equal(evidence.mask_evidence.data,
                           scene.evidence.mask_evidence.data[:, :, keep])
@@ -338,6 +338,27 @@ def test_empty_axis_rejected():
     with pytest.raises(SegfuseError) as err:
         run_sweep(scene, p_values=[0.5], excluded="drop")
     assert err.value.code == "bad_excluded"
+
+
+@pytest.mark.parametrize("changes, code", [
+    ({"p_values": [0.5, 2.0]}, "bad_ratio"),
+    ({"selections": ["easy", "medium"]}, "bad_selection"),
+    ({"target_class": 3}, "bad_class_index"),
+    # average and max ignore tau_s, but a bad one is still refused
+    ({"tau_values": [-1.0], "aggregations": ["max"]}, "bad_tau_s"),
+    ({"tau_values": [math.nan, 0.1], "aggregations": ["average"]}, "bad_tau_s"),
+    ({"tau_values": [0.1, 1e-40]}, "bad_tau_s"),
+])
+def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
+    scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pooled before every setting was checked")
+
+    monkeypatch.setattr(competition, "pooled_scores", forbidden)
+    with pytest.raises(SegfuseError) as err:
+        run_sweep(scene, **{"p_values": [0.0, 1.0], **changes})
+    assert err.value.code == code
 
 
 def _target_iou(scene, p, selection, target=0):

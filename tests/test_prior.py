@@ -14,7 +14,7 @@ from segfuse import (Aggregation, DenseGrid, SegfuseError, build_prior,
                      parse_prompt_file, pooled_scores, store_from_array)
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
-from segfuse.prior import log_prior_array, normalize_pixels_array
+from segfuse.prior import MIN_TAU, log_prior_array, normalize_pixels_array
 
 import oracle
 from scenes import pool_synonyms, traced_peak
@@ -155,10 +155,11 @@ def test_aggregation_validation():
     with pytest.raises(SegfuseError) as err:
         Aggregation("median")
     assert err.value.code == "bad_aggregation"
-    for tau in (0.0, -1.0, math.nan, math.inf):
+    for tau in (0.0, -1.0, math.nan, math.inf, 1e-40, MIN_TAU / 2):
         with pytest.raises(SegfuseError) as err:
             Aggregation("lse", tau)
         assert err.value.code == "bad_tau_s"
+    assert Aggregation("lse", MIN_TAU).tau_s == MIN_TAU
     # average and max carry no temperature
     assert Aggregation("max", 0.0) == Aggregation("max", 0.5)
     assert Aggregation("average", math.nan) == Aggregation("average")
@@ -539,8 +540,9 @@ def test_build_prior_rejects_unknown_normalize_order():
         assert err.value.code == "bad_normalize_order"
 
 
-def test_map_in_order_bounds_the_results_in_flight():
-    workers, lock = 3, threading.Lock()
+def _in_flight_peak(workers: int) -> int:
+    """Most items started but not yet consumed when the sink is slow."""
+    lock = threading.Lock()
     started, consumed, most_ahead = [], [], []
 
     def fn(item):
@@ -557,11 +559,17 @@ def test_map_in_order_bounds_the_results_in_flight():
 
     prior_module._map_in_order(fn, range(40), workers, consume)
     assert consumed == [(i, i * i) for i in range(40)]
-    assert max(most_ahead) <= 2 * workers
+    return max(most_ahead)
 
 
-def test_map_in_order_stops_and_joins_on_failure():
-    workers, lock = 2, threading.Lock()
+def test_map_in_order_bounds_the_results_in_flight():
+    # one worker runs on the pool too, under the same bound
+    for workers in (1, 3):
+        assert _in_flight_peak(workers) <= 2 * workers
+
+
+def _stops_and_joins_on_failure(workers: int) -> None:
+    lock = threading.Lock()
     started = []
     before = threading.active_count()
 
@@ -588,6 +596,11 @@ def test_map_in_order_stops_and_joins_on_failure():
         prior_module._map_in_order(lambda item: item, range(100), workers,
                                    failing_sink)
     assert threading.active_count() == before
+
+
+def test_map_in_order_stops_and_joins_on_failure():
+    for workers in (1, 2):
+        _stops_and_joins_on_failure(workers)
 
 
 def test_build_prior_counts_zero_pixels(caplog):

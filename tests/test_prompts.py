@@ -9,15 +9,15 @@ from segfuse.prompts import format_prompt_file
 def test_single_canonical():
     bank = parse_prompt_file("cat\n")
     assert bank.num_classes == 1
-    assert bank.classes[0].canonical == "cat"
-    assert bank.classes[0].synonyms == ("cat",)
-    assert bank.classes[0].m_c == 1
+    assert bank.classes[0][0] == "cat"
+    assert bank.classes[0] == ("cat",)
+    assert len(bank.classes[0]) == 1
 
 
 def test_comma_separated_variants():
     bank = parse_prompt_file("sofa, couch, settee\n")
-    assert bank.classes[0].synonyms == ("sofa", "couch", "settee")
-    assert bank.classes[0].m_c == 3
+    assert bank.classes[0] == ("sofa", "couch", "settee")
+    assert len(bank.classes[0]) == 3
 
 
 def test_eleven_tokens_rejected():
@@ -29,23 +29,23 @@ def test_eleven_tokens_rejected():
 
 def test_ten_tokens_accepted():
     bank = parse_prompt_file(", ".join("abcdefghij") + "\n")
-    assert bank.classes[0].m_c == 10
+    assert len(bank.classes[0]) == 10
 
 
 def test_lowercased_trimmed_deduplicated():
     bank = parse_prompt_file("  Sofa ,couch , SOFA, Couch, settee\n")
-    assert bank.classes[0].synonyms == ("sofa", "couch", "settee")
+    assert bank.classes[0] == ("sofa", "couch", "settee")
 
 
 def test_dedup_counts_toward_cap():
     tokens = list("abcdefghij") + ["a", "b"]  # 12 tokens, 10 distinct
     bank = parse_prompt_file(", ".join(tokens) + "\n")
-    assert bank.classes[0].m_c == 10
+    assert len(bank.classes[0]) == 10
 
 
 def test_comments_and_blank_lines_skipped():
     bank = parse_prompt_file("# header\n\ncat\n  \n# more\ndog\n")
-    assert [c.canonical for c in bank.classes] == ["cat", "dog"]
+    assert [c[0] for c in bank.classes] == ["cat", "dog"]
 
 
 def test_empty_file_rejected():
@@ -77,7 +77,7 @@ def test_non_utf8_prompt_file_rejected(tmp_path):
 
 def test_stray_commas_dropped():
     bank = parse_prompt_file("sofa,, couch,\n")
-    assert bank.classes[0].synonyms == ("sofa", "couch")
+    assert bank.classes[0] == ("sofa", "couch")
 
 
 def test_parse_is_idempotent():

@@ -109,6 +109,8 @@ def test_parameter_validation():
     ({"dim": 10**20}, "bad_scene_size"),
     ({"drift": math.nan}, "bad_scene_noise"),
     ({"overlap": math.inf}, "bad_scene_noise"),
+    ({"drift": 1e200}, "bad_scene_noise"),
+    ({"overlap": synth_module.MAX_NOISE * 2}, "bad_scene_noise"),
 ])
 def test_scene_arguments_carry_codes(changes, code):
     args = dict(seed=0, height=4, width=4, dim=4, num_classes=2,
