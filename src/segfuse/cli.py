@@ -8,8 +8,9 @@ success, 1 a coded validation failure, `io_error` or `out_of_memory`, 2
 usage error.
 
 The run settings live in one table, `_SETTINGS`: each key's default, its
-argparse keywords and its check.  The flags, the `--config` file reader and
-the merge (defaults < config file < flags, then the checks) all read it.
+argparse keywords and its library check.  The flags, the `--config` file
+reader and the merge (defaults < config file < flags, then the checks) all
+read it.  Argparse only parses, so a bad value exits 1 with the library's code.
 """
 from __future__ import annotations
 
@@ -28,38 +29,28 @@ from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
                    save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
-                    Aggregation, _write_prior, check_tau_s)
+                    Aggregation, _write_prior, check_normalize_order, check_tau_s)
 from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
 
-def _positive_int(text):
-    """argparse type for counts that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got '{text}'")
-    return value
-
-
 def _add_threads_option(sub):
-    sub.add_argument("--threads", type=_positive_int,
+    sub.add_argument("--threads", type=int,
                      default=len(os.sched_getaffinity(0)),
                      help="prior-kernel row tiles run at once (default: the CPUs "
                           "this process may use, here %(default)s); outputs "
                           "never depend on it")
 
 
-# The run settings: key -> (default, argparse keywords, check or None).  A
+# The run settings: key -> (default, argparse keywords, library check).  A
 # command takes the flags of the keys it reads; a config file may set any key.
 _SETTINGS = {
     "lambda_prior": (DEFAULT_LAMBDA, {"type": float}, check_lambda_prior),
     "tau_s": (DEFAULT_TAU, {"type": float}, check_tau_s),
-    "aggregation": ("lse", {"choices": AGGREGATION_KINDS}, None),
-    "background_threshold": (None, {"type": float}, None),
-    "normalize_order": ("both", {"choices": NORMALIZE_ORDERS}, None),
+    "aggregation": ("lse", {"help": f"one of {AGGREGATION_KINDS}"}, Aggregation),
+    "background_threshold": (None, {"type": float}, Background),
+    "normalize_order": ("both", {"help": f"one of {NORMALIZE_ORDERS}"},
+                        check_normalize_order),
 }
 
 
@@ -90,9 +81,9 @@ def _read_config(path) -> dict:
 def _merge_settings(args) -> None:
     """Set every run setting on `args`: defaults < config file < flags.
 
-    The checks run on the merged values, so a bad file value that a flag
-    overrides is never seen, and a key the command does not read is still
-    checked.
+    The checks run on the merged values that are set, so a bad file value
+    that a flag overrides is never seen, and a key the command does not read
+    is still checked.
     """
     merged = {key: default for key, (default, _, _) in _SETTINGS.items()}
     if args.config:
@@ -100,12 +91,9 @@ def _merge_settings(args) -> None:
     for key in _SETTINGS:
         if getattr(args, key, None) is not None:
             merged[key] = getattr(args, key)
-    for key, (_, kwargs, check) in _SETTINGS.items():
-        if "choices" in kwargs and merged[key] not in kwargs["choices"]:
-            raise SegfuseError("bad_config_value",
-                               f"{key} must be one of {kwargs['choices']}")
-        if check:
-            check(merged[key])
+    for key, value in merged.items():
+        if value is not None:
+            _SETTINGS[key][2](value)
     vars(args).update(merged)
 
 
@@ -262,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     fusep.add_argument("--presence", required=True)
     fusep.add_argument("--prior", required=True)
     fusep.add_argument("--out", required=True)
-    fusep.add_argument("--evidence-kind", choices=EVIDENCE_KINDS,
-                       default="logits")
+    fusep.add_argument("--evidence-kind", default="logits",
+                       help=f"one of {EVIDENCE_KINDS}")
     fusep.add_argument("--background-index", type=int)
     fusep.add_argument("--pgm", help="optional 8-bit PGM export path")
     _add_config_options(fusep, "lambda_prior", "background_threshold")
@@ -289,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"comma-separated subset of {AGGREGATION_KINDS}")
     sweep.add_argument("--alt-features", action="append",
                        help="extra feature source as name=path (repeatable)")
-    sweep.add_argument("--excluded", choices=EXCLUDED_MODES, default="ignore",
-                       help="how non-competitor gt pixels are scored")
+    sweep.add_argument("--excluded", default="ignore",
+                       help=f"one of {EXCLUDED_MODES}, for non-competitor gt pixels")
     sweep.add_argument("--out", required=True)
     _add_threads_option(sweep)
     _add_config_options(sweep, "normalize_order")

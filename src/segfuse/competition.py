@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
+from .embeddings import (EmbeddingStore, _check_class_counts, _offsets,
+                         canonical_vectors)
 from .errors import SegfuseError
 from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
@@ -69,6 +70,7 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     break toward the smaller class index.  The ceiling guarantees p=1 admits
     every negative and that the sets nest as p grows.
     """
+    _check_class_counts(store=store.num_classes, bank=bank.num_classes)
     n = bank.num_classes
     if not 0 <= spec.target_class < n:
         raise SegfuseError(
@@ -98,7 +100,12 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
                         classes: Sequence[int]) -> tuple[PromptBank,
                                                          EmbeddingStore,
                                                          EvidenceBundle]:
-    """Project bank, store and evidence onto a class subset, re-indexed 0..k-1."""
+    """Project bank, store and evidence onto a class subset, re-indexed 0..k-1.
+
+    The store keeps the parent's unit rows as they are.
+    """
+    _check_class_counts(store=store.num_classes, bank=bank.num_classes,
+                        evidence=evidence.mask_evidence.dims[2])
     kept = list(classes)
     n = bank.num_classes
     bad = [ci for ci in kept if not 0 <= ci < n]
@@ -106,9 +113,10 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
         raise SegfuseError("bad_class_index",
                            f"class indices {bad} out of range 0..{n - 1}")
     sub_bank = PromptBank(tuple(bank.classes[ci] for ci in kept))
-    rows = [store.vectors[start:start + count]
-            for start, count in (store.offsets[ci] for ci in kept)]
-    sub_store = store_from_array(np.concatenate(rows, axis=0), sub_bank)
+    spans = [store.offsets[ci] for ci in kept]
+    rows = [store.vectors[start:start + count] for start, count in spans]
+    sub_store = EmbeddingStore(np.concatenate(rows),
+                               _offsets([count for _, count in spans]))
     return sub_bank, sub_store, _restrict_evidence(evidence, kept)
 
 
@@ -152,6 +160,18 @@ def run_sweep(scene: SyntheticScene, *,
         for p, selection in itertools.product(p_values, selections)]
     sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
+    # format_sweep_csv prints these axes at 6 decimals: two distinct values
+    # that print alike would give rows no reader can tell apart.
+    for axis_name, axis in (("p", p_values), ("lambda_prior", lambda_values),
+                            ("tau_s", tau_values)):
+        printed = {}
+        for value in axis:
+            first = printed.setdefault(f"{value:.6f}", value)
+            if first != value:
+                raise SegfuseError(
+                    "indistinct_sweep_values",
+                    f"sweep axis '{axis_name}' values {first!r} and {value!r} "
+                    f"both print as {value:.6f}")
     modes = {(tau, kind): Aggregation(kind, tau)
              for tau in tau_values for kind in aggregations}
     pooled = {(name, mode): pooled_scores(features, scene.embeddings, mode,

@@ -5,6 +5,7 @@ load time, in float64.  The store is immutable after construction.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,18 @@ class EmbeddingStore:
         return len(self.offsets)
 
 
+def _offsets(counts) -> tuple[tuple[int, int], ...]:
+    """Per-class (start, count) of consecutive row segments of `counts` rows."""
+    return tuple(zip(itertools.accumulate(counts, initial=0), counts))
+
+
+def _check_class_counts(**counts: int) -> None:
+    """The one check that a store, bank or evidence agree on the class count."""
+    if len(set(counts.values())) > 1:
+        raise SegfuseError("shape_mismatch", "class counts differ: " + ", ".join(
+            f"{name} has {n}" for name, n in counts.items()))
+
+
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Unit-normalize each row in float64; zero rows are rejected."""
     rows64 = np.asarray(rows, dtype=np.float64)
@@ -55,12 +68,8 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
             f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
     if not _all_finite(rows):
         raise SegfuseError("nonfinite_values", "embedding rows hold NaN or Inf")
-    offsets = []
-    start = 0
-    for cls in bank.classes:
-        offsets.append((start, len(cls)))
-        start += len(cls)
-    return EmbeddingStore(normalize_rows(rows), tuple(offsets))
+    return EmbeddingStore(normalize_rows(rows),
+                          _offsets([len(cls) for cls in bank.classes]))
 
 
 def load_embeddings(path, bank: PromptBank) -> EmbeddingStore:

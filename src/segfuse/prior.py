@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, _check_class_counts
 from .errors import SegfuseError
 from .grid import (DTYPE_F32, DenseGrid, _all_finite, _row_tiles, _write_rows,
                    bilinear_taps, interpolate_axis)
@@ -67,6 +67,14 @@ def check_tau_s(value: float) -> None:
     if not MIN_TAU <= value < math.inf:
         raise SegfuseError("bad_tau_s", f"tau_s must be finite and >= {MIN_TAU:.6g} "
                                         f"(2 / float32 max), got {value}")
+
+
+def check_normalize_order(value: str) -> None:
+    """The one check on a normalization order: one of NORMALIZE_ORDERS."""
+    if value not in NORMALIZE_ORDERS:
+        raise SegfuseError(
+            "bad_normalize_order",
+            f"normalize_order must be one of {NORMALIZE_ORDERS}, got '{value}'")
 
 
 @dataclass(frozen=True)
@@ -154,10 +162,7 @@ def log_prior_array(u: np.ndarray) -> np.ndarray:
 def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         out_h: int, out_w: int, normalize_order: str,
                         threads: int) -> None:
-    if normalize_order not in NORMALIZE_ORDERS:
-        raise SegfuseError(
-            "bad_normalize_order",
-            f"normalize_order must be one of {NORMALIZE_ORDERS}, got '{normalize_order}'")
+    check_normalize_order(normalize_order)
     if threads < 1:
         raise SegfuseError("bad_threads", f"threads must be >= 1, got {threads}")
     if features.data.ndim != 3:
@@ -323,10 +328,7 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     Up to `threads` row tiles run at once; the output bytes never depend on
     it.  `bank` is only checked against the store's class count.
     """
-    if store.num_classes != bank.num_classes:
-        raise SegfuseError(
-            "shape_mismatch",
-            f"store has {store.num_classes} classes, bank has {bank.num_classes}")
+    _check_class_counts(store=store.num_classes, bank=bank.num_classes)
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     return DenseGrid(_tiled_kernel(features, store, mode, out_h, out_w,
                                    normalize_order, threads, np.float32,

@@ -10,10 +10,11 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from segfuse import (Aggregation, DenseGrid, FusionConfig, LabelMap,
-                     build_prior, fuse_and_decode, generate_scene,
-                     load_embeddings, load_grid, load_label_map,
-                     load_prompt_file, save_grid, save_label_map)
+from segfuse import (Aggregation, Background, DenseGrid, EvidenceBundle,
+                     FusionConfig, LabelMap, SegfuseError, build_prior,
+                     fuse_and_decode, generate_scene, load_embeddings,
+                     load_grid, load_label_map, load_prompt_file, run_sweep,
+                     save_grid, save_label_map)
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.cli import build_parser, main
@@ -179,9 +180,11 @@ def scratch_cwd(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+# Only a count that does not parse is argparse's; 0 and -1 parse, and the
+# library's rule rejects them with bad_threads (see BAD_SETTINGS below).
 @pytest.mark.usefixtures("scratch_cwd")
 @pytest.mark.parametrize("command", _THREADED_COMMANDS)
-@pytest.mark.parametrize("threads", ["0", "-1", "two"])
+@pytest.mark.parametrize("threads", ["two"])
 def test_non_positive_threads_is_usage_error(command, threads, capsys):
     with pytest.raises(SystemExit) as exc:
         main(_COMMANDS[command] + ["--threads", threads])
@@ -596,7 +599,7 @@ def test_bad_config_key_exit_1(tmp_path, capsys):
                        ("chunk = 16\n", "unknown_config_key"),
                        ("tau_s 0.25\n", "bad_config_line"),
                        ("tau_s = abc\n", "bad_config_value"),
-                       ("aggregation = LSE\n", "bad_config_value")):
+                       ("aggregation = LSE\n", "bad_aggregation")):
         config.write_text("# settings\n" + line)
         capsys.readouterr()
         assert main(["prior", "--features", str(scene_dir / "features.cft1"),
@@ -682,6 +685,8 @@ def test_prior_out_size_below_1_exit_1(tmp_path, capsys, height, width):
     (["--target-class", "-1"], "bad_class_index"),
     (["--tau-grid", "abc"], "bad_number_list"),
     (["--lambda-grid", "x"], "bad_number_list"),
+    (["--p", "1", "--selection", "easy", "--tau-grid", "1e-7,2e-7"],
+     "indistinct_sweep_values"),
 ])
 def test_sweep_bad_input_exit_1_with_code(tmp_path, capsys, flags, code):
     out = tmp_path / "sweep.csv"
@@ -826,8 +831,8 @@ BAD_INVOCATIONS = {
     "eval_label_range": (_EVAL + " --classes 1", "label_out_of_range"),
     "no_command": ("", 2),
     "unknown_flag": (_PRIOR + " --no-such-flag", 2),
-    "threads_0": (_PRIOR + " --threads 0", 2),
-    "bad_choice": (_FUSE + " --evidence-kind odds", 2),
+    "threads_0": (_PRIOR + " --threads 0", "bad_threads"),
+    "bad_choice": (_FUSE + " --evidence-kind odds", "bad_evidence_kind"),
     "missing_required": (_EVAL, 2),
     "non_integer": ("gen --height tall --out-dir {o}/out", 2),
 }
@@ -850,6 +855,88 @@ def test_bad_invocation_corpus(corpus_dir, tmp_path, capsys, case):
         assert match, err
         assert match.group(1) == expect
     assert not any(tmp_path.iterdir())
+
+
+# Each bad setting value, sent through every entry that accepts it: its flag,
+# a `--config` file (every command that reads one checks every key), a sweep
+# grid and a library call.  All of them fail with the library's code.
+# setting -> (code, config line or None, {entry: argv template or library call})
+BAD_SETTINGS = {
+    "aggregation": ("bad_aggregation", "aggregation = bogus", {
+        "prior_flag": _PRIOR + " --aggregation bogus",
+        "sweep_grid": _SWEEP + " --aggregation-grid lse,bogus",
+        "Aggregation": lambda scene: Aggregation("bogus"),
+    }),
+    "normalize_order": ("bad_normalize_order", "normalize_order = bogus", {
+        "prior_flag": _PRIOR + " --normalize-order bogus",
+        "sweep_flag": _SWEEP + " --normalize-order bogus",
+        "build_prior": lambda scene: _library_prior(scene, normalize_order="bogus"),
+        "run_sweep": lambda scene: run_sweep(scene, p_values=[1.0],
+                                             normalize_order="bogus"),
+    }),
+    **{f"threads_{n}": ("bad_threads", None, {
+        "prior_flag": _PRIOR + f" --threads {n}",
+        "sweep_flag": _SWEEP + f" --threads {n}",
+        "build_prior": lambda scene, n=n: _library_prior(scene, threads=n),
+        "run_sweep": lambda scene, n=n: run_sweep(scene, p_values=[1.0],
+                                                  threads=n),
+    }) for n in (0, -1)},
+    "evidence_kind": ("bad_evidence_kind", None, {
+        "fuse_flag": _FUSE + " --evidence-kind odds",
+        "EvidenceBundle": lambda scene: EvidenceBundle(
+            scene.evidence.mask_evidence, "odds"),
+    }),
+    "excluded": ("bad_excluded", None, {
+        "sweep_flag": _SWEEP + " --excluded bogus",
+        "run_sweep": lambda scene: run_sweep(scene, p_values=[1.0],
+                                             excluded="bogus"),
+    }),
+    "nan_threshold": ("bad_background_threshold", "background_threshold = nan", {
+        "fuse_flag": _FUSE + " --background-threshold nan",
+        "Background": lambda scene: Background(float("nan")),
+    }),
+}
+_CONFIG_ENTRIES = {"prior_config": _PRIOR, "fuse_config": _FUSE,
+                   "sweep_config": _SWEEP}
+
+
+def _library_prior(scene, **kwargs):
+    return build_prior(scene.features, scene.embeddings, scene.bank,
+                       Aggregation("lse"), scene.height, scene.width, **kwargs)
+
+
+def _bad_setting_entries(setting):
+    _, config_line, entries = BAD_SETTINGS[setting]
+    if config_line is None:
+        return entries
+    return {**entries, **{name: template + " --config {c}"
+                          for name, template in _CONFIG_ENTRIES.items()}}
+
+
+@pytest.mark.parametrize("setting, entry", [
+    (setting, entry) for setting in BAD_SETTINGS
+    for entry in _bad_setting_entries(setting)])
+def test_bad_setting_fails_alike_from_every_entry(corpus_dir, tmp_path, capsys,
+                                                  setting, entry):
+    code, config_line, _ = BAD_SETTINGS[setting]
+    how = _bad_setting_entries(setting)[entry]
+    if callable(how):
+        # the scene `_SWEEP` generates
+        scene = generate_scene(0, 4, 4, 4, 3, 2, 0.2, 0.4)
+        with pytest.raises(SegfuseError) as err:
+            how(scene)
+        assert err.value.code == code
+        return
+    config = tmp_path / "run.conf"
+    config.write_text(f"{config_line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [arg.format(d=corpus_dir, o=out, c=config) for arg in how.split()]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"segfuse: error: {code}: [^\n]+\n", err), err
+    assert not any(out.iterdir())
 
 
 def test_two_axis_evidence_is_reported_as_such(corpus_dir, tmp_path, capsys):

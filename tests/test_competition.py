@@ -1,6 +1,8 @@
 """Competitor selection and the restricted-competition sweep."""
 import itertools
 import math
+import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -114,23 +116,46 @@ def test_target_class_out_of_range():
 
 
 def test_restrict_to_classes_reindexes():
-    scene = generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3)
-    keep = [1, 3]
-    bank, store, evidence = restrict_to_classes(
-        scene.bank, scene.embeddings, scene.evidence, keep)
-    assert bank.num_classes == 2
-    assert bank.classes == tuple(scene.bank.classes[ci] for ci in keep)
-    assert bank.classes[0][0] == scene.bank.classes[1][0]
-    assert store.num_vectors == bank.total_synonyms
-    assert np.array_equal(evidence.mask_evidence.data,
-                          scene.evidence.mask_evidence.data[:, :, keep])
-    assert np.array_equal(evidence.presence, scene.evidence.presence[keep])
-    old_start, old_count = scene.embeddings.offsets[3]
-    new_start, new_count = store.offsets[1]
-    assert old_count == new_count
-    assert np.allclose(store.vectors[new_start:new_start + new_count],
-                       scene.embeddings.vectors[old_start:old_start + old_count],
-                       atol=1e-7)
+    # In the D16 scene, normalizing class 0's last row again moves its bits.
+    for scene, keep in ((generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3), [1, 3]),
+                        (generate_scene(3, 6, 6, 16, 8, 4, 0.2, 0.3), [5, 0])):
+        bank, store, evidence = restrict_to_classes(
+            scene.bank, scene.embeddings, scene.evidence, keep)
+        assert bank.num_classes == 2
+        assert bank.classes == tuple(scene.bank.classes[ci] for ci in keep)
+        assert store.num_vectors == bank.total_synonyms
+        assert np.array_equal(evidence.mask_evidence.data,
+                              scene.evidence.mask_evidence.data[:, :, keep])
+        assert np.array_equal(evidence.presence, scene.evidence.presence[keep])
+        for new, old in enumerate(keep):
+            old_start, old_count = scene.embeddings.offsets[old]
+            new_start, new_count = store.offsets[new]
+            assert old_count == new_count
+            assert np.array_equal(
+                store.vectors[new_start:new_start + new_count],
+                scene.embeddings.vectors[old_start:old_start + old_count])
+
+
+def test_class_counts_must_agree():
+    three = generate_scene(5, 6, 6, 8, 3, 2, 0.2, 0.3)
+    five = generate_scene(5, 6, 6, 8, 5, 2, 0.2, 0.3)
+    calls = [
+        lambda: select_competitors(three.embeddings, five.bank,
+                                   CompetitionSpec(0, 1.0)),
+        lambda: restrict_to_classes(five.bank, three.embeddings,
+                                    five.evidence, [0, 4]),
+        # the evidence's class axis is checked too
+        lambda: restrict_to_classes(three.bank, five.embeddings,
+                                    three.evidence, [0, 2]),
+        lambda: restrict_to_classes(three.bank, three.embeddings,
+                                    five.evidence, [0, 2]),
+        lambda: build_prior(three.features, three.embeddings, five.bank,
+                            Aggregation("lse"), 6, 6),
+    ]
+    for call in calls:
+        with pytest.raises(SegfuseError) as err:
+            call()
+        assert err.value.code == "shape_mismatch"
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -348,6 +373,10 @@ def test_empty_axis_rejected():
     ({"tau_values": [-1.0], "aggregations": ["max"]}, "bad_tau_s"),
     ({"tau_values": [math.nan, 0.1], "aggregations": ["average"]}, "bad_tau_s"),
     ({"tau_values": [0.1, 1e-40]}, "bad_tau_s"),
+    # distinct values that the CSV's 6 decimals print alike
+    ({"tau_values": [1e-7, 2e-7]}, "indistinct_sweep_values"),
+    ({"p_values": [0.5, 0.5000001]}, "indistinct_sweep_values"),
+    ({"lambda_values": [0.3, 0.7, 0.3000004]}, "indistinct_sweep_values"),
 ])
 def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
     scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
@@ -385,3 +414,39 @@ def test_easy_negatives_hurt_the_target_more_than_hard_ones():
         easy = _target_iou(scene, p, "easy")
         hard = _target_iou(scene, p, "hard")
         assert easy <= hard
+
+
+def test_sweep_repeats_a_value_that_prints_alike():
+    # only distinct values that print alike are refused
+    scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
+    rows = run_sweep(scene, p_values=[0.5, 0.5], tau_values=[1e-7, 1e-7])
+    assert len(rows) == 2 * 2 * 2 and rows[:4] == rows[4:]
+
+
+def _bench_checks():
+    """`perfbench/checks.py`, run from its source without writing a file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    module = types.ModuleType("bench_checks")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_bench_check_sweep_accepts_the_library_csv():
+    # The bench checks its sweep with `select_competitors`,
+    # `restrict_to_classes` and `build_prior`; a change to them that the
+    # bench would refuse shows here first.
+    checks = _bench_checks()
+    scene = generate_scene(2, 8, 8, 8, 4, 2, 0.2, 0.4)
+    axes = ((0.0, 0.5, 1.0), ("easy", "hard"), (0.3, 0.7), (0.05, 0.1),
+            ("lse", "max"))
+    rows = run_sweep(scene, target_class=1, p_values=axes[0],
+                     selections=axes[1], lambda_values=axes[2],
+                     tau_values=axes[3], aggregations=axes[4])
+    text = format_sweep_csv(rows)
+    assert checks.check_sweep(text, scene, 1, axes, {0, 13, 47}) == []
+    lines = text.splitlines()
+    head, _, value = lines[9].rpartition(",")
+    lines[9] = f"{head},{float(value) + 1e-3:.6f}"
+    problems = checks.check_sweep("\n".join(lines) + "\n", scene, 1, axes, set())
+    assert len(problems) == 1 and "row 8 miou" in problems[0]
