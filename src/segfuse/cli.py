@@ -25,11 +25,12 @@ from .embeddings import load_embeddings
 from .errors import SegfuseError
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
                      _fuse_and_decode_rows, check_lambda_prior, write_pgm)
-from .grid import (DTYPE_F32, DenseGrid, _read_rows, load_grid, load_label_map,
-                   save_grid, save_label_map)
+from .grid import (DenseGrid, _read_rows, load_grid, load_label_map, save_grid,
+                   save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
-                    Aggregation, _write_prior, check_normalize_order, check_tau_s)
+                    Aggregation, _write_prior, check_normalize_order, check_tau_s,
+                    check_threads)
 from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
 from .synth import generate_scene
 
@@ -83,7 +84,8 @@ def _merge_settings(args) -> None:
 
     The checks run on the merged values that are set, so a bad file value
     that a flag overrides is never seen, and a key the command does not read
-    is still checked.
+    is still checked.  `--threads`, which is not a config key, is checked
+    here too, so every setting is judged before any input is read.
     """
     merged = {key: default for key, (default, _, _) in _SETTINGS.items()}
     if args.config:
@@ -94,6 +96,8 @@ def _merge_settings(args) -> None:
     for key, value in merged.items():
         if value is not None:
             _SETTINGS[key][2](value)
+    if "threads" in args:
+        check_threads(args.threads)
     vars(args).update(merged)
 
 
@@ -140,10 +144,10 @@ def cmd_fuse(args) -> int:
     background = None
     if args.background_threshold is not None:
         background = Background(args.background_threshold, args.background_index)
-    with _read_rows(args.evidence, DTYPE_F32) as evidence:
+    with _read_rows(args.evidence, DenseGrid) as evidence:
         dims = evidence.extents
         presence = load_grid(args.presence).data
-        with _read_rows(args.prior, DTYPE_F32) as prior:
+        with _read_rows(args.prior, DenseGrid) as prior:
             labels = _fuse_and_decode_rows(
                 lambda rows: (evidence.read(rows.stop - rows.start),
                               prior.read(rows.stop - rows.start)),

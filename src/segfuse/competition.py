@@ -20,13 +20,13 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _check_class_counts, _offsets,
                          canonical_vectors)
-from .errors import SegfuseError
+from .errors import SegfuseError, check_choice
 from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, log_prior_array,
-                    pooled_scores)
+from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, check_threads,
+                    log_prior_array, pooled_scores)
 from .prompts import PromptBank
 from .synth import SyntheticScene
 
@@ -44,10 +44,19 @@ class CompetitionSpec:
         if not 0.0 <= self.ratio <= 1.0:
             raise SegfuseError("bad_ratio",
                                f"ratio must lie in [0, 1], got {self.ratio}")
-        if self.selection not in SELECTION_MODES:
-            raise SegfuseError("bad_selection",
-                               f"selection must be one of {SELECTION_MODES}, "
-                               f"got '{self.selection}'")
+        check_choice("bad_selection", "selection", self.selection, SELECTION_MODES)
+
+
+def _check_class_indices(classes: Sequence[int], n: int) -> list[int]:
+    """The one check on a class subset: not empty, each index in 0..n-1."""
+    kept = list(classes)
+    if not kept:
+        raise SegfuseError("empty_class_subset", "class subset is empty")
+    bad = [ci for ci in kept if not 0 <= ci < n]
+    if bad:
+        raise SegfuseError("bad_class_index",
+                           f"class indices {bad} out of range 0..{n - 1}")
+    return kept
 
 
 @dataclass(frozen=True)
@@ -72,10 +81,7 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     """
     _check_class_counts(store=store.num_classes, bank=bank.num_classes)
     n = bank.num_classes
-    if not 0 <= spec.target_class < n:
-        raise SegfuseError(
-            "bad_class_index",
-            f"target class {spec.target_class} out of range 0..{n - 1}")
+    _check_class_indices([spec.target_class], n)
     canon = canonical_vectors(store).astype(np.float64)
     sims = canon @ canon[spec.target_class]
     negatives = [c for c in range(n) if c != spec.target_class]
@@ -106,12 +112,7 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
     """
     _check_class_counts(store=store.num_classes, bank=bank.num_classes,
                         evidence=evidence.mask_evidence.dims[2])
-    kept = list(classes)
-    n = bank.num_classes
-    bad = [ci for ci in kept if not 0 <= ci < n]
-    if bad:
-        raise SegfuseError("bad_class_index",
-                           f"class indices {bad} out of range 0..{n - 1}")
+    kept = _check_class_indices(classes, bank.num_classes)
     sub_bank = PromptBank(tuple(bank.classes[ci] for ci in kept))
     spans = [store.offsets[ci] for ci in kept]
     rows = [store.vectors[start:start + count] for start, count in spans]
@@ -141,9 +142,8 @@ def run_sweep(scene: SyntheticScene, *,
     every setting in it only fuses, decodes and scores.  `threads` is
     passed to `pooled_scores`.
     """
-    if excluded not in EXCLUDED_MODES:
-        raise SegfuseError("bad_excluded",
-                           f"excluded must be one of {EXCLUDED_MODES}")
+    check_choice("bad_excluded", "excluded", excluded, EXCLUDED_MODES)
+    check_threads(threads)
     for axis_name, axis in (("p", p_values), ("selection", selections),
                             ("lambda_prior", lambda_values),
                             ("tau_s", tau_values),

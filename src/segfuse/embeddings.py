@@ -74,11 +74,7 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
 
 def load_embeddings(path, bank: PromptBank) -> EmbeddingStore:
     """Load a CFT1 row table [total_synonyms x dim] and normalize it."""
-    grid = load_grid(path)
-    if grid.data.ndim != 2:
-        raise SegfuseError(
-            "bad_embedding_shape", f"{path}: need a 2-axis tensor, got {grid.data.ndim}")
-    return store_from_array(grid.data, bank)
+    return store_from_array(load_grid(path).data, bank)
 
 
 def canonical_vectors(store: EmbeddingStore) -> np.ndarray:

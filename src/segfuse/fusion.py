@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError
+from .errors import SegfuseError, check_choice
 from .grid import _MAX_LABEL, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
@@ -46,9 +46,7 @@ def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
     Returns the (C,) float32 presence logits; None means all zero.  The range
     of probability evidence is checked per tile, where it is converted.
     """
-    if kind not in EVIDENCE_KINDS:
-        raise SegfuseError("bad_evidence_kind",
-                           f"evidence kind must be one of {EVIDENCE_KINDS}, got '{kind}'")
+    check_choice("bad_evidence_kind", "evidence kind", kind, EVIDENCE_KINDS)
     if len(dims) != 3:
         raise SegfuseError("shape_mismatch", "mask evidence needs 3 axes (H, W, C)")
     c = dims[2]

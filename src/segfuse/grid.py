@@ -4,7 +4,7 @@ CFT1 file layout (little-endian):
 
     magic    4 bytes   b"CFT1"
     dtype    u8        1 = float32, 2 = uint32
-    ndim     u8        2 or 3
+    ndim     u8        2 or 3 for float32, 2 for uint32
     extents  ndim*u32
     payload  prod(extents) scalars, row-major, channel-fastest
 
@@ -37,12 +37,9 @@ import numpy as np
 from .errors import SegfuseError
 
 MAGIC = b"CFT1"
-DTYPE_F32 = 1
-DTYPE_U32 = 2
 # Largest extent a u32 header field holds.
 _MAX_EXTENT = 2**32 - 1
 
-_DTYPE_NP = {DTYPE_F32: np.dtype("<f4"), DTYPE_U32: np.dtype("<u4")}
 # Read size for inputs without a file size, such as pipes and FIFOs.
 _STREAM_CHUNK = 1 << 20
 # Budget for the working arrays of one row tile of a kernel.  Small tiles
@@ -61,25 +58,39 @@ def _all_finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or bool(arr.min() > -np.inf and arr.max() < np.inf)
 
 
-@dataclass
-class DenseGrid:
-    """Float32 scalar field with 2 (H x W) or 3 (H x W x C) axes."""
+class _Record:
+    """The one rule of a CFT1 record type, on its arrays and its file headers.
 
-    data: np.ndarray
+    A subclass sets its CFT1 dtype `code`, numpy `dtype`, allowed axis
+    counts `ndims` and the `noun` of its messages.
+    """
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float32)
-        if arr.ndim not in (2, 3):
+        arr = np.ascontiguousarray(np.asarray(self.data), dtype=self.dtype)
+        if arr.ndim not in self.ndims:
             raise SegfuseError("shape_mismatch",
-                               f"grid needs 2 or 3 axes, got {arr.ndim}")
+                               f"{self.noun} needs {_axis_counts(self)} axes, "
+                               f"got {arr.ndim}")
         if any(e < 1 for e in arr.shape):
             raise SegfuseError("shape_mismatch",
-                               f"grid extents must be >= 1, got {arr.shape}")
+                               f"{self.noun} extents must be >= 1, got {arr.shape}")
         self.data = arr
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
+
+
+def _axis_counts(record) -> str:
+    return " or ".join(str(n) for n in record.ndims)
+
+
+@dataclass
+class DenseGrid(_Record):
+    """Float32 scalar field with 2 (H x W) or 3 (H x W x C) axes."""
+
+    data: np.ndarray
+    code, dtype, ndims, noun = 1, np.dtype("<f4"), (2, 3), "grid"
 
     @property
     def height(self) -> int:
@@ -99,44 +110,30 @@ _MAX_LABEL = 2**32 - 1
 
 
 @dataclass
-class LabelMap:
+class LabelMap(_Record):
     """Per-pixel class indices (uint32, H x W)."""
 
     data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.uint32)
-        if arr.ndim != 2:
-            raise SegfuseError("shape_mismatch",
-                               f"label map needs 2 axes, got {arr.ndim}")
-        if any(e < 1 for e in arr.shape):
-            raise SegfuseError("shape_mismatch",
-                               f"label map extents must be >= 1, got {arr.shape}")
-        self.data = arr
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape
+    code, dtype, ndims, noun = 2, np.dtype("<u4"), (2,), "label map"
 
 
-def _read_header(f, path, want_dtype):
+def _read_header(f, path, record):
     head = f.read(6)
     if len(head) < 6 or head[:4] != MAGIC:
         raise SegfuseError("bad_magic", f"{path}: not a CFT1 file")
     dtype_code, ndim = head[4], head[5]
-    if dtype_code != want_dtype:
+    if dtype_code != record.code:
         raise SegfuseError(
-            "bad_dtype", f"{path}: dtype code {dtype_code}, expected {want_dtype}")
-    if ndim not in (2, 3):
-        raise SegfuseError("bad_ndim", f"{path}: ndim {ndim}, expected 2 or 3")
+            "bad_dtype", f"{path}: dtype code {dtype_code}, expected {record.code}")
+    if ndim not in record.ndims:
+        raise SegfuseError(
+            "bad_ndim", f"{path}: ndim {ndim}, expected {_axis_counts(record)}")
     raw = f.read(4 * ndim)
     if len(raw) < 4 * ndim:
         raise SegfuseError("payload_truncated", f"{path}: header cut short")
     extents = struct.unpack("<" + "I" * ndim, raw)
     if any(e == 0 for e in extents):
         raise SegfuseError("bad_extent", f"{path}: zero extent in {extents}")
-    if want_dtype == DTYPE_U32 and ndim != 2:
-        raise SegfuseError("bad_ndim", f"{path}: label map must have 2 axes")
     return extents
 
 
@@ -161,10 +158,10 @@ class _RowReader:
     the read of the last row checks that nothing follows it.
     """
 
-    def __init__(self, f, path, want_dtype):
+    def __init__(self, f, path, record):
         self._f, self._path = f, path
-        self.extents = _read_header(f, path, want_dtype)
-        self._dtype = _DTYPE_NP[want_dtype]
+        self.extents = _read_header(f, path, record)
+        self._dtype = record.dtype
         self._size = math.prod(self.extents) * self._dtype.itemsize
         self._got = 0
         self._rows_left = self.extents[0]
@@ -208,14 +205,14 @@ class _RowReader:
 
 
 @contextlib.contextmanager
-def _read_rows(path, want_dtype):
-    """A `_RowReader` over the CFT1 file at `path`, closed on exit."""
+def _read_rows(path, record):
+    """A `_RowReader` over the CFT1 file of record type `record` at `path`."""
     with open(path, "rb") as f:
-        yield _RowReader(f, path, want_dtype)
+        yield _RowReader(f, path, record)
 
 
 @contextlib.contextmanager
-def _write_rows(path, dtype_code, extents):
+def _write_rows(path, record, extents):
     """Yield `write(rows)`, which appends blocks of whole rows after the header.
 
     The caller writes the rows in order.  A regular output whose size exceeds
@@ -227,10 +224,9 @@ def _write_rows(path, dtype_code, extents):
     if max(extents) > _MAX_EXTENT:
         raise SegfuseError(
             "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
-    np_dtype = _DTYPE_NP[dtype_code]
-    header = MAGIC + struct.pack("<BB", dtype_code, len(extents))
+    header = MAGIC + struct.pack("<BB", record.code, len(extents))
     header += struct.pack("<" + "I" * len(extents), *extents)
-    size = len(header) + math.prod(extents) * np_dtype.itemsize
+    size = len(header) + math.prod(extents) * record.dtype.itemsize
     created = None
     try:
         with open(path, "wb") as f:
@@ -246,7 +242,7 @@ def _write_rows(path, dtype_code, extents):
                         f"{free} free")
             f.write(header)
             yield lambda rows: f.write(
-                memoryview(np.ascontiguousarray(rows, dtype=np_dtype)).cast("B"))
+                memoryview(np.ascontiguousarray(rows, dtype=record.dtype)).cast("B"))
     except BaseException:
         # Only the regular file opened here is removed: never a FIFO, a
         # device or a symlink such as /dev/stdout.
@@ -259,23 +255,23 @@ def _write_rows(path, dtype_code, extents):
 
 def load_grid(path) -> DenseGrid:
     """Read a float32 CFT1 tensor; rejects non-finite payloads."""
-    with _read_rows(path, DTYPE_F32) as reader:
+    with _read_rows(path, DenseGrid) as reader:
         return DenseGrid(reader.read(reader.extents[0]))
 
 
 def save_grid(grid: DenseGrid, path) -> None:
-    with _write_rows(path, DTYPE_F32, grid.data.shape) as write:
+    with _write_rows(path, DenseGrid, grid.data.shape) as write:
         write(grid.data)
 
 
 def load_label_map(path) -> LabelMap:
     """Read a uint32 CFT1 label map (2 axes)."""
-    with _read_rows(path, DTYPE_U32) as reader:
+    with _read_rows(path, LabelMap) as reader:
         return LabelMap(reader.read(reader.extents[0]))
 
 
 def save_label_map(labels: LabelMap, path) -> None:
-    with _write_rows(path, DTYPE_U32, labels.data.shape) as write:
+    with _write_rows(path, LabelMap, labels.data.shape) as write:
         write(labels.data)
 
 

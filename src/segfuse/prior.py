@@ -42,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, _check_class_counts
-from .errors import SegfuseError
-from .grid import (DTYPE_F32, DenseGrid, _all_finite, _row_tiles, _write_rows,
-                   bilinear_taps, interpolate_axis)
+from .errors import SegfuseError, check_choice
+from .grid import (DenseGrid, _all_finite, _row_tiles, _write_rows, bilinear_taps,
+                   interpolate_axis)
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
@@ -71,10 +71,13 @@ def check_tau_s(value: float) -> None:
 
 def check_normalize_order(value: str) -> None:
     """The one check on a normalization order: one of NORMALIZE_ORDERS."""
-    if value not in NORMALIZE_ORDERS:
-        raise SegfuseError(
-            "bad_normalize_order",
-            f"normalize_order must be one of {NORMALIZE_ORDERS}, got '{value}'")
+    check_choice("bad_normalize_order", "normalize_order", value, NORMALIZE_ORDERS)
+
+
+def check_threads(value: int) -> None:
+    """The one check on a worker-thread count: at least 1."""
+    if value < 1:
+        raise SegfuseError("bad_threads", f"threads must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,7 @@ class Aggregation:
     tau_s: float = DEFAULT_TAU
 
     def __post_init__(self):
-        if self.kind not in AGGREGATION_KINDS:
-            raise SegfuseError(
-                "bad_aggregation",
-                f"aggregation must be one of {AGGREGATION_KINDS}, got '{self.kind}'")
+        check_choice("bad_aggregation", "aggregation", self.kind, AGGREGATION_KINDS)
         if self.kind == "lse":
             check_tau_s(self.tau_s)
         else:  # average and max ignore `tau_s`, so they compare equal
@@ -163,8 +163,7 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         out_h: int, out_w: int, normalize_order: str,
                         threads: int) -> None:
     check_normalize_order(normalize_order)
-    if threads < 1:
-        raise SegfuseError("bad_threads", f"threads must be >= 1, got {threads}")
+    check_threads(threads)
     if features.data.ndim != 3:
         raise SegfuseError("dim_mismatch", "features need 3 axes (H, W, D)")
     if features.channels != store.dim:
@@ -361,7 +360,7 @@ def _write_prior(features: DenseGrid, store: EmbeddingStore,
     never held.
     """
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
-    with _write_rows(path, DTYPE_F32, (out_h, out_w, store.num_classes)) as write:
+    with _write_rows(path, DenseGrid, (out_h, out_w, store.num_classes)) as write:
         _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
                       threads, np.float32, log_prior_array,
                       lambda rows, values: write(values))

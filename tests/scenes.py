@@ -1,7 +1,9 @@
-"""Shared scene fixtures, probes into the prior and fusion kernels, and a
-traced-memory probe."""
+"""Shared scene fixtures, probes into the prior and fusion kernels, a
+traced-memory probe and a read-only loader of the benchmark's modules."""
 import math
+import pathlib
 import tracemalloc
+import types
 
 import numpy as np
 
@@ -36,6 +38,19 @@ def traced_peak(run):
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def bench_module(name):
+    """`perfbench/<name>.py`, run from its source without writing a file.
+
+    A module that imports another benchmark module by name, as `workloads`
+    imports `checks`, needs that one in `sys.modules` first.
+    """
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
 
 
 def pool_synonyms(u, mode):

@@ -10,7 +10,12 @@ import inspect
 import pathlib
 import re
 
+import pytest
+
 import segfuse
+from segfuse.competition import EXCLUDED_MODES, SELECTION_MODES
+from segfuse.fusion import EVIDENCE_KINDS
+from segfuse.prior import AGGREGATION_KINDS, NORMALIZE_ORDERS
 from segfuse.synth import SyntheticScene
 
 PUBLIC = {
@@ -91,9 +96,10 @@ def test_record_fields_are_pinned():
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# A code is the first argument of `SegfuseError`, possibly on the next line,
-# or a code the CLI prints itself.
-RAISED = re.compile(r'SegfuseError\(\s*"([a-z_]+)"\s*,|segfuse: error: ([a-z_]+):')
+# A code is the first argument of `SegfuseError` or `check_choice`, possibly
+# on the next line, or a code the CLI prints itself.
+RAISED = re.compile(r'(?:SegfuseError|check_choice)\(\s*"([a-z_]+)"\s*,'
+                    r'|segfuse: error: ([a-z_]+):')
 
 
 def _raised_codes():
@@ -113,3 +119,36 @@ def test_readme_error_table_lists_every_code():
             "row_count_mismatch", "dim_mismatch"} <= raised
     assert raised - table == set(), "codes missing from the README table"
     assert table - raised == set(), "README table lists codes nothing raises"
+
+
+# The scene every library call below fails on before it does any work.
+_SCENE = segfuse.generate_scene(0, 4, 4, 4, 3, 2, 0.2, 0.4)
+
+# Each named-choice setting, sent a bad value through its library entry:
+# code -> (name, choices, value, call).
+CHOICES = {
+    "bad_aggregation": ("aggregation", AGGREGATION_KINDS, "bogus",
+                        lambda: segfuse.Aggregation("bogus")),
+    "bad_normalize_order": ("normalize_order", NORMALIZE_ORDERS, "bogus",
+                            lambda: segfuse.pooled_scores(
+                                _SCENE.features, _SCENE.embeddings,
+                                segfuse.Aggregation("lse"), 4, 4,
+                                normalize_order="bogus")),
+    "bad_evidence_kind": ("evidence kind", EVIDENCE_KINDS, "odds",
+                          lambda: segfuse.EvidenceBundle(
+                              _SCENE.evidence.mask_evidence, "odds")),
+    "bad_selection": ("selection", SELECTION_MODES, "medium",
+                      lambda: segfuse.CompetitionSpec(0, 0.5, "medium")),
+    "bad_excluded": ("excluded", EXCLUDED_MODES, "drop",
+                     lambda: segfuse.run_sweep(_SCENE, p_values=[1.0],
+                                               excluded="drop")),
+}
+
+
+@pytest.mark.parametrize("code", CHOICES)
+def test_every_choice_fails_with_one_message(code):
+    name, choices, value, call = CHOICES[code]
+    with pytest.raises(segfuse.SegfuseError) as err:
+        call()
+    assert err.value.code == code
+    assert str(err.value) == f"{code}: {name} must be one of {choices}, got '{value}'"

@@ -15,6 +15,7 @@ from segfuse import (Aggregation, Background, DenseGrid, EvidenceBundle,
                      fuse_and_decode, generate_scene, load_embeddings,
                      load_grid, load_label_map, load_prompt_file, run_sweep,
                      save_grid, save_label_map)
+from segfuse import cli as cli_module
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.cli import build_parser, main
@@ -190,6 +191,26 @@ def test_non_positive_threads_is_usage_error(command, threads, capsys):
         main(_COMMANDS[command] + ["--threads", threads])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_prior_threads_is_judged_before_any_input_is_read(tmp_path, capsys):
+    # Every input is missing, so reading any of them would be an io_error.
+    assert main(["prior", "--features", str(tmp_path / "f.cft1"),
+                 "--embeddings", str(tmp_path / "e.cft1"),
+                 "--prompts", str(tmp_path / "p.txt"),
+                 "--out", str(tmp_path / "o.cft1"), "--threads", "0"]) == 1
+    assert capsys.readouterr().err.startswith("segfuse: error: bad_threads: ")
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_threads_is_judged_before_the_scene(tmp_path, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("scene generated before threads was checked")
+
+    monkeypatch.setattr(cli_module, "generate_scene", forbidden)
+    assert main(["sweep", "--out", str(tmp_path / "o.csv"), "--threads", "0"]) == 1
+    assert capsys.readouterr().err.startswith("segfuse: error: bad_threads: ")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("command", _THREADED_COMMANDS)

@@ -1,8 +1,6 @@
 """Competitor selection and the restricted-competition sweep."""
 import itertools
 import math
-import pathlib
-import types
 
 import numpy as np
 import pytest
@@ -19,7 +17,7 @@ from segfuse.competition import SweepRow
 from segfuse.metrics import per_class_iou
 from segfuse.prior import log_prior_array
 
-from scenes import confusable_scene
+from scenes import bench_module, confusable_scene
 
 
 def _store_with_rows(rows):
@@ -156,6 +154,13 @@ def test_class_counts_must_agree():
         with pytest.raises(SegfuseError) as err:
             call()
         assert err.value.code == "shape_mismatch"
+
+
+def test_restrict_to_an_empty_subset_fails_with_a_code():
+    scene = generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3)
+    with pytest.raises(SegfuseError) as err:
+        restrict_to_classes(scene.bank, scene.embeddings, scene.evidence, [])
+    assert err.value.code == "empty_class_subset"
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -390,6 +395,19 @@ def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
     assert err.value.code == code
 
 
+def test_sweep_checks_threads_before_picking_competitors(monkeypatch):
+    scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("competitors picked before threads was checked")
+
+    monkeypatch.setattr(competition, "select_competitors", forbidden)
+    for threads in (0, -1):
+        with pytest.raises(SegfuseError) as err:
+            run_sweep(scene, p_values=[0.0, 1.0], threads=threads)
+        assert err.value.code == "bad_threads"
+
+
 def _target_iou(scene, p, selection, target=0):
     comp = sorted(select_competitors(scene.embeddings, scene.bank,
                                      CompetitionSpec(target, p, selection)))
@@ -423,20 +441,11 @@ def test_sweep_repeats_a_value_that_prints_alike():
     assert len(rows) == 2 * 2 * 2 and rows[:4] == rows[4:]
 
 
-def _bench_checks():
-    """`perfbench/checks.py`, run from its source without writing a file."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    module = types.ModuleType("bench_checks")
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
-         module.__dict__)
-    return module
-
-
 def test_bench_check_sweep_accepts_the_library_csv():
     # The bench checks its sweep with `select_competitors`,
     # `restrict_to_classes` and `build_prior`; a change to them that the
     # bench would refuse shows here first.
-    checks = _bench_checks()
+    checks = bench_module("checks")
     scene = generate_scene(2, 8, 8, 8, 4, 2, 0.2, 0.4)
     axes = ((0.0, 0.5, 1.0), ("easy", "hard"), (0.3, 0.7), (0.05, 0.1),
             ("lse", "max"))

@@ -16,9 +16,8 @@ from hypothesis import strategies as st
 from segfuse import (DenseGrid, LabelMap, SegfuseError, load_grid, load_label_map,
                      save_grid, save_label_map)
 from segfuse.cli import main
-from segfuse.grid import (_TILE_BYTES, DTYPE_F32, _all_finite, _read_rows,
-                          _row_tiles, _write_rows, bilinear_taps,
-                          interpolate_axis)
+from segfuse.grid import (_TILE_BYTES, _all_finite, _read_rows, _row_tiles,
+                          _write_rows, bilinear_taps, interpolate_axis)
 
 import oracle
 
@@ -169,11 +168,16 @@ def test_label_file_dtype_not_accepted_as_grid(tmp_path):
 
 
 def test_bad_ndim(tmp_path):
-    path = tmp_path / "n.cft1"
-    path.write_bytes(b"CFT1" + struct.pack("<BB", 1, 4) + bytes(16))
-    with pytest.raises(SegfuseError) as err:
-        load_grid(path)
-    assert err.value.code == "bad_ndim"
+    # A grid has 2 or 3 axes and a label map 2.  Each label-map file is whole:
+    # its last u32 is the payload of its one pixel.
+    for body, load in ((struct.pack("<BB", 1, 4) + bytes(16), load_grid),
+                       (struct.pack("<BBIIII", 2, 3, 1, 1, 1, 7), load_label_map),
+                       (struct.pack("<BBII", 2, 1, 1, 7), load_label_map)):
+        path = tmp_path / "n.cft1"
+        path.write_bytes(b"CFT1" + body)
+        with pytest.raises(SegfuseError) as err:
+            load(path)
+        assert err.value.code == "bad_ndim"
 
 
 def test_zero_extent(tmp_path):
@@ -444,7 +448,7 @@ def _feed_fifo(fifo, raw):
 
 def _read_in_tiles(path, steps):
     """The tiles `_read_rows` gives for row counts `steps`, in order."""
-    with _read_rows(path, DTYPE_F32) as reader:
+    with _read_rows(path, DenseGrid) as reader:
         return reader.extents, [reader.read(n) for n in steps]
 
 
@@ -491,7 +495,7 @@ def test_row_reader_payload_cut_in_a_tile(tmp_path, through_fifo):
             stack.callback(writer.join, 10)
             path = fifo
         with pytest.raises(SegfuseError) as err:
-            with _read_rows(path, DTYPE_F32) as reader:
+            with _read_rows(path, DenseGrid) as reader:
                 for _ in range(2):
                     read.append(reader.read(2))
     assert err.value.code == "payload_truncated"
@@ -515,7 +519,7 @@ def test_row_reader_trailing_bytes(tmp_path, through_fifo):
             stack.callback(writer.join, 10)
             path = fifo
         with pytest.raises(SegfuseError) as err:
-            with _read_rows(path, DTYPE_F32) as reader:
+            with _read_rows(path, DenseGrid) as reader:
                 for _ in range(2):
                     read.append(reader.read(2))
     assert err.value.code == "payload_excess"
@@ -528,7 +532,7 @@ def test_row_reader_checks_finiteness_per_tile(tmp_path):
     data[3, 2, 1] = np.nan
     path = tmp_path / "nan.cft1"
     save_grid(DenseGrid(data), path)
-    with _read_rows(path, DTYPE_F32) as reader:
+    with _read_rows(path, DenseGrid) as reader:
         assert not reader.read(3).any()
         with pytest.raises(SegfuseError) as err:
             reader.read(1)
@@ -539,7 +543,7 @@ def test_row_writer_writes_tiles_after_the_header(tmp_path):
     rng = np.random.default_rng(37)
     data = rng.standard_normal((5, 2, 3)).astype(np.float32)
     path = tmp_path / "w.cft1"
-    with _write_rows(path, DTYPE_F32, data.shape) as write:
+    with _write_rows(path, DenseGrid, data.shape) as write:
         for r0 in range(0, 5, 2):
             write(data[r0:r0 + 2].astype(np.float64))
     whole = tmp_path / "whole.cft1"
@@ -550,7 +554,7 @@ def test_row_writer_writes_tiles_after_the_header(tmp_path):
 def test_row_writer_removes_a_regular_output_on_failure(tmp_path):
     path = tmp_path / "partial.cft1"
     with pytest.raises(MemoryError):
-        with _write_rows(path, DTYPE_F32, (4, 2)) as write:
+        with _write_rows(path, DenseGrid, (4, 2)) as write:
             write(np.zeros((2, 2)))
             raise MemoryError
     assert not path.exists()
@@ -564,7 +568,7 @@ def test_row_writer_leaves_a_fifo_on_failure(tmp_path):
                               daemon=True)
     reader.start()
     with pytest.raises(MemoryError):
-        with _write_rows(fifo, DTYPE_F32, (4, 2)) as write:
+        with _write_rows(fifo, DenseGrid, (4, 2)) as write:
             write(np.zeros((2, 2)))
             raise MemoryError
     reader.join(timeout=10)
@@ -579,7 +583,7 @@ def test_row_writer_leaves_a_symlinked_output_on_failure(tmp_path):
     link = tmp_path / "link.cft1"
     link.symlink_to(target)
     with pytest.raises(MemoryError):
-        with _write_rows(link, DTYPE_F32, (1, 1)):
+        with _write_rows(link, DenseGrid, (1, 1)):
             raise MemoryError
     assert link.is_symlink()
 
@@ -601,7 +605,7 @@ def test_row_writer_refuses_an_output_that_cannot_fit(tmp_path, monkeypatch):
     path.write_bytes(b"old")
     _free_space(monkeypatch, 1 << 20)
     with pytest.raises(SegfuseError) as err:
-        with _write_rows(path, DTYPE_F32, (1024, 257)):
+        with _write_rows(path, DenseGrid, (1024, 257)):
             pytest.fail("no row may be written")
     assert err.value.code == "insufficient_space"
     assert "needs 1052686 bytes" in str(err.value)
@@ -611,7 +615,7 @@ def test_row_writer_refuses_an_output_that_cannot_fit(tmp_path, monkeypatch):
         save_grid(DenseGrid(np.zeros((1024, 257), dtype=np.float32)), path)
     assert err.value.code == "insufficient_space"
     assert not path.exists()
-    with _write_rows(path, DTYPE_F32, (1024, 255)) as write:
+    with _write_rows(path, DenseGrid, (1024, 255)) as write:
         write(np.zeros((1024, 255)))
     assert path.stat().st_size == 14 + 1024 * 255 * 4
 
@@ -619,7 +623,7 @@ def test_row_writer_refuses_an_output_that_cannot_fit(tmp_path, monkeypatch):
 def test_row_writer_refuses_an_extent_above_u32(tmp_path):
     path = tmp_path / "wide.cft1"
     with pytest.raises(SegfuseError) as err:
-        with _write_rows(path, DTYPE_F32, (2**32, 1)):
+        with _write_rows(path, DenseGrid, (2**32, 1)):
             pytest.fail("no row may be written")
     assert err.value.code == "bad_extent"
     assert not path.exists()
