@@ -6,8 +6,11 @@ similarity (descending for "easy" negatives, ascending for "hard" ones).  A
 sweep runs the restricted pipeline for every setting combination and reports
 mIoU against the ground truth with non-competitor pixels either ignored or
 merged into a background class.  Intra-class pooling never looks at the other
-classes, so the sweep pools once over every class and runs only the
-inter-class steps (log-softmax, fusion, decode) on the competitors' columns.
+classes, so the sweep builds each feature source's similarities once, pools
+them once per aggregation over every class, and runs only the inter-class
+steps (log-softmax, fusion, decode) on the competitors' columns.  Settings
+that share a competitor set, lambda_prior, feature source and aggregation
+give the same mIoU, so each such key is scored once.
 """
 from __future__ import annotations
 
@@ -121,6 +124,35 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
     return sub_bank, sub_store, _restrict_evidence(evidence, kept)
 
 
+def _score_group(scene: SyntheticScene, competitors: tuple[int, ...],
+                 gt_data: np.ndarray, pooled, fusions,
+                 excluded: str) -> dict[tuple, float]:
+    """The mIoU of every (lambda_prior, source, `Aggregation`) key on one
+    competitor set, scored in local labels 0..k-1.
+
+    The restricted evidence and the ground truth are made once, and one log
+    prior at a time.  Every ground-truth label outside the set becomes k.
+    Fusion runs per source, then per `Aggregation`, then per lambda_prior.
+    """
+    kept = np.asarray(competitors)
+    k = len(kept)
+    local = np.full(scene.num_classes + 1, k, dtype=np.uint32)
+    local[kept] = np.arange(k, dtype=np.uint32)
+    gt = LabelMap(local[gt_data])
+    evidence = _restrict_evidence(scene.evidence, kept)
+    # merge-background scores the excluded pixels as an extra class k.
+    cm_args = (k, k) if excluded == "ignore" else (k + 1, None)
+    scores = {}
+    for name, by_mode in pooled.items():
+        for mode, u in by_mode.items():
+            prior = DenseGrid(log_prior_array(u[..., kept]).astype(np.float32))
+            for lam, cfg in fusions.items():
+                pred = fuse_and_decode(evidence, prior, cfg)
+                scores[lam, name, mode] = miou(
+                    ConfusionMatrix(*cm_args).accumulate(gt, pred))
+    return scores
+
+
 def run_sweep(scene: SyntheticScene, *,
               target_class: int = 0,
               p_values: Sequence[float],
@@ -136,29 +168,47 @@ def run_sweep(scene: SyntheticScene, *,
 
     Rows come out in lexicographic axis order (p, selection, lambda_prior,
     tau_s, aggregation, feature_source) with each axis in its given order.
-    Pooled class scores depend only on (feature source, aggregation), never
-    on who competes, so they are built once each over every class.  Each
-    (p, selection) group then log-softmaxes its competitors' columns, and
-    every setting in it only fuses, decodes and scores.  `threads` is
-    passed to `pooled_scores`.
+    `feature_sources` defaults to the scene's own features, named
+    `primary`; a name must not hold a comma or a line break.
+
+    A row's mIoU depends only on its key (competitor set, lambda_prior,
+    feature source, `Aggregation`), so each distinct key is scored once and
+    every repeat row copies its mIoU: average and max ignore tau_s, and p = 0
+    or 1 picks the same set under either selection.  Pooled class scores
+    depend only on (feature source, aggregation), never on who competes, so
+    one `pooled_scores` call per source builds its similarities once and
+    pools them once per distinct `Aggregation`, over every class.  A (p,
+    selection) group with a new competitor set then restricts the evidence
+    and re-indexes the ground truth once, log-softmaxes its competitors'
+    columns once per source and `Aggregation`, and only fuses, decodes and
+    scores each setting, in local labels.  A group's arrays are dropped
+    before the next group starts, and a group whose set came earlier needs
+    none.  `threads` is passed to `pooled_scores`.
     """
     check_choice("bad_excluded", "excluded", excluded, EXCLUDED_MODES)
     check_threads(threads)
+    sources = ({"primary": scene.features} if feature_sources is None
+               else dict(feature_sources))
     for axis_name, axis in (("p", p_values), ("selection", selections),
                             ("lambda_prior", lambda_values),
                             ("tau_s", tau_values),
-                            ("aggregation", aggregations)):
+                            ("aggregation", aggregations),
+                            ("feature_source", sources)):
         if len(axis) == 0:
             raise SegfuseError("empty_sweep_axis",
                                f"sweep axis '{axis_name}' is empty")
+    for name in sources:  # the CSV would split or break the row
+        if any(ch in name for ch in ",\r\n"):
+            raise SegfuseError("bad_alt_features",
+                               f"feature source name {name!r} holds a comma "
+                               "or a line break")
     for tau in tau_values:  # max and average ignore tau_s, but it is still checked
         check_tau_s(tau)
     # Every competitor set is picked first, so a bad ratio, selection or
     # target fails before any pooled build.
-    groups = [(p, selection, sorted(select_competitors(
-        scene.embeddings, scene.bank, CompetitionSpec(target_class, p, selection))))
+    groups = [(p, selection, tuple(sorted(select_competitors(
+        scene.embeddings, scene.bank, CompetitionSpec(target_class, p, selection)))))
         for p, selection in itertools.product(p_values, selections)]
-    sources = dict(feature_sources) if feature_sources else {"primary": scene.features}
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
     # format_sweep_csv prints these axes at 6 decimals: two distinct values
     # that print alike would give rows no reader can tell apart.
@@ -174,35 +224,25 @@ def run_sweep(scene: SyntheticScene, *,
                     f"both print as {value:.6f}")
     modes = {(tau, kind): Aggregation(kind, tau)
              for tau in tau_values for kind in aggregations}
-    pooled = {(name, mode): pooled_scores(features, scene.embeddings, mode,
-                                          scene.height, scene.width,
-                                          normalize_order=normalize_order,
-                                          threads=threads)
-              for name, features in sources.items()
-              for mode in dict.fromkeys(modes.values())}
+    distinct_modes = tuple(dict.fromkeys(modes.values()))
+    pooled = {name: dict(zip(distinct_modes, pooled_scores(
+        features, scene.embeddings, distinct_modes, scene.height, scene.width,
+        normalize_order=normalize_order, threads=threads)))
+        for name, features in sources.items()}
 
-    n = scene.num_classes
-    # merge-background scores excluded gt pixels as an extra class n.
-    cm_args = (n, n) if excluded == "ignore" else (n + 1, None)
+    # A label past the class range is excluded, as every non-competitor is.
+    gt_data = np.minimum(scene.gt.data, scene.num_classes)
+    scored = {}  # competitor set -> its scores
     rows = []
-    competitors = None
-    for p, selection, group in groups:
-        if group != competitors:
-            competitors = group
-            evidence = _restrict_evidence(scene.evidence, competitors)
-            kept = np.asarray(competitors, dtype=np.uint32)
-            gt = LabelMap(np.where(np.isin(scene.gt.data, kept),
-                                   scene.gt.data, np.uint32(n)))
-            log_pis = {key: DenseGrid(log_prior_array(u[..., competitors])
-                                      .astype(np.float32))
-                       for key, u in pooled.items()}
+    for p, selection, competitors in groups:
+        if competitors not in scored:
+            scored[competitors] = _score_group(scene, competitors, gt_data,
+                                               pooled, fusions, excluded)
+        scores = scored[competitors]
         for lam, tau, kind, name in itertools.product(
                 lambda_values, tau_values, aggregations, sources):
-            prior = log_pis[name, modes[tau, kind]]
-            pred = fuse_and_decode(evidence, prior, fusions[lam])
-            cm = ConfusionMatrix(*cm_args)
-            cm.accumulate(gt, LabelMap(kept[pred.data]))
-            rows.append(SweepRow(p, selection, lam, tau, kind, name, miou(cm)))
+            rows.append(SweepRow(p, selection, lam, tau, kind, name,
+                                 scores[lam, name, modes[tau, kind]]))
     return rows
 
 

@@ -20,15 +20,16 @@ change is not interpolated.
 The similarities are one stacked product at feature resolution, which numpy
 runs as one BLAS call per source row.  Tiles of output rows then only blend,
 divide and pool, so no resized array exists at full resolution;
-`pooled_scores` runs the same tiles as `build_prior` and stops before the
-log-softmax.  Up to `threads` tiles run at once on a thread pool, and the
-finished tiles go to one sink in row order: `build_prior` and
-`pooled_scores` fill an array, and the `prior` command writes each tile to
-its output file, so it never holds the log prior.  At most `2 * threads`
-finished tiles wait for the sink.  `_row_tiles` cuts the tiles from the
-output shape alone and all work after the products is elementwise per
-output pixel, so the output bytes depend on neither the tile height nor the
-thread count.
+`pooled_scores` runs the same tiles as `build_prior`, pools each tile once
+for every mode it is given, and stops before the log-softmax, so several
+modes share one similarity build.  Up to `threads` tiles run at once on a
+thread pool, and the finished tiles go to one sink in row order:
+`build_prior` and `pooled_scores` fill arrays, and the `prior` command
+writes each tile to its output file, so it never holds the log prior.  At
+most `2 * threads` finished tiles wait for the sink.  `_row_tiles` cuts the
+tiles from the output shape alone and all work after the products is
+elementwise per output pixel, so the output bytes depend on neither the tile
+height nor the thread count.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -248,19 +250,23 @@ def _map_in_order(fn, items, workers: int, consume) -> None:
                 future.cancel()
 
 
-def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
-                  out_h: int, out_w: int, normalize_order: str, threads: int,
-                  dtype, finish, sink=None) -> np.ndarray | None:
-    """`finish(pooled scores)` as `dtype`, over tiles of whole output rows.
+def _tiled_kernel(features: DenseGrid, store: EmbeddingStore,
+                  modes: tuple[Aggregation, ...], out_h: int, out_w: int,
+                  normalize_order: str, threads: int, dtype, finish,
+                  sink=None) -> list[np.ndarray] | None:
+    """`finish(pooled scores)` as `dtype` for each of `modes`, over tiles of
+    whole output rows.
 
     This is the one kernel behind `build_prior`, `pooled_scores` and the
     `prior` command.  It makes the (out_h, out_w) float64 norms of the
     resized feature vectors once, and logs how many are zero.  Each row tile
-    is then one call that only blends, divides, pools and finishes its rows,
-    and up to `threads` tiles run at once.  The finished tiles go to
-    `sink(rows, values)` in row order, and the kernel returns None.  Without
-    a sink the kernel fills and returns an (out_h, out_w, C) array, allocated
-    once the features are no longer needed.
+    is then one call that only blends and divides its rows once, then pools
+    and finishes them once per mode, and up to `threads` tiles run at once.
+    The finished tiles go to `sink(rows, values)` in row order, `values`
+    holding one array per mode, and the kernel returns None.  Without a sink
+    each tile fills its own rows of one (out_h, out_w, C) array per mode,
+    allocated once the features are no longer needed, so no finished tile
+    waits, and the kernel returns those arrays.
     """
     zero_pixels = 0
     if normalize_order in ("before", "both"):
@@ -284,12 +290,13 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
     segments = _segments_by_length(store.offsets)
     out = None
     if sink is None:
-        out = np.empty((out_h, out_w, store.num_classes), dtype=dtype)
+        out = [np.empty((out_h, out_w, store.num_classes), dtype=dtype)
+               for _ in modes]
 
         def sink(rows, values):
-            out[rows] = values
+            pass
 
-    def tile(rows: slice) -> np.ndarray:
+    def tile(rows: slice) -> list[np.ndarray]:
         sims = (sims_src[rows] if identity_y else interpolate_axis(
             sims_src, tuple(t[rows] for t in taps_y), axis=0))
         if not identity_x:
@@ -298,8 +305,17 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore, mode: Aggregation,
             # On an identity grid `sims` is a view of `sims_src`.  Dividing
             # it in place is safe: no other tile reads these rows.
             sims /= divisor[rows, :, None]
-        pooled = _pool_segments(sims, segments, store.num_classes, mode)
-        return finish(pooled).astype(dtype, copy=False)
+        values = []
+        for i, mode in enumerate(modes):
+            # `_pool_segments` pools a gathered copy of the columns, so
+            # `sims` is left as it is for the next mode.
+            value = finish(_pool_segments(sims, segments, store.num_classes,
+                                          mode)).astype(dtype, copy=False)
+            if out is None:
+                values.append(value)
+            else:
+                out[i][rows] = value
+        return values
 
     # The tile budget covers the float64 similarities at output resolution.
     tiles = _row_tiles(out_h, out_w * store.num_vectors * 8)
@@ -329,25 +345,28 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     """
     _check_class_counts(store=store.num_classes, bank=bank.num_classes)
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
-    return DenseGrid(_tiled_kernel(features, store, mode, out_h, out_w,
-                                   normalize_order, threads, np.float32,
-                                   log_prior_array))
+    log_prior, = _tiled_kernel(features, store, (mode,), out_h, out_w,
+                               normalize_order, threads, np.float32,
+                               log_prior_array)
+    return DenseGrid(log_prior)
 
 
 def pooled_scores(features: DenseGrid, store: EmbeddingStore,
-                  mode: Aggregation, out_h: int, out_w: int, *,
+                  modes: Sequence[Aggregation], out_h: int, out_w: int, *,
                   normalize_order: str = "both",
-                  threads: int = 1) -> np.ndarray:
-    """Float64 (out_h, out_w, C) pooled class scores, before the log-softmax.
+                  threads: int = 1) -> list[np.ndarray]:
+    """Float64 (out_h, out_w, C) pooled class scores before the log-softmax,
+    one array per mode of `modes`, in order.
 
-    Same inputs but the bank, kernel and `threads` as `build_prior`.  A
-    class's pooled score depends only on its own synonyms, so a caller
-    comparing class subsets slices columns of one full array and
-    log-softmaxes each slice.
+    Same inputs but the bank, kernel and `threads` as `build_prior`.  The
+    similarities are built once and pooled once per mode.  A class's pooled
+    score depends only on its own synonyms, so a caller comparing class
+    subsets slices columns of one full array and log-softmaxes each slice.
     """
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
-    return _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
-                         threads, np.float64, lambda pooled: pooled)
+    return _tiled_kernel(features, store, tuple(modes), out_h, out_w,
+                         normalize_order, threads, np.float64,
+                         lambda pooled: pooled)
 
 
 def _write_prior(features: DenseGrid, store: EmbeddingStore,
@@ -361,6 +380,6 @@ def _write_prior(features: DenseGrid, store: EmbeddingStore,
     """
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     with _write_rows(path, DenseGrid, (out_h, out_w, store.num_classes)) as write:
-        _tiled_kernel(features, store, mode, out_h, out_w, normalize_order,
+        _tiled_kernel(features, store, (mode,), out_h, out_w, normalize_order,
                       threads, np.float32, log_prior_array,
-                      lambda rows, values: write(values))
+                      lambda rows, values: write(values[0]))

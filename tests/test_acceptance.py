@@ -76,8 +76,8 @@ def test_criterion_2_normalization_suite(pipeline_runs):
     for scene, prior, *_ in runs:
         total = np.exp(prior.data.astype(np.float64)).sum(axis=2)
         ok = ok and bool(np.abs(total - 1.0).max() < 1e-5)
-        u = pooled_scores(scene.features, scene.embeddings,
-                          Aggregation("lse", TAU), scene.height, scene.width)
+        u, = pooled_scores(scene.features, scene.embeddings,
+                           (Aggregation("lse", TAU),), scene.height, scene.width)
         drifted = log_prior_array(u + 37.0)
         ok = ok and bool(np.abs(log_prior_array(u) - drifted).max() < 1e-6)
     _report(2, "prior normalization and shift invariance", ok)

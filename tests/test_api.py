@@ -63,7 +63,7 @@ def test_every_public_name_imports():
 SIGNATURES = {
     "build_prior": ("features", "store", "bank", "mode", "out_h", "out_w",
                     "normalize_order", "threads"),
-    "pooled_scores": ("features", "store", "mode", "out_h", "out_w",
+    "pooled_scores": ("features", "store", "modes", "out_h", "out_w",
                       "normalize_order", "threads"),
     "fuse_and_decode": ("evidence", "prior", "cfg"),
     "select_competitors": ("store", "bank", "spec"),
@@ -132,7 +132,7 @@ CHOICES = {
     "bad_normalize_order": ("normalize_order", NORMALIZE_ORDERS, "bogus",
                             lambda: segfuse.pooled_scores(
                                 _SCENE.features, _SCENE.embeddings,
-                                segfuse.Aggregation("lse"), 4, 4,
+                                (segfuse.Aggregation("lse"),), 4, 4,
                                 normalize_order="bogus")),
     "bad_evidence_kind": ("evidence kind", EVIDENCE_KINDS, "odds",
                           lambda: segfuse.EvidenceBundle(

@@ -840,6 +840,9 @@ BAD_INVOCATIONS = {
                                   "bad_alt_features"),
     "alt_features_named_primary": (_SWEEP + " --alt-features primary="
                                    "{d}/scene/features.cft1", "bad_alt_features"),
+    # a comma in the name would split the CSV row
+    "alt_features_name_with_comma": (_SWEEP + " --alt-features a,b="
+                                     "{d}/scene/features.cft1", "bad_alt_features"),
     "alt_features_name_twice": (_SWEEP + " --alt-features a={d}/scene/features.cft1"
                                 " --alt-features a={d}/scene/features.cft1",
                                 "bad_alt_features"),

@@ -1,4 +1,5 @@
 """Competitor selection and the restricted-competition sweep."""
+import hashlib
 import itertools
 import math
 
@@ -17,7 +18,7 @@ from segfuse.competition import SweepRow
 from segfuse.metrics import per_class_iou
 from segfuse.prior import log_prior_array
 
-from scenes import bench_module, confusable_scene
+from scenes import bench_module, confusable_scene, traced_peak
 
 
 def _store_with_rows(rows):
@@ -195,9 +196,9 @@ def test_sweep_pools_once_per_source_and_aggregation(monkeypatch):
     other = generate_scene(4, 12, 12, 12, 5, 3, 0.3, 1.2)
     built = []
 
-    def counting(features, store, mode, *args, **kwargs):
-        built.append((id(features), mode))
-        return pooled_scores(features, store, mode, *args, **kwargs)
+    def counting(features, store, modes, *args, **kwargs):
+        built.append((id(features), tuple(modes)))
+        return pooled_scores(features, store, modes, *args, **kwargs)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("run_sweep must not build a full prior")
@@ -208,13 +209,21 @@ def test_sweep_pools_once_per_source_and_aggregation(monkeypatch):
     rows = run_sweep(scene, feature_sources={"primary": scene.features,
                                              "other": other.features}, **_GRID)
     assert len(rows) == 4 * 2 * 2 * 2 * 3 * 2
-    # two sources x {lse(0.05), lse(0.1), average, max}: average and max
-    # ignore tau, so they are pooled once across the tau axis
-    assert len(built) == len(set(built)) == 2 * 4
+    # one similarity build per source, pooled with every distinct
+    # aggregation: average and max ignore tau, so they are pooled once
+    # across the tau axis
+    every_mode = {Aggregation("lse", 0.05), Aggregation("lse", 0.1),
+                  Aggregation("average"), Aggregation("max")}
+    assert [source for source, _ in built] == [id(scene.features),
+                                               id(other.features)]
+    for _, modes in built:
+        assert len(modes) == len(every_mode) and set(modes) == every_mode
 
 
 def test_sweep_labels_are_log_softmax_of_pooled_columns(monkeypatch):
     scene = generate_scene(8, 14, 13, 10, 6, 3, 0.3, 0.6)
+    other = generate_scene(9, 14, 13, 10, 6, 3, 0.3, 1.2)
+    sources = {"primary": scene.features, "other": other.features}
     labels = []
 
     def record(evidence, prior, cfg):
@@ -223,23 +232,98 @@ def test_sweep_labels_are_log_softmax_of_pooled_columns(monkeypatch):
         return out
 
     monkeypatch.setattr(competition, "fuse_and_decode", record)
-    rows = run_sweep(scene, **_GRID)
-    assert len(labels) == len(rows)
-    pooled = {}
-    for row, got in zip(rows, labels):
-        mode = Aggregation(row.aggregation, row.tau_s)
-        if mode not in pooled:
-            pooled[mode] = pooled_scores(scene.features, scene.embeddings,
-                                         mode, 14, 13)
-        comp = sorted(select_competitors(
-            scene.embeddings, scene.bank, CompetitionSpec(0, row.p, row.selection)))
-        log_pi = log_prior_array(pooled[mode][..., comp]).astype(np.float32)
+    rows = run_sweep(scene, feature_sources=sources, **_GRID)
+    # Each distinct (competitor set, source, Aggregation, lambda_prior) is
+    # fused once: per new competitor set in row order, then per source,
+    # Aggregation and lambda_prior, each in order of first appearance.
+    ranks = ({}, {}, {}, {})
+    settings = set()
+    for row in rows:
+        key = (tuple(sorted(select_competitors(
+                   scene.embeddings, scene.bank,
+                   CompetitionSpec(0, row.p, row.selection)))),
+               row.feature_source, Aggregation(row.aggregation, row.tau_s),
+               row.lambda_prior)
+        for rank, part in zip(ranks, key):
+            rank.setdefault(part, len(rank))
+        settings.add(key)
+    order = sorted(settings, key=lambda key: tuple(
+        rank[part] for rank, part in zip(ranks, key)))
+    assert len(labels) == len(order) < len(rows)
+    for (comp, name, mode, lam), got in zip(order, labels):
+        pooled, = pooled_scores(sources[name], scene.embeddings, (mode,), 14, 13)
+        log_pi = log_prior_array(pooled[..., comp]).astype(np.float32)
         evidence = EvidenceBundle(
             DenseGrid(scene.evidence.mask_evidence.data[:, :, comp]),
-            "logits", scene.evidence.presence[comp])
-        want = fuse_and_decode(evidence, DenseGrid(log_pi),
-                               FusionConfig(row.lambda_prior))
-        assert np.array_equal(got, want.data), row
+            "logits", scene.evidence.presence[list(comp)])
+        want = fuse_and_decode(evidence, DenseGrid(log_pi), FusionConfig(lam))
+        assert np.array_equal(got, want.data), (comp, name, mode, lam)
+
+
+def test_sweep_fuses_each_distinct_setting_once(monkeypatch):
+    # p = 0 and p = 1 pick the same competitor set under easy and hard, and
+    # average and max ignore tau_s: 48 settings hold 16 distinct keys.
+    scene = generate_scene(3, 12, 12, 12, 5, 3, 0.3, 0.7)
+    calls = {"fuse_and_decode": 0, "log_prior_array": 0}
+    for name in calls:
+        def counting(*args, name=name, fn=getattr(competition, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(competition, name, counting)
+    axes = dict(p_values=[0.0, 0.5, 1.0], selections=["easy", "hard"],
+                lambda_values=[0.3, 0.9], tau_values=[0.05, 0.1],
+                aggregations=["average", "max"])
+    rows = run_sweep(scene, **axes)
+    sets = {tuple(sorted(select_competitors(scene.embeddings, scene.bank,
+                                            CompetitionSpec(0, p, selection))))
+            for p in axes["p_values"] for selection in axes["selections"]}
+    assert len(rows) == 48 and len(sets) == 4
+    # one log prior per competitor set and aggregation, one fusion per key
+    assert calls == {"log_prior_array": 4 * 2, "fuse_and_decode": 4 * 2 * 2}
+
+
+def test_sweep_memory_does_not_grow_with_the_group_count():
+    # Only one competitor set's arrays are held at a time, so ten distinct
+    # sets peak where one does.  Keeping every set's log priors would add
+    # about 1.3 MB to a peak of about 1.7 MB here.
+    scene = generate_scene(3, 32, 32, 96, 20, 3, 0.2, 0.5)
+    axes = dict(selections=["easy", "hard"], lambda_values=[0.3, 0.5, 0.7, 0.9],
+                tau_values=[0.05, 0.1], aggregations=["lse", "average", "max"])
+    one = traced_peak(lambda: run_sweep(scene, p_values=[1.0], **axes))
+    six = traced_peak(lambda: run_sweep(
+        scene, p_values=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0], **axes))
+    assert six <= 1.1 * one, (one, six)
+
+
+# sha256 of `format_sweep_csv` for the bench's five sweep axes on
+# generate_scene(seed, 24, 24, 16, 8, 3, 0.2, 0.5), targeting the class
+# with the most pixels, as the bench does.  They were recorded from a sweep
+# that scored every setting on its own, so a repeat row must copy exactly
+# what scoring it would give.  The thread count must not move them.
+SWEEP_DIGESTS = {
+    (1, "ignore"): "621d94b0c24dacbb2a1bd966b7ba023d72bd374fac0c0cf0d7e62f1a9a40c05b",
+    (1, "merge-background"):
+        "9017d1647a37584d39575473e15440f4bdc597c0211d090222f4540b28623b2e",
+    (104729, "ignore"):
+        "fa3af275db38e1c557096335388c43119f9ddea03f1103fc4dc98fec0116555e",
+    (104729, "merge-background"):
+        "a9a0b4f7ab32c990a95303f81fb6164cd2c8cfb1d5b2dd8ba9891d783d263d0a",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("seed, excluded", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_bytes_match_recorded_digests(seed, excluded, threads):
+    scene = generate_scene(seed, 24, 24, 16, 8, 3, 0.2, 0.5)
+    target = int(np.argmax(np.bincount(scene.gt.data.ravel(), minlength=8)))
+    rows = run_sweep(scene, target_class=target,
+                     p_values=[0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                     selections=["easy", "hard"],
+                     lambda_values=[0.3, 0.5, 0.7, 0.9], tau_values=[0.05, 0.1],
+                     aggregations=["lse", "average", "max"],
+                     excluded=excluded, threads=threads)
+    digest = hashlib.sha256(format_sweep_csv(rows).encode("utf-8")).hexdigest()
+    assert digest == SWEEP_DIGESTS[seed, excluded]
 
 
 def _restricted_reference(scene, sources, excluded, normalize_order):
@@ -365,6 +449,10 @@ def test_empty_axis_rejected():
     with pytest.raises(SegfuseError) as err:
         run_sweep(scene, p_values=[], selections=["easy"])
     assert err.value.code == "empty_sweep_axis"
+    # no feature source is an empty axis too; None means the scene's own
+    with pytest.raises(SegfuseError, match="feature_source") as err:
+        run_sweep(scene, p_values=[0.5], feature_sources={})
+    assert err.value.code == "empty_sweep_axis"
     with pytest.raises(SegfuseError) as err:
         run_sweep(scene, p_values=[0.5], excluded="drop")
     assert err.value.code == "bad_excluded"
@@ -393,6 +481,20 @@ def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
     with pytest.raises(SegfuseError) as err:
         run_sweep(scene, **{"p_values": [0.0, 1.0], **changes})
     assert err.value.code == code
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\nb", "b\r"])
+def test_sweep_rejects_a_source_name_the_csv_cannot_hold(monkeypatch, name):
+    scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pooled before every source name was checked")
+
+    monkeypatch.setattr(competition, "pooled_scores", forbidden)
+    with pytest.raises(SegfuseError) as err:
+        run_sweep(scene, p_values=[1.0],
+                  feature_sources={"primary": scene.features, name: scene.features})
+    assert err.value.code == "bad_alt_features"
 
 
 def test_sweep_checks_threads_before_picking_competitors(monkeypatch):

@@ -1,4 +1,5 @@
 """Similarity, synonym aggregation and log-prior behavior."""
+import itertools
 import logging
 import math
 import os
@@ -32,8 +33,8 @@ def _similarity(feats, embedding):
     store = store_from_array(np.asarray(embedding, dtype=np.float64)[None, :],
                              bank)
     h, w = feats.shape[:2]
-    return pooled_scores(DenseGrid(feats), store, Aggregation("max"),
-                         h, w)[:, :, 0]
+    return pooled_scores(DenseGrid(feats), store, (Aggregation("max"),),
+                         h, w)[0][:, :, 0]
 
 
 def test_similarity_identity_direction():
@@ -239,7 +240,9 @@ def _scene_pieces(rng, h, w, d, class_synonyms):
 def _entries(bank):
     """Both prior entries, each called as (features, store, mode, ...)."""
     return (lambda feats, store, *args, **kwargs:
-            build_prior(feats, store, bank, *args, **kwargs), pooled_scores)
+            build_prior(feats, store, bank, *args, **kwargs),
+            lambda feats, store, mode, *args, **kwargs:
+            pooled_scores(feats, store, (mode,), *args, **kwargs)[0])
 
 
 def test_build_prior_single_class_is_zero():
@@ -306,8 +309,8 @@ def test_build_prior_tile_height_is_irrelevant(monkeypatch):
                     monkeypatch.setattr(prior_module, "log_prior_array", record)
                     log_pi = build_prior(feats, store, bank, mode, out_h, out_w,
                                          normalize_order=order)
-                    full = pooled_scores(feats, store, mode, out_h, out_w,
-                                         normalize_order=order)
+                    full, = pooled_scores(feats, store, (mode,), out_h, out_w,
+                                          normalize_order=order)
                     outputs.add((np.concatenate(pooled).tobytes(),
                                  log_pi.data.tobytes(), full.tobytes()))
                 assert len(outputs) == 1, (out_h, kind, order)
@@ -327,11 +330,52 @@ def test_build_prior_thread_count_is_irrelevant(monkeypatch):
                     (build_prior(feats, store, bank, mode, out_h, out_w,
                                  normalize_order=order,
                                  threads=threads).data.tobytes(),
-                     pooled_scores(feats, store, mode, out_h, out_w,
+                     pooled_scores(feats, store, (mode,), out_h, out_w,
                                    normalize_order=order,
-                                   threads=threads).tobytes())
+                                   threads=threads)[0].tobytes())
                     for threads in (1, 2, 3)}
                 assert len(outputs) == 1, (out_h, out_w, kind, order)
+
+
+def test_pooled_scores_pools_every_mode_from_one_build(monkeypatch):
+    # Each tile pools every mode from the same similarities; on an identity
+    # grid those are a view of the source similarities, divided in place.
+    # The tiles fill their own rows of the shared outputs, here from more
+    # threads than cores that switch often.
+    rng = np.random.default_rng(107)
+    bank, store, feats = _scene_pieces(rng, 9, 8, 32, [3, 2, 4, 1])
+    modes = (Aggregation("lse", 0.05), Aggregation("max"), Aggregation("lse", 0.1),
+             Aggregation("average"), Aggregation("max"))
+    kernel = prior_module._tiled_kernel
+    built = []
+
+    def counting(features, store, modes, *args, **kwargs):
+        built.append(modes)
+        return kernel(features, store, modes, *args, **kwargs)
+
+    monkeypatch.setattr(prior_module, "_tiled_kernel", counting)
+    default_budget = grid_module._TILE_BYTES
+    cases = itertools.product(((9, 8), (13, 11), (9, 13)), (True, False),
+                              ("before", "after", "both"), (1, 3))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for (out_h, out_w), one_row, order, threads in cases:
+            monkeypatch.setattr(grid_module, "_TILE_BYTES",
+                                out_w * store.num_vectors * 8 if one_row
+                                else default_budget)
+            built.clear()
+            alone = [pooled_scores(feats, store, (mode,), out_h, out_w,
+                                   normalize_order=order,
+                                   threads=threads)[0].tobytes()
+                     for mode in modes]
+            together = pooled_scores(feats, store, modes, out_h, out_w,
+                                     normalize_order=order, threads=threads)
+            assert built == [(mode,) for mode in modes] + [modes]
+            assert [u.tobytes() for u in together] == alone, (
+                out_h, out_w, one_row, order, threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -373,13 +417,12 @@ def test_pooled_scores_match_direct_resize(in_hw, out_hw):
     """Products at feature resolution equal products of resized features."""
     rng = np.random.default_rng(131)
     bank, store, feats = _scene_pieces(rng, *in_hw, 24, [3, 1, 2])
-    for kind in ("lse", "average", "max"):
-        mode = Aggregation(kind, 0.1)
-        for order in ("before", "after", "both"):
-            got = pooled_scores(feats, store, mode, *out_hw,
-                                normalize_order=order)
+    modes = [Aggregation(kind, 0.1) for kind in ("lse", "average", "max")]
+    for order in ("before", "after", "both"):
+        got = pooled_scores(feats, store, modes, *out_hw, normalize_order=order)
+        for mode, pooled in zip(modes, got, strict=True):
             want = _direct_pooled(feats, store, mode, *out_hw, order)
-            assert np.abs(got - want).max() < 1e-12, (kind, order)
+            assert np.abs(pooled - want).max() < 1e-12, (mode, order)
 
 
 def _logged_zero_norm_count(caplog, build):
