@@ -25,14 +25,14 @@ from .embeddings import load_embeddings
 from .errors import SegfuseError
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
                      _fuse_and_decode_rows, check_lambda_prior, write_pgm)
-from .grid import (DenseGrid, _read_rows, load_grid, load_label_map, save_grid,
-                   save_label_map)
+from .grid import (DenseGrid, LabelMap, _check_extents, _read_rows, _write_rows,
+                   load_grid, load_label_map, save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
                     Aggregation, _write_prior, check_normalize_order, check_tau_s,
                     check_threads)
 from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
-from .synth import generate_scene
+from .synth import _SceneDraw, generate_scene
 
 
 def _add_threads_option(sub):
@@ -115,11 +115,11 @@ def _add_scene_options(sub):
     sub.add_argument("--feature-width", type=int, dest="feature_width")
 
 
-def _scene(args):
-    """The seeded scene that `_add_scene_options` describes."""
-    return generate_scene(args.seed, args.height, args.width, args.dim,
-                          args.classes, args.synonyms, args.drift,
-                          args.overlap, args.feature_height, args.feature_width)
+def _scene_args(args):
+    """The `generate_scene` arguments that `_add_scene_options` describes."""
+    return (args.seed, args.height, args.width, args.dim, args.classes,
+            args.synonyms, args.drift, args.overlap, args.feature_height,
+            args.feature_width)
 
 
 def cmd_prior(args) -> int:
@@ -183,7 +183,7 @@ def _parse_str_list(text):
 
 
 def cmd_sweep(args) -> int:
-    scene = _scene(args)
+    scene = generate_scene(*_scene_args(args))
     sources = {"primary": scene.features}
     for item in args.alt_features or []:
         name, _, path = item.partition("=")
@@ -214,17 +214,30 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    scene = _scene(args)
+    """The scene of `generate_scene`, with its features and mask logits
+    appended to their files block by block as they are drawn.
+
+    Every argument is checked, the grid extents included, and the ground
+    truth allocated before the output directory is made; both grid files
+    are opened, their free space checked, before any row is drawn.  A draw
+    that fails removes them.
+    """
+    scene = _SceneDraw(*_scene_args(args))
     out = args.out_dir
+    features = os.path.join(out, "features.cft1")
+    logits = os.path.join(out, "mask_logits.cft1")
+    _check_extents(features, scene.feature_shape)
+    _check_extents(logits, scene.logit_shape)
     os.makedirs(out, exist_ok=True)
     save_prompt_file(scene.bank, os.path.join(out, "prompts.txt"))
     save_grid(DenseGrid(scene.embeddings.vectors),
               os.path.join(out, "embeddings.cft1"))
-    save_grid(scene.features, os.path.join(out, "features.cft1"))
-    save_grid(scene.evidence.mask_evidence, os.path.join(out, "mask_logits.cft1"))
-    save_grid(DenseGrid(scene.evidence.presence.reshape(-1, 1)),
+    with _write_rows(features, DenseGrid, scene.feature_shape) as write_features, \
+            _write_rows(logits, DenseGrid, scene.logit_shape) as write_logits:
+        presence = scene.draw(write_features, write_logits)
+    save_grid(DenseGrid(presence.reshape(-1, 1)),
               os.path.join(out, "presence.cft1"))
-    save_label_map(scene.gt, os.path.join(out, "gt.cft1"))
+    save_label_map(LabelMap(scene.gt), os.path.join(out, "gt.cft1"))
     return 0
 
 

@@ -211,6 +211,13 @@ def _read_rows(path, record):
         yield _RowReader(f, path, record)
 
 
+def _check_extents(path, extents):
+    """Refuse extents that a CFT1 header cannot hold."""
+    if max(extents) > _MAX_EXTENT:
+        raise SegfuseError(
+            "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
+
+
 @contextlib.contextmanager
 def _write_rows(path, record, extents):
     """Yield `write(rows)`, which appends blocks of whole rows after the header.
@@ -221,9 +228,7 @@ def _write_rows(path, record, extents):
     output is removed when it is a regular file, so a failed write leaves no
     partial file behind.
     """
-    if max(extents) > _MAX_EXTENT:
-        raise SegfuseError(
-            "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
+    _check_extents(path, extents)
     header = MAGIC + struct.pack("<BB", record.code, len(extents))
     header += struct.pack("<" + "I" * len(extents), *extents)
     size = len(header) + math.prod(extents) * record.dtype.itemsize

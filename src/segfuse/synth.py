@@ -8,17 +8,21 @@ logits carry a fixed signed margin plus noise; presence logits follow class
 occupancy.  The `overlap` knob scales all evidence corruption (feature noise
 and mask-logit noise), so overlap=0 produces perfectly separable evidence.
 
-Scenes are built in bounded memory.  The outputs (uint32 ground truth,
-float32 features and mask logits) are allocated whole, after the small
-prompt embeddings and before any grid-sized work, so a scene too large for
-memory raises `MemoryError` at its first large allocation, which the CLI
-reports as `out_of_memory` with exit 1; one whose arrays numpy cannot
-address at all fails with `bad_scene_size` before anything is drawn.
-Ground truth, features and mask logits are then computed in float64 over
-the row tiles of `_row_tiles`, from the float64 bytes a tile holds per row,
-and rounded into the outputs, so no full-size float64 array exists.  Every
-step is per pixel and the noise is drawn tile by tile in row order,
-features first, so the bytes do not depend on the tile height.
+Scenes are drawn in bounded memory, along one path, `_SceneDraw`.  It
+checks every argument first: a scene whose arrays numpy cannot address at
+all fails with `bad_scene_size` before anything is drawn.  It then draws
+the small prompt embeddings and allocates the uint32 ground truth, the
+first grid-sized allocation, so a scene too large for memory raises
+`MemoryError` there, which the CLI reports as `out_of_memory` with exit 1,
+before a caller has opened any output.  `draw` computes the ground truth,
+the features and then the mask logits in float64 over the row blocks of
+`_row_tiles`, sized by the float64 bytes a block holds per row, and hands
+each feature block and each mask-logit block to one writer per grid, in
+row order.  `generate_scene` fills whole float32 arrays from those
+writers; `segfuse gen` appends the blocks to its output files, so it never
+holds the features or the `H x W x C` mask logits.  Every step is per pixel
+and the noise is drawn block by block in row order, features first, so the
+bytes do not depend on the block height or on where the blocks go.
 """
 from __future__ import annotations
 
@@ -90,6 +94,95 @@ def _prompt_embeddings(rng, dim: int, num_classes: int,
     return store_from_array(np.stack(rows), bank), bank
 
 
+def _logit_rows(rng, gt_rows, num_classes: int, overlap: float) -> np.ndarray:
+    """Float64 mask logits of the pixels whose ground truth is gt_rows."""
+    block = np.where(gt_rows[:, :, None] == np.arange(num_classes), 1.0, -1.0)
+    block *= MASK_MARGIN
+    if overlap > 0:
+        block += overlap * MASK_NOISE_SCALE * rng.standard_normal(block.shape)
+    return block
+
+
+class _SceneDraw:
+    """One seeded scene, checked and ready to draw its grids.
+
+    Construction checks every argument, draws the prompt embeddings and
+    allocates the ground truth `gt`; `feature_shape` and `logit_shape` are
+    the extents of the two float32 grids that `draw` writes.
+    """
+
+    def __init__(self, seed: int, height: int, width: int, dim: int,
+                 num_classes: int, synonyms_per_class: int, drift: float,
+                 overlap: float, feature_height: int | None,
+                 feature_width: int | None):
+        fh = feature_height if feature_height is not None else height
+        fw = feature_width if feature_width is not None else width
+        if min(height, width, fh, fw, dim, num_classes, synonyms_per_class) < 1:
+            raise SegfuseError("bad_scene_size", "scene dimensions must be >= 1")
+        # A prompt file holds at most MAX_SYNONYMS variants per class.
+        if synonyms_per_class > MAX_SYNONYMS:
+            raise SegfuseError("bad_scene_size", f"synonyms per class must be <= "
+                               f"{MAX_SYNONYMS}, got {synonyms_per_class}")
+        # numpy refuses an array whose byte size overflows its index type with a
+        # bare ValueError, before allocating anything.
+        if 8 * max(num_classes * dim, height * width * num_classes,
+                   fh * fw * dim) > np.iinfo(np.intp).max:
+            raise SegfuseError("bad_scene_size", "scene too large to address")
+        if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
+            raise SegfuseError("bad_scene_noise",
+                               f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
+        if seed < 0:
+            raise SegfuseError("bad_scene_seed", f"seed must be >= 0, got {seed}")
+        self._rng = np.random.default_rng(seed)
+        self._overlap = overlap
+        self.embeddings, self.bank = _prompt_embeddings(
+            self._rng, dim, num_classes, synonyms_per_class, drift)
+        self.gt = np.empty((height, width), dtype=np.uint32)
+        self.feature_shape = (fh, fw, dim)
+        self.logit_shape = (height, width, num_classes)
+
+    def draw(self, write_features, write_logits) -> np.ndarray:
+        """Fill `gt`, pass every feature block and then every mask-logit block
+        to its writer in row order, and return the float32 presence logits."""
+        rng, gt, overlap = self._rng, self.gt, self._overlap
+        height, width, num_classes = self.logit_shape
+        fh, fw, dim = self.feature_shape
+        cy = rng.uniform(0.0, height, num_classes)
+        cx = rng.uniform(0.0, width, num_classes)
+        dy2 = (np.arange(height, dtype=np.float64)[:, None] - cy) ** 2
+        dx2 = (np.arange(width, dtype=np.float64)[:, None] - cx) ** 2
+        for rows in _row_tiles(height, width * num_classes * _GT_BLOCK_BYTES):
+            gt[rows] = np.argmin(dy2[rows, None, :] + dx2, axis=2)
+
+        # Features start from the store's float32 rows so overlap=0 reproduces
+        # the stored canonical embeddings bit for bit.
+        canon64 = canonical_vectors(self.embeddings).astype(np.float64)
+        sy, sx = _nearest_source(height, fh), _nearest_source(width, fw)
+        for rows in _row_tiles(fh, fw * dim * _NOISY_BLOCK_BYTES):
+            block = canon64[gt[np.ix_(sy[rows], sx)]]
+            if overlap > 0:
+                block += overlap * rng.standard_normal(block.shape) / np.sqrt(dim)
+                block, _ = normalize_pixels_array(block)
+            write_features(block)
+        for rows in _row_tiles(height, width * num_classes * _NOISY_BLOCK_BYTES):
+            write_logits(_logit_rows(rng, gt[rows], num_classes, overlap))
+
+        occupancy = np.bincount(gt.ravel(), minlength=num_classes).astype(np.float64)
+        total = float(height * width)
+        return np.log((occupancy + 1.0) / (total - occupancy + 1.0)).astype(np.float32)
+
+
+def _filler(arr: np.ndarray):
+    """A writer that fills arr with blocks of whole rows, in order."""
+    filled = 0
+
+    def write(rows):
+        nonlocal filled
+        arr[filled:filled + len(rows)] = rows
+        filled += len(rows)
+    return write
+
+
 def generate_scene(seed: int, height: int, width: int, dim: int,
                    num_classes: int, synonyms_per_class: int,
                    drift: float, overlap: float,
@@ -104,66 +197,18 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     signed margins).  Synonym counts vary per class in 1..synonyms_per_class.
     The optional feature grid size decouples the feature resolution from the
     evidence resolution so the resize path gets exercised.
+
+    The ground truth, features and mask logits are allocated whole, before
+    any grid-sized work, and filled by `_SceneDraw.draw`, the path that
+    `segfuse gen` streams to disk, so the two give the same bytes.
     """
-    fh = feature_height if feature_height is not None else height
-    fw = feature_width if feature_width is not None else width
-    if min(height, width, fh, fw, dim, num_classes, synonyms_per_class) < 1:
-        raise SegfuseError("bad_scene_size", "scene dimensions must be >= 1")
-    # A prompt file holds at most MAX_SYNONYMS variants per class.
-    if synonyms_per_class > MAX_SYNONYMS:
-        raise SegfuseError("bad_scene_size", f"synonyms per class must be <= "
-                           f"{MAX_SYNONYMS}, got {synonyms_per_class}")
-    # numpy refuses an array whose byte size overflows its index type with a
-    # bare ValueError, before allocating anything.
-    if 8 * max(num_classes * dim, height * width * num_classes,
-               fh * fw * dim) > np.iinfo(np.intp).max:
-        raise SegfuseError("bad_scene_size", "scene too large to address")
-    if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
-        raise SegfuseError("bad_scene_noise",
-                           f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
-    if seed < 0:
-        raise SegfuseError("bad_scene_seed", f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    store, bank = _prompt_embeddings(rng, dim, num_classes, synonyms_per_class,
-                                     drift)
-
-    # The outputs come before any grid-sized work, so a scene too large for
-    # memory fails here.
-    gt = np.empty((height, width), dtype=np.uint32)
-    feats = np.empty((fh, fw, dim), dtype=np.float32)
-    logits = np.empty((height, width, num_classes), dtype=np.float32)
-    cy = rng.uniform(0.0, height, num_classes)
-    cx = rng.uniform(0.0, width, num_classes)
-    dy2 = (np.arange(height, dtype=np.float64)[:, None] - cy) ** 2
-    dx2 = (np.arange(width, dtype=np.float64)[:, None] - cx) ** 2
-    for rows in _row_tiles(height, width * num_classes * _GT_BLOCK_BYTES):
-        gt[rows] = np.argmin(dy2[rows, None, :] + dx2, axis=2)
-
-    # Features start from the store's float32 rows so overlap=0 reproduces the
-    # stored canonical embeddings bit for bit.
-    canon64 = canonical_vectors(store).astype(np.float64)
-    sy, sx = _nearest_source(height, fh), _nearest_source(width, fw)
-    for rows in _row_tiles(fh, fw * dim * _NOISY_BLOCK_BYTES):
-        block = canon64[gt[np.ix_(sy[rows], sx)]]
-        if overlap > 0:
-            block += overlap * rng.standard_normal(block.shape) / np.sqrt(dim)
-            block, _ = normalize_pixels_array(block)
-        feats[rows] = block
-
-    labels = np.arange(num_classes)
-    for rows in _row_tiles(height, width * num_classes * _NOISY_BLOCK_BYTES):
-        block = np.where(gt[rows, :, None] == labels, 1.0, -1.0)
-        block *= MASK_MARGIN
-        if overlap > 0:
-            block += overlap * MASK_NOISE_SCALE * rng.standard_normal(block.shape)
-        logits[rows] = block
-
-    occupancy = np.bincount(gt.ravel(), minlength=num_classes).astype(np.float64)
-    total = float(height * width)
-    presence = np.log((occupancy + 1.0) / (total - occupancy + 1.0)).astype(np.float32)
-
+    scene = _SceneDraw(seed, height, width, dim, num_classes, synonyms_per_class,
+                       drift, overlap, feature_height, feature_width)
+    feats = np.empty(scene.feature_shape, dtype=np.float32)
+    logits = np.empty(scene.logit_shape, dtype=np.float32)
+    presence = scene.draw(_filler(feats), _filler(logits))
     return SyntheticScene(
         height=height, width=width, num_classes=num_classes,
-        features=DenseGrid(feats), gt=LabelMap(gt),
+        features=DenseGrid(feats), gt=LabelMap(scene.gt),
         evidence=EvidenceBundle(DenseGrid(logits), "logits", presence),
-        embeddings=store, bank=bank)
+        embeddings=scene.embeddings, bank=scene.bank)

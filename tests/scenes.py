@@ -1,6 +1,8 @@
 """Shared scene fixtures, probes into the prior and fusion kernels, a
-traced-memory probe and a read-only loader of the benchmark's modules."""
+traced-memory probe, a free-space stub and a read-only loader of the
+benchmark's modules."""
 import math
+import os
 import pathlib
 import tracemalloc
 import types
@@ -38,6 +40,18 @@ def traced_peak(run):
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def report_free_space(monkeypatch, free_bytes):
+    """Make `os.fstatvfs` report `free_bytes` available to every writer."""
+    real = os.fstatvfs
+
+    def fstatvfs(fd):
+        vfs = real(fd)
+        return os.statvfs_result(
+            vfs[:4] + (free_bytes // vfs.f_frsize,) + vfs[5:])
+
+    monkeypatch.setattr(os, "fstatvfs", fstatvfs)
 
 
 def bench_module(name):

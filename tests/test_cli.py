@@ -835,6 +835,11 @@ BAD_INVOCATIONS = {
     "gen_overflowing_overlap": ("gen --overlap 1e200 --out-dir {o}/out",
                                 "bad_scene_noise"),
     "gen_negative_seed": ("gen --seed -1 --out-dir {o}/out", "bad_scene_seed"),
+    # 2**32 one-pixel feature rows: a CFT1 header cannot hold the extent
+    "gen_feature_extent_above_u32": ("gen --feature-height 4294967296 "
+                                     "--feature-width 1 --height 1 --width 1 "
+                                     "--dim 1 --classes 1 --synonyms 1 "
+                                     "--out-dir {o}/out", "bad_extent"),
     "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
     "alt_features_without_name": (_SWEEP + " --alt-features nopath",
                                   "bad_alt_features"),

@@ -20,6 +20,7 @@ from segfuse.grid import (_TILE_BYTES, _all_finite, _read_rows, _row_tiles,
                           _write_rows, bilinear_taps, interpolate_axis)
 
 import oracle
+from scenes import report_free_space
 
 
 def test_load_zero_grid(tmp_path):
@@ -588,22 +589,10 @@ def test_row_writer_leaves_a_symlinked_output_on_failure(tmp_path):
     assert link.is_symlink()
 
 
-def _free_space(monkeypatch, free_bytes):
-    """Make `os.fstatvfs` report `free_bytes` available to the writer."""
-    real = os.fstatvfs
-
-    def fstatvfs(fd):
-        vfs = real(fd)
-        return os.statvfs_result(
-            vfs[:4] + (free_bytes // vfs.f_frsize,) + vfs[5:])
-
-    monkeypatch.setattr(os, "fstatvfs", fstatvfs)
-
-
 def test_row_writer_refuses_an_output_that_cannot_fit(tmp_path, monkeypatch):
     path = tmp_path / "big.cft1"
     path.write_bytes(b"old")
-    _free_space(monkeypatch, 1 << 20)
+    report_free_space(monkeypatch, 1 << 20)
     with pytest.raises(SegfuseError) as err:
         with _write_rows(path, DenseGrid, (1024, 257)):
             pytest.fail("no row may be written")

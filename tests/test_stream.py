@@ -1,4 +1,4 @@
-"""`prior` and `fuse` stream CFT1 row tiles: failures, FIFOs and memory."""
+"""`gen`, `prior` and `fuse` stream CFT1 row tiles: failures, FIFOs and memory."""
 import itertools
 import os
 import stat
@@ -7,12 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from segfuse import DenseGrid, load_grid, save_grid
+from segfuse import DenseGrid, load_grid, load_label_map, save_grid
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
+from segfuse import synth as synth_module
 from segfuse.cli import main
 
-from scenes import traced_peak
+from scenes import report_free_space, traced_peak
 
 
 def _gen(tmp_path, classes=4, size=12, dim=8, synonyms=3):
@@ -115,16 +116,11 @@ def test_prior_refuses_an_output_that_cannot_fit(tmp_path, capsys,
     # 20000 x 20000 x C150 float32 is 224 GiB: refused before any work,
     # whatever the disk, because the file system reports 1 GiB free
     scene_dir = _gen(tmp_path, classes=150, size=4, synonyms=1)
-    real = os.fstatvfs
-
-    def fstatvfs(fd):
-        vfs = real(fd)
-        return os.statvfs_result(vfs[:4] + (2**30 // vfs.f_frsize,) + vfs[5:])
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("the kernel ran")
 
-    monkeypatch.setattr(os, "fstatvfs", fstatvfs)
+    report_free_space(monkeypatch, 2**30)
     monkeypatch.setattr(prior_module, "_tiled_kernel", no_kernel)
     out = tmp_path / "huge.cft1"
     capsys.readouterr()
@@ -135,6 +131,50 @@ def test_prior_refuses_an_output_that_cannot_fit(tmp_path, capsys,
     assert err[0].startswith("segfuse: error: insufficient_space: ")
     assert f"needs {18 + 20000 * 20000 * 150 * 4} bytes" in err[0]
     assert not out.exists()
+
+
+def test_gen_draw_failure_leaves_no_partial_grid(tmp_path, capsys, monkeypatch,
+                                                 one_row_tiles):
+    # the mask-logit draw fails on its second block, after both grid files
+    # are open and every feature row is written
+    calls = itertools.count()
+    real = synth_module._logit_rows
+
+    def logit_rows(*args):
+        if next(calls) >= 1:
+            raise MemoryError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(synth_module, "_logit_rows", logit_rows)
+    out = tmp_path / "scene"
+    assert main(["gen", "--out-dir", str(out)]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith("segfuse: error: out_of_memory: ")
+    assert next(calls) == 2
+    for path in out.glob("*.cft1"):
+        (load_label_map if path.name == "gt.cft1" else load_grid)(path)
+
+
+def test_gen_checks_free_space_before_any_row_is_drawn(tmp_path, capsys,
+                                                      monkeypatch):
+    # 8 KiB free: the embeddings and the 12x12x8 features fit, the
+    # 12x12xC150 mask logits do not
+    def no_draw(*args):
+        raise AssertionError("a row was drawn")
+
+    report_free_space(monkeypatch, 8192)
+    monkeypatch.setattr(synth_module._SceneDraw, "draw", no_draw)
+    out = tmp_path / "scene"
+    assert main(["gen", "--height", "12", "--width", "12", "--dim", "8",
+                 "--classes", "150", "--synonyms", "1",
+                 "--out-dir", str(out)]) == 1
+    err = _error_lines(capsys)
+    assert len(err) == 1
+    assert err[0].startswith("segfuse: error: insufficient_space: ")
+    assert f"needs {18 + 12 * 12 * 150 * 4} bytes" in err[0]
+    assert not (out / "features.cft1").exists()
+    assert not (out / "mask_logits.cft1").exists()
 
 
 def _fuse_inputs(tmp_path, height=12, width=12, classes=4, seed=41):

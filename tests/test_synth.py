@@ -8,6 +8,7 @@ import pytest
 from segfuse import SegfuseError, generate_scene
 from segfuse import grid as grid_module
 from segfuse import synth as synth_module
+from segfuse.cli import main
 
 from scenes import traced_peak
 
@@ -233,16 +234,53 @@ def test_scene_bytes_match_recorded_digests(name):
     assert _digests(_scene(args)) == digests
 
 
-@pytest.mark.parametrize("budget", ["one_row", "default", "one_block"])
+def _gen_argv(args, out):
+    """The `segfuse gen` command line of the scene that args describe."""
+    seed, height, width, dim, classes, synonyms, drift, overlap, fh, fw = args
+    argv = ["gen", "--seed", str(seed), "--height", str(height),
+            "--width", str(width), "--dim", str(dim), "--classes", str(classes),
+            "--synonyms", str(synonyms), "--drift", str(drift),
+            "--overlap", str(overlap), "--out-dir", str(out)]
+    if fh is not None:
+        argv += ["--feature-height", str(fh), "--feature-width", str(fw)]
+    return argv
+
+
+_NAMES = ("features", "gt", "mask_logits", "presence", "embeddings")
+
+
+def _payload_digests(out):
+    """sha256 of the payload of every CFT1 file that `gen` wrote to out."""
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["prompts.txt"] + [f"{name}.cft1" for name in _NAMES])
+    digests = {}
+    for name in _NAMES:
+        data = (out / f"{name}.cft1").read_bytes()
+        digests[name] = hashlib.sha256(data[6 + 4 * data[5]:]).hexdigest()
+    return digests
+
+
+# The library fills whole arrays and `gen` streams the same blocks to its
+# files; both must give the recorded bytes under every block height.
+@pytest.mark.parametrize("budget, source", [
+    ("one_row", "library"), ("default", "library"), ("one_block", "library"),
+    ("one_row", "gen"), ("default", "gen"), ("one_block", "gen"),
+], ids=["one_row", "default", "one_block",
+        "gen_one_row", "gen_default", "gen_one_block"])
 @pytest.mark.parametrize("name", ["refuse_s1", "odd", "odd_feature_down",
                                   "odd_feature_up", "overlap0"])
-def test_scene_bytes_ignore_block_height(name, budget, monkeypatch):
+def test_scene_bytes_ignore_block_height(name, budget, source, monkeypatch,
+                                         tmp_path):
     args, digests = SCENE_DIGESTS[name]
     if budget == "one_row":
         monkeypatch.setattr(grid_module, "_TILE_BYTES", 1)
     elif budget == "one_block":
         monkeypatch.setattr(grid_module, "_TILE_BYTES", 1 << 62)
-    assert _digests(_scene(args)) == digests
+    if source == "gen":
+        assert main(_gen_argv(args, tmp_path)) == 0
+        assert _payload_digests(tmp_path) == digests
+    else:
+        assert _digests(_scene(args)) == digests
 
 
 def test_refuse_shape_default_blocks_are_partial():
@@ -265,3 +303,14 @@ def test_generate_scene_holds_no_full_float64_stack():
         scene.evidence.presence, scene.embeddings.vectors))
     # one float64 (H, W, C) array is 75 MiB at this shape
     assert peak < outputs + 8 * 2**20
+
+
+def test_gen_holds_no_mask_logit_grid(tmp_path):
+    args, digests = SCENE_DIGESTS["chain_s1"]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(_gen_argv(args, tmp_path))))
+    assert codes == [0]
+    assert _payload_digests(tmp_path) == digests
+    # the float32 mask logits are 37.5 MiB and the features 8 MiB at this shape
+    height, width, classes = args[1], args[2], args[4]
+    assert peak < height * width * classes * 4 / 2
