@@ -70,8 +70,8 @@ def bench_module(name):
 def pool_synonyms(u, mode):
     """The prior kernel's pooling of the last axis of `u` as one class."""
     u = np.asarray(u, dtype=np.float64)
-    segments = prior_module._segments_by_length(((0, u.shape[-1]),))
-    return prior_module._pool_segments(u, segments, 1, mode)[..., 0]
+    return prior_module._pool_tile(np.moveaxis(u, -1, 0), [(1, u.shape[-1])],
+                                   np.zeros(1, np.intp), mode, False)[..., 0]
 
 
 def scene_params(seed):

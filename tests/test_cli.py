@@ -243,15 +243,17 @@ def test_fuse_pgm_overflow_leaves_no_output(tmp_path, capsys):
 
 def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
     scene_dir = _gen(tmp_path)
-    # one-row tiles: 12 of them
+    # one-row blocks and tiles: 12 product blocks, then 12 tiles
     monkeypatch.setattr(grid_module, "_TILE_BYTES", 1)
-    pools = []
+    pools, submitted = [], []
 
     class RecordingExecutor:
-        """Records `max_workers` and runs each tile in the calling thread."""
+        """Records `max_workers` and the items submitted, and runs each item
+        in the calling thread."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
+            submitted.append(0)
 
         def __enter__(self):
             return self
@@ -260,6 +262,7 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            submitted[-1] += 1
             future = Future()
             future.set_result(fn(*args))
             return future
@@ -273,8 +276,10 @@ def test_prior_starts_no_more_workers_than_tiles(tmp_path, monkeypatch):
                      "--prompts", str(scene_dir / "prompts.txt"),
                      "--out", str(out), "--threads", threads]) == 0
         outputs.append(out.read_bytes())
-    # one worker runs on a pool too, of one thread
+    # one worker runs on a pool too, of one thread, and each call runs its
+    # product blocks and its tiles on one pool
     assert pools == [12, 1]
+    assert submitted == [24, 24]
     assert outputs[0] == outputs[1]
 
 

@@ -1,5 +1,8 @@
 """Similarity, synonym aggregation and log-prior behavior."""
+import ctypes
+import glob
 import itertools
+import json
 import logging
 import math
 import os
@@ -7,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,6 +146,70 @@ def test_lse_strictly_monotone_in_each_score():
         bumped = u.copy()
         bumped[j] += 0.05
         assert pool_synonyms(bumped[None, :], Aggregation("lse", 0.1))[0] > base
+
+
+def _pool_class_by_class(sims, offsets, mode):
+    """Each class's own (..., m) synonym scores reduced along their last axis."""
+    pooled = []
+    for start, count in offsets:
+        u = sims[..., start:start + count].copy()
+        if mode.kind == "max":
+            pooled.append(u.max(axis=-1))
+        elif mode.kind == "average":
+            pooled.append(u.mean(axis=-1))
+        else:
+            u /= mode.tau_s
+            peak = u.max(axis=-1, keepdims=True)
+            u -= peak
+            np.exp(u, out=u)
+            pooled.append(peak[..., 0] + np.log(u.sum(axis=-1)))
+    return np.stack(pooled, axis=-1)
+
+
+_POOL_MODES = (Aggregation("lse", 0.1), Aggregation("lse", 0.05),
+               Aggregation("average"), Aggregation("max"))
+
+
+def test_synonym_major_pooling_matches_class_by_class_bits():
+    # Counts of 8 and more take numpy's pairwise order, and above 128 its
+    # halving.  A prompt file caps a class at 10 synonyms, but a library
+    # caller can build a store with more.
+    counts = [1, 2, 3, 5, 2, 1, 5, 3, 8, 9, 17, 130]
+    offsets = tuple(zip(itertools.accumulate([0] + counts[:-1]), counts))
+    rng = np.random.default_rng(211)
+    sims = rng.uniform(-1.0, 1.0, (3, 7, sum(counts)))
+    sims[0, 0] = 0.0  # a zero-norm pixel: similarity 0 to every synonym
+    sims[2, 0] = -0.0  # whose mean is +0.0, as the reduction's is
+    for start, count in offsets[:4]:  # tied synonyms
+        sims[1, :, start:start + count] = sims[1, :, start:start + 1]
+    groups, columns, positions = prior_module._synonym_major(offsets)
+    planar = np.ascontiguousarray(np.moveaxis(sims[..., columns], -1, 0))
+    before = planar.copy()
+    for mode in _POOL_MODES:
+        want = _pool_class_by_class(sims, offsets, mode)
+        got = prior_module._pool_tile(planar, groups, positions, mode, False)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), mode
+        assert planar.tobytes() == before.tobytes(), mode
+        scratch = planar.copy()
+        got = prior_module._pool_tile(scratch, groups, positions, mode, True)
+        assert got.tobytes() == want.tobytes(), mode
+
+
+def test_multi_mode_pooled_scores_equal_single_mode_calls():
+    # On an identity grid a tile's similarities are a view of the kernel's
+    # feature-resolution array, so a mode that wrote to them would change the
+    # next mode's input.
+    rng = np.random.default_rng(223)
+    _, store, feats = _scene_pieces(rng, 9, 7, 6, [1, 2, 3, 5, 2])
+    data = feats.data.copy()
+    data[2, 3] = 0.0
+    feats = DenseGrid(data)
+    for out_h, out_w in ((9, 7), (13, 11)):
+        together = pooled_scores(feats, store, _POOL_MODES, out_h, out_w)
+        for mode, got in zip(_POOL_MODES, together):
+            alone, = pooled_scores(feats, store, (mode,), out_h, out_w)
+            assert got.tobytes() == alone.tobytes(), (mode, out_h)
 
 
 def test_aggregate_class_grids():
@@ -479,9 +547,9 @@ def test_stacked_matmul_is_one_product_per_row():
 
     A (rows, W, D) @ (D, N) product must give every row the bytes of that
     row's own (W, D) @ (D, N) product, at any BLAS thread count.  The prior
-    kernel stacks every source row into one such product (64 x 64 x 512 @
-    512 x 312 on the large bench scene), so its bytes are those of one
-    product per row, however the rows are grouped.
+    kernel makes one such product per block of source rows (64 x 512 @
+    512 x 312 per row on the large bench scene), so its bytes are those of
+    one product per row, however the rows are grouped into blocks.
     """
     cpus = len(os.sched_getaffinity(0))
     for threads in sorted({1, min(2, cpus)}):
@@ -518,6 +586,121 @@ def test_build_prior_bytes_ignore_blas_threads():
         assert done.returncode == 0, (threads, done.stderr)
         digests.add(done.stdout.strip())
     assert len(digests) == 1
+
+
+def _openblas_threads():
+    """numpy's bundled OpenBLAS thread-count (get, set) pair, or a skip."""
+    found = glob.glob(prior_module._OPENBLAS)
+    if not found:
+        pytest.skip("numpy bundles no scipy-openblas here")
+    blas = ctypes.CDLL(found[0])
+    get_threads = blas.scipy_openblas_get_num_threads64_
+    set_threads = blas.scipy_openblas_set_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+def _blas_threads_in_sink(monkeypatch, get_threads):
+    """The bytes of a 3-row-tile log prior on 2 workers, and the BLAS thread
+    counts its sink saw."""
+    monkeypatch.setattr(grid_module, "_TILE_BYTES", 3 * 24 * 4 * 8)
+    rng = np.random.default_rng(227)
+    _, store, feats = _scene_pieces(rng, 8, 8, 16, [1, 3])
+    seen, rows_out = [], []
+
+    def sink(rows, values):
+        seen.append(get_threads())
+        rows_out.append(values[0])
+
+    prior_module._tiled_kernel(feats, store, (Aggregation("lse"),), 24, 24,
+                               "both", 2, np.float32,
+                               log_prior_array, sink)
+    return np.concatenate(rows_out).tobytes(), seen
+
+
+def test_kernel_restores_the_callers_blas_threads():
+    get_threads, set_threads = _openblas_threads()
+    caller = get_threads()
+    try:
+        set_threads(2)
+        want = get_threads()
+        rng = np.random.default_rng(229)
+        bank, store, feats = _scene_pieces(rng, 6, 6, 8, [2, 1])
+        build_prior(feats, store, bank, Aggregation("lse"), 12, 12, threads=2)
+        assert get_threads() == want
+
+        def failing_sink(rows, values):
+            assert get_threads() == 1
+            raise OSError("sink full")
+
+        with pytest.raises(OSError, match="sink full"):
+            prior_module._tiled_kernel(feats, store, (Aggregation("max"),),
+                                       12, 12, "both", 2, np.float32,
+                                       log_prior_array, failing_sink)
+        assert get_threads() == want
+    finally:
+        set_threads(caller)
+
+
+def test_kernel_without_blas_thread_control_keeps_its_bytes(monkeypatch, tmp_path):
+    get_threads, set_threads = _openblas_threads()
+    caller = get_threads()
+    try:
+        set_threads(2)
+        want = get_threads()
+        held, seen = _blas_threads_in_sink(monkeypatch, get_threads)
+        assert set(seen) == {1}
+        monkeypatch.setattr(prior_module, "_OPENBLAS",
+                            str(tmp_path / "libscipy_openblas64_*.so"))
+        free, seen = _blas_threads_in_sink(monkeypatch, get_threads)
+        assert set(seen) == {want}  # the helper left the count alone
+        assert free == held
+    finally:
+        set_threads(caller)
+
+
+_KERNEL_BLAS_SCRIPT = """
+import ctypes, glob, json, threading
+from segfuse import Aggregation, build_prior, generate_scene
+from segfuse import prior
+blas = ctypes.CDLL(glob.glob(prior._OPENBLAS)[0])
+get_threads = blas.scipy_openblas_get_num_threads64_
+seen, lock = {}, threading.Lock()
+real = prior._map_in_order
+
+def recording(fn, items, pool, workers, consume):
+    def counted(item):
+        with lock:
+            seen.setdefault(fn.__name__, set()).add(get_threads())
+        return fn(item)
+    real(counted, items, pool, workers, consume)
+
+prior._map_in_order = recording
+scene = generate_scene(3, 24, 24, 32, 5, 3, 0.2, 0.4, 8, 8)
+before = get_threads()
+build_prior(scene.features, scene.embeddings, scene.bank, Aggregation("lse"),
+            24, 24, threads=2)
+print(json.dumps({"before": before, "after": get_threads(),
+                  "seen": {k: sorted(v) for k, v in seen.items()}}))
+"""
+
+
+def test_kernel_product_runs_at_one_blas_thread():
+    """Under `OPENBLAS_NUM_THREADS=2` the product blocks and the tiles run at
+    one BLAS thread, and the count is 2 again after the call."""
+    _openblas_threads()
+    cpus = len(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(prior_module.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _KERNEL_BLAS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    record = json.loads(done.stdout)
+    assert record["before"] == record["after"] == min(2, cpus)
+    assert record["seen"] == {"product": [1], "tile": [1]}
 
 
 def test_build_prior_holds_no_full_resolution_similarities():
@@ -600,7 +783,8 @@ def _in_flight_peak(workers: int) -> int:
             most_ahead.append(len(started) - len(consumed))
         consumed.append((item, result))
 
-    prior_module._map_in_order(fn, range(40), workers, consume)
+    with ThreadPoolExecutor(workers) as pool:
+        prior_module._map_in_order(fn, range(40), pool, workers, consume)
     assert consumed == [(i, i * i) for i in range(40)]
     return max(most_ahead)
 
@@ -624,8 +808,9 @@ def _stops_and_joins_on_failure(workers: int) -> None:
         return item
 
     consumed = []
-    with pytest.raises(MemoryError, match="tile 3"):
-        prior_module._map_in_order(fn, range(100), workers,
+    with pytest.raises(MemoryError, match="tile 3"), \
+            ThreadPoolExecutor(workers) as pool:
+        prior_module._map_in_order(fn, range(100), pool, workers,
                                    lambda item, result: consumed.append(item))
     assert consumed == [0, 1, 2]
     # the tiles not yet started were cancelled, and the pool was joined
@@ -635,9 +820,10 @@ def _stops_and_joins_on_failure(workers: int) -> None:
     def failing_sink(item, result):
         raise OSError("sink full")
 
-    with pytest.raises(OSError, match="sink full"):
-        prior_module._map_in_order(lambda item: item, range(100), workers,
-                                   failing_sink)
+    with pytest.raises(OSError, match="sink full"), \
+            ThreadPoolExecutor(workers) as pool:
+        prior_module._map_in_order(lambda item: item, range(100), pool,
+                                   workers, failing_sink)
     assert threading.active_count() == before
 
 
