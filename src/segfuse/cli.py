@@ -25,8 +25,8 @@ from .embeddings import load_embeddings
 from .errors import SegfuseError
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
                      _fuse_and_decode_rows, check_lambda_prior, write_pgm)
-from .grid import (DenseGrid, LabelMap, _check_extents, _read_rows, _write_rows,
-                   load_grid, load_label_map, save_grid, save_label_map)
+from .grid import (DenseGrid, LabelMap, _read_rows, _write_rows, load_grid,
+                   load_label_map, save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
                     Aggregation, _write_prior, check_normalize_order, check_tau_s,
@@ -226,8 +226,6 @@ def cmd_gen(args) -> int:
     out = args.out_dir
     features = os.path.join(out, "features.cft1")
     logits = os.path.join(out, "mask_logits.cft1")
-    _check_extents(features, scene.feature_shape)
-    _check_extents(logits, scene.logit_shape)
     os.makedirs(out, exist_ok=True)
     save_prompt_file(scene.bank, os.path.join(out, "prompts.txt"))
     save_grid(DenseGrid(scene.embeddings.vectors),

@@ -22,14 +22,16 @@ that each run one BLAS call per source row, as one whole product would.
 Their columns are then put in synonym-major order and the synonym axis
 first: the classes with m synonyms form m slabs, slab j holding synonym j
 of each, so pooling is elementwise over whole contiguous slabs, and one
-gather per tile puts the classes back in order.  Tiles of output rows only
-blend, divide and pool, so no resized array exists at full resolution;
-`pooled_scores` runs the same tiles as `build_prior`, pools each tile once
-for every mode it is given, and stops before the log-softmax, so several
-modes share one similarity build.  The product blocks and then the tiles
-run on one pool of up to `threads` threads, with numpy's OpenBLAS held at
-one thread for the whole call, so no BLAS thread competes with the pool.
-The finished tiles go to one sink in row order:
+gather per tile puts the classes back in order.  The slabs of classes with
+fewer than 8 synonyms are added in turn; those of 8 or more are summed by
+numpy on a contiguous copy with the synonym axis last.  Tiles of output
+rows only blend, divide and pool, so no resized array exists at full
+resolution; `pooled_scores` runs the same tiles as `build_prior`, pools
+each tile once for every mode it is given, and stops before the
+log-softmax, so several modes share one similarity build.  The product
+blocks and then the tiles run on one pool of up to `threads` threads, with
+numpy's OpenBLAS held at one thread for the whole call, so no BLAS thread
+competes with the pool.  The finished tiles go to one sink in row order:
 `build_prior` and `pooled_scores` fill arrays, and the `prior` command
 writes each tile to its output file, so it never holds the log prior.  At
 most `2 * threads` finished tiles wait for the sink.  `_row_tiles` cuts the
@@ -148,29 +150,15 @@ def _synonym_major(offsets) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarr
             np.array(columns, dtype=np.intp), np.argsort(order))
 
 
-def _sum_in_reduce_order(terms, n: int) -> np.ndarray:
-    """Elementwise sum of the next `n` arrays of the iterator `terms`.
-
-    The terms are added in the order numpy's `add.reduce` adds an axis of
-    length n, so the bits are those of that reduction: in turn below 8
-    terms, else into 8 running sums joined pairwise, halving first above
-    128.  No term is written to; one term alone is returned as it is.
-    """
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_in_reduce_order(terms, half) + _sum_in_reduce_order(terms, n - half)
-    if n < 8:
-        total = next(terms)
-        if n > 1:
-            total = total + next(terms)
-            for term in itertools.islice(terms, n - 2):
-                total += term
-        return total
-    r = list(itertools.islice(terms, 8))
-    for _ in range(n // 8 - 1):
-        r = [acc + term for acc, term in zip(r, itertools.islice(terms, 8))]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for term in itertools.islice(terms, n % 8):
+def _synonym_sum(slabs: np.ndarray) -> np.ndarray:
+    """The sum of (m, k, ...) slabs over their first axis, with the bits of
+    summing each class's own m scores along an axis: in turn below 8
+    synonyms, as numpy adds them, and from 8 by numpy itself, on a copy with
+    the synonym axis last and contiguous.  No slab is written to."""
+    if len(slabs) >= 8:
+        return np.moveaxis(slabs, 0, -1).copy().sum(axis=-1)
+    total = slabs[0] + slabs[1] if len(slabs) > 1 else slabs[0]
+    for term in slabs[2:]:
         total += term
     return total
 
@@ -180,34 +168,34 @@ def _pool_tile(sims: np.ndarray, groups, positions: np.ndarray,
     """Pool synonym-major (N, ...) scores into class-order (..., C) scores.
 
     Each group of k classes with m synonyms is m slabs of k planes, and it
-    is pooled elementwise over its slabs, in synonym order: the max, the
-    mean, or the max-shifted log-sum-exp at temperature tau_s.  That gives
-    the bits of reducing each class's own m scores along an axis.  The
-    groups' scores are stacked, then gathered into class order, with the
-    class axis last, once.  `sims` is only read, unless `overwrite` lets
-    the lse scaling reuse it.
+    is pooled over its slabs, in synonym order: the max, the mean, or the
+    max-shifted log-sum-exp at temperature tau_s, with the bits of reducing
+    each class's own m scores along an axis.  The groups' scores are
+    stacked, then gathered into class order, with the class axis last,
+    once.  `sims` is only read, unless `overwrite` lets the lse scaling
+    reuse it.
     """
     if mode.kind == "lse":
         sims = np.divide(sims, mode.tau_s, out=sims if overwrite else None)
     lead = sims.shape[1:]
-    peak = np.empty((len(positions),) + lead)
-    pooled = peak if mode.kind == "max" else np.empty_like(peak)
+    pooled = np.empty((len(positions),) + lead)
     col = pos = 0
     for k, m in groups:
         slabs = sims[col:col + m * k].reshape((m, k) + lead)
-        np.maximum.reduce(slabs, axis=0, out=peak[pos:pos + k])
-        if mode.kind == "lse":  # `slabs` view the scaled scores: ours to write
-            slabs -= peak[pos:pos + k]
-            np.exp(slabs, out=slabs)
-            np.log(_sum_in_reduce_order(iter(slabs), m), out=pooled[pos:pos + k])
+        part = pooled[pos:pos + k]
+        if mode.kind == "max":
+            np.maximum.reduce(slabs, axis=0, out=part)
         elif mode.kind == "average":
             # The reduction starts from +0.0, so a sum of -0.0 reads +0.0.
-            np.add(_sum_in_reduce_order(iter(slabs), m), 0.0,
-                   out=pooled[pos:pos + k])
-            pooled[pos:pos + k] /= m
+            np.add(_synonym_sum(slabs), 0.0, out=part)
+            part /= m
+        else:  # `slabs` view the scaled scores: ours to write
+            peak = np.maximum.reduce(slabs, axis=0)
+            slabs -= peak
+            np.exp(slabs, out=slabs)
+            np.log(_synonym_sum(slabs), out=part)
+            part += peak
         col, pos = col + m * k, pos + k
-    if mode.kind == "lse":
-        pooled += peak
     out = np.empty(lead + (len(positions),))
     out[...] = np.moveaxis(np.take(pooled, positions, axis=0), 0, -1)
     return out

@@ -10,15 +10,16 @@ and mask-logit noise), so overlap=0 produces perfectly separable evidence.
 
 Scenes are drawn in bounded memory, along one path, `_SceneDraw`.  It
 checks every argument first: a scene whose arrays numpy cannot address at
-all fails with `bad_scene_size` before anything is drawn.  It then draws
-the small prompt embeddings and allocates the uint32 ground truth, the
-first grid-sized allocation, so a scene too large for memory raises
-`MemoryError` there, which the CLI reports as `out_of_memory` with exit 1,
-before a caller has opened any output.  `draw` computes the ground truth,
-the features and then the mask logits in float64 over the row blocks of
-`_row_tiles`, sized by the float64 bytes a block holds per row, and hands
-each feature block and each mask-logit block to one writer per grid, in
-row order.  `generate_scene` fills whole float32 arrays from those
+all fails with `bad_scene_size`, and one with a grid extent that a CFT1
+header cannot hold fails with `bad_extent`, before anything is drawn or
+allocated.  It then draws the small prompt embeddings and allocates the
+uint32 ground truth, the first grid-sized allocation, so a scene too large
+for memory raises `MemoryError` there, which the CLI reports as
+`out_of_memory` with exit 1, before a caller has opened any output.
+`draw` computes the ground truth, the features and then the mask logits in
+float64 over the row blocks of `_row_tiles`, sized by the float64 bytes a
+block holds per row, and hands each feature block and each mask-logit
+block to one writer per grid, in row order.  `generate_scene` fills whole float32 arrays from those
 writers; `segfuse gen` appends the blocks to its output files, so it never
 holds the features or the `H x W x C` mask logits.  Every step is per pixel
 and the noise is drawn block by block in row order, features first, so the
@@ -33,7 +34,7 @@ import numpy as np
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
 from .errors import SegfuseError
 from .fusion import EvidenceBundle
-from .grid import DenseGrid, LabelMap, _row_tiles
+from .grid import DenseGrid, LabelMap, _check_extents, _row_tiles
 from .prior import normalize_pixels_array
 from .prompts import MAX_SYNONYMS, PromptBank
 
@@ -128,6 +129,10 @@ class _SceneDraw:
         if 8 * max(num_classes * dim, height * width * num_classes,
                    fh * fw * dim) > np.iinfo(np.intp).max:
             raise SegfuseError("bad_scene_size", "scene too large to address")
+        self.feature_shape = (fh, fw, dim)
+        self.logit_shape = (height, width, num_classes)
+        _check_extents("features", self.feature_shape)
+        _check_extents("mask logits", self.logit_shape)
         if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
             raise SegfuseError("bad_scene_noise",
                                f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
@@ -138,8 +143,6 @@ class _SceneDraw:
         self.embeddings, self.bank = _prompt_embeddings(
             self._rng, dim, num_classes, synonyms_per_class, drift)
         self.gt = np.empty((height, width), dtype=np.uint32)
-        self.feature_shape = (fh, fw, dim)
-        self.logit_shape = (height, width, num_classes)
 
     def draw(self, write_features, write_logits) -> np.ndarray:
         """Fill `gt`, pass every feature block and then every mask-logit block

@@ -845,6 +845,15 @@ BAD_INVOCATIONS = {
                                      "--feature-width 1 --height 1 --width 1 "
                                      "--dim 1 --classes 1 --synonyms 1 "
                                      "--out-dir {o}/out", "bad_extent"),
+    # Each of these would first allocate 16 GiB or more for the ground truth
+    # or the prompt embeddings.
+    "gen_height_above_u32": ("gen --height 4294967296 --width 1 --out-dir {o}/out",
+                             "bad_extent"),
+    "gen_classes_above_u32": ("gen --classes 4294967296 --out-dir {o}/out",
+                              "bad_extent"),
+    "gen_dim_above_u32": ("gen --dim 4294967296 --out-dir {o}/out", "bad_extent"),
+    "sweep_height_above_u32": (_SWEEP + " --height 4294967296 --width 1",
+                               "bad_extent"),
     "sweep_negative_seed": (_SWEEP + " --seed -1", "bad_scene_seed"),
     "alt_features_without_name": (_SWEEP + " --alt-features nopath",
                                   "bad_alt_features"),

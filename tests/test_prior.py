@@ -1,6 +1,7 @@
 """Similarity, synonym aggregation and log-prior behavior."""
 import ctypes
 import glob
+import hashlib
 import itertools
 import json
 import logging
@@ -20,6 +21,7 @@ from segfuse import (Aggregation, DenseGrid, SegfuseError, build_prior,
 from segfuse import grid as grid_module
 from segfuse import prior as prior_module
 from segfuse.prior import MIN_TAU, log_prior_array, normalize_pixels_array
+from segfuse.synth import generate_scene
 
 import oracle
 from scenes import pool_synonyms, traced_peak
@@ -171,10 +173,10 @@ _POOL_MODES = (Aggregation("lse", 0.1), Aggregation("lse", 0.05),
 
 
 def test_synonym_major_pooling_matches_class_by_class_bits():
-    # Counts of 8 and more take numpy's pairwise order, and above 128 its
-    # halving.  A prompt file caps a class at 10 synonyms, but a library
-    # caller can build a store with more.
-    counts = [1, 2, 3, 5, 2, 1, 5, 3, 8, 9, 17, 130]
+    # Counts of 8 and more are summed by numpy on a contiguous copy.  A
+    # prompt file caps a class at 10 synonyms, but a library caller can
+    # build a store with more, as 17, 129 and 130 are.
+    counts = [1, 2, 3, 5, 2, 1, 5, 3, 8, 9, 10, 17, 129, 130]
     offsets = tuple(zip(itertools.accumulate([0] + counts[:-1]), counts))
     rng = np.random.default_rng(211)
     sims = rng.uniform(-1.0, 1.0, (3, 7, sum(counts)))
@@ -194,6 +196,61 @@ def test_synonym_major_pooling_matches_class_by_class_bits():
         scratch = planar.copy()
         got = prior_module._pool_tile(scratch, groups, positions, mode, True)
         assert got.tobytes() == want.tobytes(), mode
+
+
+# sha256 of the float32 `build_prior` output on
+# generate_scene(1, 48, 48, 32, 9, 10, 0.3, 0.5, 20, 20), whose 20 x 20
+# features are resized to 48 x 48, per (mode, normalize_order).  Its classes
+# hold 5, 6, 8, 10, 1, 2, 9, 10 and 3 synonyms, so both ways of summing
+# synonyms run.  The thread count must not move them.  Rounding to float32
+# can hide a last-bit float64 change; the pooling test above catches those.
+PRIOR_DIGESTS = {
+    ("lse 0.1", "before"):
+        "50507ea8906a9b8ee1844bb95d53d4a9642aea5497c007735468d5dcd008f164",
+    ("lse 0.1", "after"):
+        "e838ca4b542b21aee069b62b847e54485408ec5328e2ff14f793cbc4c5a4eada",
+    ("lse 0.1", "both"):
+        "284817cbf2558c47f786073a638aaca972400b4b9539dc53e550ed115a8d8ad6",
+    ("lse 0.05", "before"):
+        "73620411b518046d9073eb2357014c05e3452f522f1548fcaf7daaf443be6740",
+    ("lse 0.05", "after"):
+        "3f899c847db5e57c88785d0db3883a4c59ef4cf1e71293cad2da97534225c8b7",
+    ("lse 0.05", "both"):
+        "228adb1d6c6b940f53ba008f78bf824f181c487793132b798ffce45d277906ce",
+    ("average", "before"):
+        "65d0e9e0434b3011a60a4d63a3f3d4715a57ba28f9d834dc7e5789d67e9e45e4",
+    ("average", "after"):
+        "fe6f9e42f3b81fd4080fb002b63dbe8a51b388ef9bf10181e07ea0e1e9e94e51",
+    ("average", "both"):
+        "4e0ff870dc5b2675c13963345145e3ae901a4d40a47aaf111163e09d742b4290",
+    ("max", "before"):
+        "c77ed760e89ead35c0898e0f8be3c6e2d850c2943c09c7020da56cf2b4fc6a65",
+    ("max", "after"):
+        "63fdaa52e2da5661a989b8333ad0c5b8b8d89a148a94fb5258f17d89bdaf4156",
+    ("max", "both"):
+        "5bef215aaac62df81fd7c29eaac2dc79f1d2c32625a9d05c9545ad8d6b0775ec",
+}
+
+
+@pytest.fixture(scope="module")
+def many_synonym_scene():
+    scene = generate_scene(1, 48, 48, 32, 9, 10, 0.3, 0.5, 20, 20)
+    assert [m for _, m in scene.embeddings.offsets] == [5, 6, 8, 10, 1, 2, 9, 10, 3]
+    return scene
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("mode, order", sorted(PRIOR_DIGESTS))
+def test_prior_bytes_match_recorded_digests(many_synonym_scene, mode, order,
+                                            threads):
+    kind, _, tau = mode.partition(" ")
+    aggregation = Aggregation(kind, float(tau)) if tau else Aggregation(kind)
+    scene = many_synonym_scene
+    prior = build_prior(scene.features, scene.embeddings, scene.bank,
+                        aggregation, 48, 48, normalize_order=order,
+                        threads=threads)
+    digest = hashlib.sha256(prior.data.tobytes()).hexdigest()
+    assert digest == PRIOR_DIGESTS[mode, order]
 
 
 def test_multi_mode_pooled_scores_equal_single_mode_calls():

@@ -112,6 +112,9 @@ def test_parameter_validation():
     ({"overlap": math.inf}, "bad_scene_noise"),
     ({"drift": 1e200}, "bad_scene_noise"),
     ({"overlap": synth_module.MAX_NOISE * 2}, "bad_scene_noise"),
+    # a CFT1 header cannot hold these extents
+    ({"height": 2**32, "width": 1}, "bad_extent"),
+    ({"feature_height": 2**32, "feature_width": 1}, "bad_extent"),
 ])
 def test_scene_arguments_carry_codes(changes, code):
     args = dict(seed=0, height=4, width=4, dim=4, num_classes=2,
