@@ -6,9 +6,9 @@ and competition-analysis harness on top.  Each stage has one library entry:
 `build_prior` (or `pooled_scores`) for the prior, which reads features,
 embeddings and a pooling rule, and `fuse_and_decode` for fusion and decode,
 which reads evidence, the log prior and a `FusionConfig`.  The array
-building blocks behind the prior (`normalize_pixels_array` and
-`log_prior_array` in `segfuse.prior`, `bilinear_taps` and
-`interpolate_axis` in `segfuse.grid`) are imported from their modules.
+building blocks behind the prior (`log_prior_array` in `segfuse.prior`,
+`normalize_pixels_array`, `bilinear_taps` and `interpolate_axis` in
+`segfuse.grid`) are imported from their modules.
 """
 
 from .competition import (CompetitionSpec, format_sweep_csv, restrict_to_classes,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SegfuseError
-from .grid import _all_finite, load_grid
+from .grid import _all_finite, load_grid, normalize_pixels_array
 from .prompts import PromptBank
 
 
@@ -45,16 +45,6 @@ def _check_class_counts(**counts: int) -> None:
             f"{name} has {n}" for name, n in counts.items()))
 
 
-def normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Unit-normalize each row in float64; zero rows are rejected."""
-    rows64 = np.asarray(rows, dtype=np.float64)
-    norms = np.sqrt((rows64 * rows64).sum(axis=1))
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise SegfuseError("zero_norm_embedding", f"row {zero[0]} has zero norm")
-    return (rows64 / norms[:, None]).astype(np.float32)
-
-
 def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
     """Build a store from an in-memory (total_synonyms, dim) row table."""
     rows = np.asarray(rows)
@@ -68,7 +58,10 @@ def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
             f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
     if not _all_finite(rows):
         raise SegfuseError("nonfinite_values", "embedding rows hold NaN or Inf")
-    return EmbeddingStore(normalize_rows(rows),
+    unit, zero_rows = normalize_pixels_array(rows)
+    if zero_rows:
+        raise SegfuseError("zero_norm_embedding", f"{zero_rows} rows have zero norm")
+    return EmbeddingStore(unit.astype(np.float32),
                           _offsets([len(cls) for cls in bank.classes]))
 
 

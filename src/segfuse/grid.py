@@ -1,4 +1,4 @@
-"""Dense grid containers, CFT1 tensor file I/O and bilinear resampling.
+"""Dense grid containers, CFT1 tensor file I/O, bilinear resampling and unit rows.
 
 CFT1 file layout (little-endian):
 
@@ -20,8 +20,9 @@ or a save is the one-block case of these, read straight into the array that
 is returned or written from the array's own memory, so there is one read
 path and one write path, and neither makes a full-size copy.  A failed
 write removes its output if that is a regular file.  `_row_tiles` is the
-one row tiling, which every blocked loop walks, and `_all_finite` is the
-one NaN/Inf check.
+one row tiling, which every blocked loop walks, `_all_finite` is the one
+NaN/Inf check, and `normalize_pixels_array` is the one unit-row rule, for
+features, scene rows and prompt embeddings alike.
 """
 from __future__ import annotations
 
@@ -56,6 +57,27 @@ def _row_tiles(height: int, row_bytes: int) -> list[slice]:
 def _all_finite(arr: np.ndarray) -> bool:
     """True if arr holds no NaN or Inf; min and max propagate NaN, so it fails too."""
     return arr.size == 0 or bool(arr.min() > -np.inf and arr.max() < np.inf)
+
+
+def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unit-normalize each vector along the last axis of a float64 copy.
+
+    Zero-norm vectors map to the zero vector and are counted, not rejected:
+    padded feature regions produce them routinely, and a caller that must
+    refuse them, such as an embedding store, checks the count.  The copy is
+    normalized in place over bounded row blocks, so the only full-size array
+    is the one returned.
+    """
+    feats = np.array(feats, dtype=np.float64)
+    rows = feats.reshape(-1, feats.shape[-1])
+    zero_pixels = 0
+    for tile in _row_tiles(rows.shape[0], rows.shape[1] * 8):
+        block = rows[tile]
+        norms = np.sqrt((block * block).sum(axis=-1))
+        zero = norms == 0.0
+        block /= np.where(zero, 1.0, norms)[:, None]
+        zero_pixels += int(zero.sum())
+    return feats, zero_pixels
 
 
 class _Record:

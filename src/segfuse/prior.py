@@ -50,6 +50,7 @@ import itertools
 import logging
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,7 +60,7 @@ import numpy as np
 from .embeddings import EmbeddingStore, _check_class_counts
 from .errors import SegfuseError, check_choice
 from .grid import (DenseGrid, _all_finite, _row_tiles, _write_rows, bilinear_taps,
-                   interpolate_axis)
+                   interpolate_axis, normalize_pixels_array)
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
@@ -108,26 +109,6 @@ class Aggregation:
             check_tau_s(self.tau_s)
         else:  # average and max ignore `tau_s`, so they compare equal
             object.__setattr__(self, "tau_s", DEFAULT_TAU)
-
-
-def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unit-normalize each vector along the last axis of a float64 copy.
-
-    Zero-norm pixels map to the zero vector (similarity 0 to everything) and
-    are counted rather than rejected; padded regions produce them routinely.
-    The copy is normalized in place over bounded row blocks, so the only
-    full-size array is the one returned.
-    """
-    feats = np.array(feats, dtype=np.float64)
-    rows = feats.reshape(-1, feats.shape[-1])
-    zero_pixels = 0
-    for tile in _row_tiles(rows.shape[0], rows.shape[1] * 8):
-        block = rows[tile]
-        norms = np.sqrt((block * block).sum(axis=-1))
-        zero = norms == 0.0
-        block /= np.where(zero, 1.0, norms)[:, None]
-        zero_pixels += int(zero.sum())
-    return feats, zero_pixels
 
 
 def _synonym_major(offsets) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarray]:
@@ -283,14 +264,19 @@ def _resized_norms(src: np.ndarray, taps_y, taps_x, identity_y: bool,
 # numpy's bundled OpenBLAS, whose thread count `_one_blas_thread` controls.
 _OPENBLAS = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                          "libscipy_openblas64_*.so")
+# The blocks inside `_one_blas_thread` share one hold on that count: how many
+# blocks hold it, and the count the first of them found.
+_BLAS_LOCK = threading.Lock()
+_blas_hold = {"blocks": 0, "caller": 1}
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with numpy's bundled OpenBLAS at one thread.
 
-    The count is process-global: it is set when the block starts and the
-    caller's count is restored when it ends, however it ends.  Where the
+    The count is process-global, so overlapping blocks share one hold: the
+    first to start saves the caller's count and sets one thread, and the
+    last to end restores the saved count, however it ends.  Where the
     library or one of its two thread-count symbols is missing, this does
     nothing.
     """
@@ -303,12 +289,18 @@ def _one_blas_thread():
         return
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(1)
+    with _BLAS_LOCK:
+        if not _blas_hold["blocks"]:
+            _blas_hold["caller"] = get_threads()
+            set_threads(1)
+        _blas_hold["blocks"] += 1
     try:
         yield
     finally:
-        set_threads(before)
+        with _BLAS_LOCK:
+            _blas_hold["blocks"] -= 1
+            if not _blas_hold["blocks"]:
+                set_threads(_blas_hold["caller"])
 
 
 def _map_in_order(fn, items, pool, workers: int, consume) -> None:
@@ -446,8 +438,9 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     Up to `threads` row tiles run at once; the output bytes never depend on
     it.  During the call numpy's OpenBLAS runs at one thread, and that
     setting is process-global: numpy on the caller's other threads gets
-    one-thread BLAS until the call returns.  `bank` is only checked against
-    the store's class count.
+    one-thread BLAS until the call returns.  Overlapping calls share one
+    hold, and the caller's count comes back when the last of them ends.
+    `bank` is only checked against the store's class count.
     """
     _check_class_counts(store=store.num_classes, bank=bank.num_classes)
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
@@ -465,7 +458,8 @@ def pooled_scores(features: DenseGrid, store: EmbeddingStore,
     one array per mode of `modes`, in order.
 
     Same inputs but the bank, kernel and `threads` as `build_prior`, and
-    the same process-global one-thread BLAS during the call.  The
+    the same process-global one-thread BLAS during the call, one hold
+    shared by overlapping calls until the last of them ends.  The
     similarities are built once and pooled once per mode.  A class's pooled
     score depends only on its own synonyms, so a caller comparing class
     subsets slices columns of one full array and log-softmaxes each slice.

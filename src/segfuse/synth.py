@@ -34,8 +34,8 @@ import numpy as np
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
 from .errors import SegfuseError
 from .fusion import EvidenceBundle
-from .grid import DenseGrid, LabelMap, _check_extents, _row_tiles
-from .prior import normalize_pixels_array
+from .grid import (DenseGrid, LabelMap, _check_extents, _row_tiles,
+                   normalize_pixels_array)
 from .prompts import MAX_SYNONYMS, PromptBank
 
 MASK_MARGIN = 2.5

@@ -9,7 +9,8 @@ benchmark class lists.  Each stage runs `segfuse.cli.main` from this
 checkout's `src` in a fresh process, and the probe prints that process's
 peak resident memory (`ru_maxrss`, from `wait4`) and its wall seconds.
 The files total about 1.8 GB; without WORK_DIR they go to a temporary
-directory that is removed at the end.  pytest does not collect this file.
+directory that is removed at the end.  pytest does not collect this file;
+`test_scale_probe.py` runs its four stages at a desk shape.
 """
 from __future__ import annotations
 

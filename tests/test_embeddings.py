@@ -4,11 +4,16 @@ import pytest
 
 from segfuse import (DenseGrid, SegfuseError, load_embeddings, save_grid,
                      parse_prompt_file, store_from_array)
-from segfuse.embeddings import canonical_vectors, normalize_rows
+from segfuse.embeddings import canonical_vectors
 
 
 def _bank(text="cat, kitty\ndog, puppy, hound\n"):
     return parse_prompt_file(text)
+
+
+def _singletons(n):
+    """A bank of n one-synonym classes."""
+    return parse_prompt_file("\n".join(f"w{i}" for i in range(n)))
 
 
 def test_axis_vectors_normalized():
@@ -77,9 +82,8 @@ def test_load_rejects_3_axis_file(tmp_path):
 
 
 def test_random_rows_unit_norm():
-    bank = parse_prompt_file("\n".join(f"w{i}" for i in range(50)))
     rng = np.random.default_rng(17)
-    store = store_from_array(rng.standard_normal((50, 12)) * 10.0, bank)
+    store = store_from_array(rng.standard_normal((50, 12)) * 10.0, _singletons(50))
     norms = np.sqrt((store.vectors.astype(np.float64) ** 2).sum(axis=1))
     assert np.abs(norms - 1.0).max() < 1e-6
 
@@ -87,14 +91,28 @@ def test_random_rows_unit_norm():
 def test_normalize_idempotent():
     rng = np.random.default_rng(23)
     rows = rng.standard_normal((30, 7))
-    once = normalize_rows(rows)
-    twice = normalize_rows(once)
+    once = store_from_array(rows, _singletons(30)).vectors
+    twice = store_from_array(once, _singletons(30)).vectors
     assert np.abs(once.astype(np.float64) - twice.astype(np.float64)).max() < 1e-7
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rows_are_float64_quotients_rounded_once(dtype):
+    """Over many row blocks, each stored row is its float64 quotient by its
+    own norm, rounded to float32 once."""
+    rng = np.random.default_rng(37)
+    scales = 10.0 ** rng.uniform(-3, 3, size=(1703, 1))
+    rows = (rng.standard_normal((1703, 512)) * scales).astype(dtype)
+    rows64 = rows.astype(np.float64)
+    want = rows64 / np.sqrt((rows64 * rows64).sum(axis=1))[:, None]
+    store = store_from_array(rows, _singletons(1703))
+    assert store.vectors.dtype == np.float32
+    assert np.array_equal(store.vectors, want.astype(np.float32))
 
 
 def test_self_cosine_is_one():
     rng = np.random.default_rng(31)
-    rows = normalize_rows(rng.standard_normal((20, 9)))
+    rows = store_from_array(rng.standard_normal((20, 9)), _singletons(20)).vectors
     cos = (rows.astype(np.float64) * rows.astype(np.float64)).sum(axis=1)
     assert np.abs(cos - 1.0).max() < 1e-6
 
@@ -111,7 +129,8 @@ def test_class_slice_offsets():
     store = store_from_array(rows, bank)
     assert store.offsets == ((0, 2), (2, 3))
     assert _class_rows(store, 0).shape == (2, 6)
-    assert np.array_equal(_class_rows(store, 1), normalize_rows(rows[2:5]))
+    alone = store_from_array(rows[2:5], parse_prompt_file("dog, puppy, hound\n"))
+    assert np.array_equal(_class_rows(store, 1), alone.vectors)
 
 
 def test_singleton_class_slice():

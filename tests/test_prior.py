@@ -700,6 +700,96 @@ def test_kernel_restores_the_callers_blas_threads():
         set_threads(caller)
 
 
+def test_overlapping_kernel_calls_restore_the_callers_blas_threads(monkeypatch):
+    """Call B starts inside call A and ends after it.  Both run at one BLAS
+    thread throughout, and the caller's count is back once B ends."""
+    get_threads, set_threads = _openblas_threads()
+    monkeypatch.setattr(grid_module, "_TILE_BYTES", 3 * 24 * 4 * 8)
+    seen, lock = set(), threading.Lock()
+    real = prior_module._map_in_order
+
+    def recording(fn, items, pool, workers, consume):
+        def counted(item):
+            with lock:
+                seen.add((fn.__name__, get_threads()))
+            return fn(item)
+        real(counted, items, pool, workers, consume)
+
+    monkeypatch.setattr(prior_module, "_map_in_order", recording)
+    rng = np.random.default_rng(233)
+    _, store, feats = _scene_pieces(rng, 8, 8, 16, [1, 3])
+    a_running, b_running, a_returned = (threading.Event() for _ in range(3))
+
+    def sink_a(rows, values):
+        a_running.set()
+        assert b_running.wait(30)
+
+    def sink_b(rows, values):
+        b_running.set()
+        assert a_returned.wait(30)
+
+    def kernel(sink):
+        prior_module._tiled_kernel(feats, store, (Aggregation("lse"),), 24, 24,
+                                   "both", 2, np.float32, log_prior_array, sink)
+
+    def call_a():
+        try:
+            kernel(sink_a)
+        finally:
+            a_returned.set()
+
+    def call_b():
+        assert a_running.wait(30)
+        kernel(sink_b)
+
+    caller = get_threads()
+    try:
+        set_threads(2)
+        want = get_threads()
+        with ThreadPoolExecutor(2) as pool:
+            calls = [pool.submit(call_a), pool.submit(call_b)]
+        for call in calls:
+            call.result()
+        assert get_threads() == want
+        assert seen == {("product", 1), ("tile", 1)}
+    finally:
+        set_threads(caller)
+
+
+def test_blas_hold_under_many_overlapping_blocks():
+    """More threads than cores enter and leave the hold at random, with a
+    short switch interval: each block sees one thread, and once the last
+    has left, the caller's count is back."""
+    get_threads, set_threads = _openblas_threads()
+    inside = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            with prior_module._one_blas_thread():
+                inside.append(get_threads())
+                time.sleep(rng.random() * 1e-4)
+
+    caller, interval = get_threads(), sys.getswitchinterval()
+    try:
+        set_threads(2)
+        want = get_threads()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(4 * len(os.sched_getaffinity(0)))]
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in workers)
+        assert len(inside) == 50 * len(workers)
+        assert set(inside) == {1}
+        assert get_threads() == want
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(caller)
+
+
 def test_kernel_without_blas_thread_control_keeps_its_bytes(monkeypatch, tmp_path):
     get_threads, set_threads = _openblas_threads()
     caller = get_threads()
