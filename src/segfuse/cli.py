@@ -36,8 +36,11 @@ from .synth import _SceneDraw, generate_scene
 
 
 def _add_threads_option(sub):
-    sub.add_argument("--threads", type=int,
-                     default=len(os.sched_getaffinity(0)),
+    # Only some systems (Linux among them) can say which CPUs a process may
+    # use; elsewhere the default is every CPU.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, default=cpus,
                      help="prior-kernel row tiles run at once (default: the CPUs "
                           "this process may use, here %(default)s); outputs "
                           "never depend on it")

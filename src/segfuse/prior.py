@@ -22,13 +22,12 @@ that each run one BLAS call per source row, as one whole product would.
 Their columns are then put in synonym-major order and the synonym axis
 first: the classes with m synonyms form m slabs, slab j holding synonym j
 of each, so pooling is elementwise over whole contiguous slabs, and one
-gather per tile puts the classes back in order.  The slabs of classes with
-fewer than 8 synonyms are added in turn; those of 8 or more are summed by
-numpy on a contiguous copy with the synonym axis last.  Tiles of output
-rows only blend, divide and pool, so no resized array exists at full
-resolution; `pooled_scores` runs the same tiles as `build_prior`, pools
-each tile once for every mode it is given, and stops before the
-log-softmax, so several modes share one similarity build.  The product
+gather per tile puts the classes back in order.  Every class's slabs are
+added in turn, whatever its synonym count.  Tiles of output rows only
+blend, divide and pool, so no resized array exists at full resolution;
+`pooled_scores` runs the same tiles as `build_prior`, pools each tile once
+for every mode it is given, and stops before the log-softmax, so several
+modes share one similarity build.  The product
 blocks and then the tiles run on one pool of up to `threads` threads, with
 numpy's OpenBLAS held at one thread for the whole call, so no BLAS thread
 competes with the pool.  The finished tiles go to one sink in row order:
@@ -132,12 +131,9 @@ def _synonym_major(offsets) -> tuple[list[tuple[int, int]], np.ndarray, np.ndarr
 
 
 def _synonym_sum(slabs: np.ndarray) -> np.ndarray:
-    """The sum of (m, k, ...) slabs over their first axis, with the bits of
-    summing each class's own m scores along an axis: in turn below 8
-    synonyms, as numpy adds them, and from 8 by numpy itself, on a copy with
-    the synonym axis last and contiguous.  No slab is written to."""
-    if len(slabs) >= 8:
-        return np.moveaxis(slabs, 0, -1).copy().sum(axis=-1)
+    """The sum of (m, k, ...) slabs over their first axis, added in turn in
+    synonym order, so each class's bits depend on neither k nor the tile
+    shape.  No slab is written to."""
     total = slabs[0] + slabs[1] if len(slabs) > 1 else slabs[0]
     for term in slabs[2:]:
         total += term
@@ -150,11 +146,10 @@ def _pool_tile(sims: np.ndarray, groups, positions: np.ndarray,
 
     Each group of k classes with m synonyms is m slabs of k planes, and it
     is pooled over its slabs, in synonym order: the max, the mean, or the
-    max-shifted log-sum-exp at temperature tau_s, with the bits of reducing
-    each class's own m scores along an axis.  The groups' scores are
-    stacked, then gathered into class order, with the class axis last,
-    once.  `sims` is only read, unless `overwrite` lets the lse scaling
-    reuse it.
+    max-shifted log-sum-exp at temperature tau_s, its sums adding the m
+    scores in turn.  The groups' scores are stacked, then gathered into
+    class order, with the class axis last, in one call.  `sims` is only
+    read, unless `overwrite` lets the lse scaling reuse it.
     """
     if mode.kind == "lse":
         sims = np.divide(sims, mode.tau_s, out=sims if overwrite else None)
@@ -177,9 +172,7 @@ def _pool_tile(sims: np.ndarray, groups, positions: np.ndarray,
             np.log(_synonym_sum(slabs), out=part)
             part += peak
         col, pos = col + m * k, pos + k
-    out = np.empty(lead + (len(positions),))
-    out[...] = np.moveaxis(np.take(pooled, positions, axis=0), 0, -1)
-    return out
+    return np.take(np.moveaxis(pooled, 0, -1), positions, axis=-1)
 
 
 def log_prior_array(u: np.ndarray) -> np.ndarray:

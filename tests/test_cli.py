@@ -219,6 +219,23 @@ def test_threads_defaults_to_usable_cpus(command):
     assert args.threads == len(os.sched_getaffinity(0))
 
 
+def test_commands_run_where_the_os_cannot_report_usable_cpus(tmp_path, monkeypatch,
+                                                             capsys):
+    # macOS and Windows have no sched_getaffinity; the parser is built and
+    # cached on first use, so it is rebuilt without it and dropped after.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    cli_module._parser.cache_clear()
+    try:
+        gt = _gen(tmp_path) / "gt.cft1"
+        assert main(["eval", "--gt", str(gt), "--pred", str(gt),
+                     "--classes", "4"]) == 0
+        assert capsys.readouterr().out.strip().endswith("miou,1.000000")
+        args = cli_module._parser().parse_args(_COMMANDS["prior"])
+        assert args.threads == os.cpu_count()
+    finally:
+        cli_module._parser.cache_clear()
+
+
 def _save_c300(directory, height, width):
     """Evidence, presence and prior files whose labels all decode to 299."""
     logits = np.zeros((height, width, 300), dtype=np.float32)

@@ -150,21 +150,30 @@ def test_lse_strictly_monotone_in_each_score():
         assert pool_synonyms(bumped[None, :], Aggregation("lse", 0.1))[0] > base
 
 
+def _sum_in_turn(u):
+    """The sum of (..., m) scores along their last axis, added in turn."""
+    total = u[..., 0].copy()
+    for j in range(1, u.shape[-1]):
+        total += u[..., j]
+    return total
+
+
 def _pool_class_by_class(sims, offsets, mode):
-    """Each class's own (..., m) synonym scores reduced along their last axis."""
+    """Each class's own (..., m) synonym scores pooled along their last axis,
+    its sums adding them in turn."""
     pooled = []
     for start, count in offsets:
         u = sims[..., start:start + count].copy()
         if mode.kind == "max":
             pooled.append(u.max(axis=-1))
         elif mode.kind == "average":
-            pooled.append(u.mean(axis=-1))
+            pooled.append((_sum_in_turn(u) + 0.0) / count)
         else:
             u /= mode.tau_s
             peak = u.max(axis=-1, keepdims=True)
             u -= peak
             np.exp(u, out=u)
-            pooled.append(peak[..., 0] + np.log(u.sum(axis=-1)))
+            pooled.append(peak[..., 0] + np.log(_sum_in_turn(u)))
     return np.stack(pooled, axis=-1)
 
 
@@ -173,9 +182,10 @@ _POOL_MODES = (Aggregation("lse", 0.1), Aggregation("lse", 0.05),
 
 
 def test_synonym_major_pooling_matches_class_by_class_bits():
-    # Counts of 8 and more are summed by numpy on a contiguous copy.  A
-    # prompt file caps a class at 10 synonyms, but a library caller can
-    # build a store with more, as 17, 129 and 130 are.
+    # numpy sums 8 or more scores pairwise, so counts from 8 up tell the
+    # in-turn rule from numpy's.  A prompt file caps a class at 10 synonyms,
+    # but a library caller can build a store with more, as 17, 129 and 130
+    # are.
     counts = [1, 2, 3, 5, 2, 1, 5, 3, 8, 9, 10, 17, 129, 130]
     offsets = tuple(zip(itertools.accumulate([0] + counts[:-1]), counts))
     rng = np.random.default_rng(211)
@@ -196,14 +206,38 @@ def test_synonym_major_pooling_matches_class_by_class_bits():
         scratch = planar.copy()
         got = prior_module._pool_tile(scratch, groups, positions, mode, True)
         assert got.tobytes() == want.tobytes(), mode
+        # One-pixel tiles: there the 17-, 129- and 130-synonym groups are
+        # (m, 1, 1, 1) slabs, which np.add.reduce would sum pairwise.
+        for y, x in itertools.product(range(3), range(7)):
+            got = prior_module._pool_tile(planar[:, y:y + 1, x:x + 1], groups,
+                                          positions, mode, False)
+            assert got.tobytes() == want[y:y + 1, x:x + 1].tobytes(), (mode, y, x)
+        assert planar.tobytes() == before.tobytes(), mode
+
+
+def test_pooled_average_adds_each_class_synonyms_in_turn():
+    # Classes of 5, 6, 8, 10, 1, 2, 9, 10 and 3 synonyms on an identity grid:
+    # each pooled score is the float64 mean of the class's cosines, their
+    # sum made in synonym order.  The product is small enough that OpenBLAS
+    # makes it on one thread, with the bits of the kernel's row products.
+    scene = generate_scene(1, 20, 20, 32, 9, 10, 0.3, 0.5)
+    store = scene.embeddings
+    assert [m for _, m in store.offsets] == [5, 6, 8, 10, 1, 2, 9, 10, 3]
+    got, = pooled_scores(scene.features, store, (Aggregation("average"),),
+                         20, 20, normalize_order="before")
+    sims = (normalize_pixels_array(scene.features.data)[0]
+            @ store.vectors.astype(np.float64).T)
+    want = np.stack([(_sum_in_turn(sims[..., start:start + m]) + 0.0) / m
+                     for start, m in store.offsets], axis=-1)
+    assert got.tobytes() == want.tobytes()
 
 
 # sha256 of the float32 `build_prior` output on
 # generate_scene(1, 48, 48, 32, 9, 10, 0.3, 0.5, 20, 20), whose 20 x 20
 # features are resized to 48 x 48, per (mode, normalize_order).  Its classes
-# hold 5, 6, 8, 10, 1, 2, 9, 10 and 3 synonyms, so both ways of summing
-# synonyms run.  The thread count must not move them.  Rounding to float32
-# can hide a last-bit float64 change; the pooling test above catches those.
+# hold 5, 6, 8, 10, 1, 2, 9, 10 and 3 synonyms.  The thread count must not
+# move them.  Rounding to float32 can hide a last-bit float64 change; the
+# pooling tests above catch those.
 PRIOR_DIGESTS = {
     ("lse 0.1", "before"):
         "50507ea8906a9b8ee1844bb95d53d4a9642aea5497c007735468d5dcd008f164",
