@@ -173,16 +173,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _parse_float_list(text, flag):
+def _parse_axis(text, flag, kind, fallback=None):
+    """A comma-separated sweep axis of `kind` items; [fallback] if it is absent."""
+    if text is None:
+        return [fallback]
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise SegfuseError("bad_number_list",
                            f"{flag}: expected comma-separated numbers, got '{text}'")
-
-
-def _parse_str_list(text):
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
 def cmd_sweep(args) -> int:
@@ -200,14 +199,13 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(
         scene,
         target_class=args.target_class,
-        p_values=_parse_float_list(args.p, "--p"),
-        selections=_parse_str_list(args.selection),
-        lambda_values=(_parse_float_list(args.lambda_grid, "--lambda-grid")
-                       if args.lambda_grid else [args.lambda_prior]),
-        tau_values=(_parse_float_list(args.tau_grid, "--tau-grid")
-                    if args.tau_grid else [args.tau_s]),
-        aggregations=(_parse_str_list(args.aggregation_grid)
-                      if args.aggregation_grid else [args.aggregation]),
+        p_values=_parse_axis(args.p, "--p", float),
+        selections=_parse_axis(args.selection, "--selection", str),
+        lambda_values=_parse_axis(args.lambda_grid, "--lambda-grid", float,
+                                  args.lambda_prior),
+        tau_values=_parse_axis(args.tau_grid, "--tau-grid", float, args.tau_s),
+        aggregations=_parse_axis(args.aggregation_grid, "--aggregation-grid",
+                                 str, args.aggregation),
         feature_sources=sources,
         normalize_order=args.normalize_order,
         excluded=args.excluded,

@@ -87,11 +87,9 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     _check_class_indices([spec.target_class], n)
     canon = canonical_vectors(store).astype(np.float64)
     sims = canon @ canon[spec.target_class]
-    negatives = [c for c in range(n) if c != spec.target_class]
-    if spec.selection == "easy":
-        negatives.sort(key=lambda c: (-sims[c], c))
-    else:
-        negatives.sort(key=lambda c: (sims[c], c))
+    # the stable sort keeps tied classes in index order
+    order = np.argsort(-sims if spec.selection == "easy" else sims, kind="stable")
+    negatives = order[order != spec.target_class].tolist()
     k = min(math.ceil(spec.ratio * (n - 1)), n - 1)
     return [spec.target_class] + negatives[:k]
 
@@ -189,14 +187,6 @@ def run_sweep(scene: SyntheticScene, *,
     check_threads(threads)
     sources = ({"primary": scene.features} if feature_sources is None
                else dict(feature_sources))
-    for axis_name, axis in (("p", p_values), ("selection", selections),
-                            ("lambda_prior", lambda_values),
-                            ("tau_s", tau_values),
-                            ("aggregation", aggregations),
-                            ("feature_source", sources)):
-        if len(axis) == 0:
-            raise SegfuseError("empty_sweep_axis",
-                               f"sweep axis '{axis_name}' is empty")
     for name in sources:  # the CSV would split or break the row
         if any(ch in name for ch in ",\r\n"):
             raise SegfuseError("bad_alt_features",
@@ -210,18 +200,24 @@ def run_sweep(scene: SyntheticScene, *,
         scene.embeddings, scene.bank, CompetitionSpec(target_class, p, selection)))))
         for p, selection in itertools.product(p_values, selections)]
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
-    # format_sweep_csv prints these axes at 6 decimals: two distinct values
-    # that print alike would give rows no reader can tell apart.
-    for axis_name, axis in (("p", p_values), ("lambda_prior", lambda_values),
-                            ("tau_s", tau_values)):
+    # Every axis needs a value, and two distinct values that format_sweep_csv
+    # prints alike would give rows no reader can tell apart.
+    for axis_name, axis, shown in (
+            ("p", p_values, "{:.6f}"), ("selection", selections, "{}"),
+            ("lambda_prior", lambda_values, "{:.6f}"),
+            ("tau_s", tau_values, "{:.6f}"), ("aggregation", aggregations, "{}"),
+            ("feature_source", sources, "{}")):
+        if len(axis) == 0:
+            raise SegfuseError("empty_sweep_axis",
+                               f"sweep axis '{axis_name}' is empty")
         printed = {}
         for value in axis:
-            first = printed.setdefault(f"{value:.6f}", value)
+            first = printed.setdefault(shown.format(value), value)
             if first != value:
                 raise SegfuseError(
                     "indistinct_sweep_values",
                     f"sweep axis '{axis_name}' values {first!r} and {value!r} "
-                    f"both print as {value:.6f}")
+                    f"both print as {shown.format(value)}")
     modes = {(tau, kind): Aggregation(kind, tau)
              for tau in tau_values for kind in aggregations}
     distinct_modes = tuple(dict.fromkeys(modes.values()))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SegfuseError, check_choice
-from .grid import _MAX_LABEL, DenseGrid, LabelMap, _all_finite, _row_tiles
+from .grid import _MAX_U32, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
@@ -87,10 +87,10 @@ class Background:
         if math.isnan(self.threshold):
             raise SegfuseError("bad_background_threshold",
                                "background threshold must not be NaN")
-        if self.index is not None and not 0 <= self.index <= _MAX_LABEL:
+        if self.index is not None and not 0 <= self.index <= _MAX_U32:
             raise SegfuseError(
                 "bad_background_index",
-                f"background index must lie in 0..{_MAX_LABEL}, got {self.index}")
+                f"background index must lie in 0..{_MAX_U32}, got {self.index}")
 
 
 DEFAULT_LAMBDA = 0.7

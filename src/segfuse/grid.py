@@ -38,8 +38,8 @@ import numpy as np
 from .errors import SegfuseError
 
 MAGIC = b"CFT1"
-# Largest extent a u32 header field holds.
-_MAX_EXTENT = 2**32 - 1
+# Largest value a u32 holds: a CFT1 header extent, or a `LabelMap` label.
+_MAX_U32 = 2**32 - 1
 
 # Read size for inputs without a file size, such as pipes and FIFOs.
 _STREAM_CHUNK = 1 << 20
@@ -125,10 +125,6 @@ class DenseGrid(_Record):
     @property
     def channels(self) -> int:
         return self.data.shape[2] if self.data.ndim == 3 else 1
-
-
-# Largest label a uint32 `LabelMap` holds.
-_MAX_LABEL = 2**32 - 1
 
 
 @dataclass
@@ -235,9 +231,9 @@ def _read_rows(path, record):
 
 def _check_extents(path, extents):
     """Refuse extents that a CFT1 header cannot hold."""
-    if max(extents) > _MAX_EXTENT:
+    if max(extents) > _MAX_U32:
         raise SegfuseError(
-            "bad_extent", f"{path}: extent above {_MAX_EXTENT} in {tuple(extents)}")
+            "bad_extent", f"{path}: extent above {_MAX_U32} in {tuple(extents)}")
 
 
 @contextlib.contextmanager

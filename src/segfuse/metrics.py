@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SegfuseError
-from .grid import _MAX_LABEL, LabelMap
+from .grid import _MAX_U32, LabelMap
 
 
 class ConfusionMatrix:
@@ -12,14 +12,15 @@ class ConfusionMatrix:
     diagonal (`intersection`), row sums (`gt_pixels`), column sums (`pred_pixels`)."""
 
     def __init__(self, num_classes: int, ignore_index: int | None = None):
-        # no uint32 label names a class past _MAX_LABEL
-        if not 1 <= num_classes <= _MAX_LABEL + 1:
+        # no uint32 label names a class past _MAX_U32
+        if not 1 <= num_classes <= _MAX_U32 + 1:
             raise SegfuseError("bad_class_count",
                                f"num_classes must lie in 1..2**32, got {num_classes}")
-        if ignore_index is not None and 0 <= ignore_index < num_classes:
+        # it must name no class, and be a label that a uint32 map can hold
+        if ignore_index is not None and not num_classes <= ignore_index <= _MAX_U32:
             raise SegfuseError(
                 "bad_ignore_index",
-                f"ignore_index {ignore_index} must lie outside 0..{num_classes - 1}")
+                f"ignore_index {ignore_index} must lie in {num_classes}..{_MAX_U32}")
         self.num_classes = num_classes
         self.ignore_index = ignore_index
         self.intersection = np.zeros(num_classes, dtype=np.int64)
@@ -68,6 +69,6 @@ def iou_report(cm: ConfusionMatrix) -> str:
     vals = per_class_iou(cm)
     lines = ["class_index,iou"]
     for c, v in enumerate(vals):
-        lines.append(f"{c},nan" if np.isnan(v) else f"{c},{v:.6f}")
+        lines.append(f"{c},{v:.6f}")  # NaN prints as nan
     lines.append(f"miou,{miou(cm):.6f}")
     return "\n".join(lines) + "\n"

@@ -80,19 +80,16 @@ def _prompt_embeddings(rng, dim: int, num_classes: int,
 
     rows = []
     classes = []
-    for ci in range(num_classes):
-        m_c = int(counts[ci])
-        rows.append(canon[ci])
-        for j in range(1, m_c):
-            bump = rng.standard_normal(dim)
-            if drift > 0:
-                rows.append(normalize_pixels_array(canon[ci] + drift * bump)[0])
-            else:
-                rows.append(canon[ci].copy())
+    for ci, m_c in enumerate(counts.tolist()):
+        # drawn at drift 0 too, so the rng advances alike for every drift
+        bumps = rng.standard_normal((m_c - 1, dim))
+        synonyms = (normalize_pixels_array(canon[ci] + drift * bumps)[0]
+                    if drift > 0 else np.broadcast_to(canon[ci], bumps.shape))
+        rows += [canon[ci:ci + 1], synonyms]
         names = (f"class{ci}",) + tuple(f"class{ci} v{j}" for j in range(1, m_c))
         classes.append(names)
     bank = PromptBank(tuple(classes))
-    return store_from_array(np.stack(rows), bank), bank
+    return store_from_array(np.concatenate(rows), bank), bank
 
 
 def _logit_rows(rng, gt_rows, num_classes: int, overlap: float) -> np.ndarray:

@@ -99,6 +99,7 @@ def test_gen_bad_scene_exit_1_with_code(tmp_path, capsys, flags, code):
 @pytest.mark.parametrize("flags, code", [
     (["--classes", "0"], "bad_class_count"),
     (["--classes", "4", "--ignore-index", "2"], "bad_ignore_index"),
+    (["--classes", "4", "--ignore-index", "-1"], "bad_ignore_index"),
 ])
 def test_eval_bad_classes_exit_1_with_code(tmp_path, capsys, flags, code):
     labels = tmp_path / "l.cft1"
@@ -730,6 +731,11 @@ def test_prior_out_size_below_1_exit_1(tmp_path, capsys, height, width):
     (["--lambda-grid", "x"], "bad_number_list"),
     (["--p", "1", "--selection", "easy", "--tau-grid", "1e-7,2e-7"],
      "indistinct_sweep_values"),
+    # an empty flag is an empty axis, not an absent one
+    (["--lambda-grid", ""], "empty_sweep_axis"),
+    (["--tau-grid", ""], "empty_sweep_axis"),
+    (["--aggregation-grid", ""], "empty_sweep_axis"),
+    (["--p", ""], "empty_sweep_axis"),
 ])
 def test_sweep_bad_input_exit_1_with_code(tmp_path, capsys, flags, code):
     out = tmp_path / "sweep.csv"

@@ -65,22 +65,36 @@ def test_hand_placed_ranking_easy_and_hard():
     assert select_competitors(store, bank, CompetitionSpec(0, 1.0 / 3.0, "hard")) == [0, 3]
 
 
+def _check_selection_by_brute_force(rows, target, p):
+    store, bank = _store_with_rows(rows)
+    n = len(rows)
+    unit = store.vectors.astype(np.float64)
+    sims = unit @ unit[target]
+    k = math.ceil(p * (n - 1))
+    for mode in ("easy", "hard"):
+        key = (lambda c: (-sims[c], c)) if mode == "easy" else (lambda c: (sims[c], c))
+        expect = [target] + sorted(
+            (c for c in range(n) if c != target), key=key)[:k]
+        got = select_competitors(store, bank, CompetitionSpec(target, p, mode))
+        assert got == expect
+
+
 def test_selection_matches_brute_force_on_random_stores():
     rng = np.random.default_rng(37)
     for _ in range(15):
         n = int(rng.integers(2, 9))
-        store, bank = _store_with_rows(rng.standard_normal((n, 6)))
-        target = int(rng.integers(0, n))
-        p = float(rng.uniform(0, 1))
-        unit = store.vectors.astype(np.float64)
-        sims = unit @ unit[target]
-        k = math.ceil(p * (n - 1))
-        for mode in ("easy", "hard"):
-            key = (lambda c: (-sims[c], c)) if mode == "easy" else (lambda c: (sims[c], c))
-            expect = [target] + sorted(
-                (c for c in range(n) if c != target), key=key)[:k]
-            got = select_competitors(store, bank, CompetitionSpec(target, p, mode))
-            assert got == expect
+        rows = rng.standard_normal((n, 6))
+        _check_selection_by_brute_force(rows, int(rng.integers(0, n)),
+                                        float(rng.uniform(0, 1)))
+    # Repeated rows tie their cosines exactly, and ties go to the smaller
+    # index.  From 17 items numpy's default sort is no longer stable (below,
+    # it is an insertion sort), so these stores are 17 to 150 classes.
+    for _ in range(20):
+        n = int(rng.integers(17, 151))
+        distinct = rng.standard_normal((int(rng.integers(2, 6)), 6))
+        rows = distinct[rng.integers(0, len(distinct), size=n)]
+        _check_selection_by_brute_force(rows, int(rng.integers(0, n)),
+                                        float(rng.uniform(0, 1)))
 
 
 def test_competitor_sets_nest_with_p():

@@ -103,6 +103,9 @@ def test_all_undefined_raises():
     (10**10, None, "bad_class_count"),
     (4, 2, "bad_ignore_index"),
     (4, 0, "bad_ignore_index"),
+    # no uint32 label equals these
+    (4, -1, "bad_ignore_index"),
+    (4, 2**32, "bad_ignore_index"),
 ])
 def test_bad_matrix_settings_carry_codes(num_classes, ignore_index, code):
     with pytest.raises(SegfuseError) as err:
@@ -169,14 +172,12 @@ def test_miou_bounds_random():
 
 
 def test_iou_report_format():
-    cm = ConfusionMatrix(2)
+    # class 2 is in neither map, so its IoU is NaN
+    cm = ConfusionMatrix(3)
     cm.accumulate(_lm([[0, 0], [1, 1]]), _lm([[0, 1], [1, 1]]))
     report = iou_report(cm)
-    lines = report.strip().split("\n")
-    assert lines[0] == "class_index,iou"
-    assert lines[1] == "0,0.500000"
-    assert lines[2] == "1,0.666667"
-    assert lines[3] == "miou,0.583333"
+    assert report == ("class_index,iou\n0,0.500000\n1,0.666667\n2,nan\n"
+                      "miou,0.583333\n")
 
 
 def test_counts_hold_no_class_by_class_matrix():

@@ -135,6 +135,8 @@ def test_bank_is_parse_clean():
 # each scene, so they pin the bytes of the row-block build: the bench shapes (chain_upsample, refuse_cached_prior,
 # sweep_competition) on seeds 1 and 104729, and small odd shapes with
 # overlap 0, drift 0 and feature grids smaller and larger than the evidence.
+# `synonyms10`, the one scene with more than 4 synonyms to a class, was
+# recorded before each class drew its synonym bumps in one call.
 # Arguments: seed, height, width, dim, classes, synonyms, drift, overlap,
 # feature height, feature width.
 SCENE_DIGESTS = {
@@ -214,6 +216,14 @@ SCENE_DIGESTS = {
         "mask_logits": "cd37d7a89175837db90549dbaaf679e7c7bdcfec14ae9d2d2c4e7f08333d7f09",
         "presence": "2fb1be2aa98fac7c62f4a49066730fe05fc3f8fa80e81d136717ad62ed834c5f",
         "embeddings": "603d7aef9694831782b7a3314120d0243d022c7e37064b1e6fd5b99c298ef6cb",
+    }),
+    # classes of 9, 1, 2, 3, 2, 9, 9, 6 and 1 synonyms
+    "synonyms10": ((3, 48, 48, 32, 9, 10, 0.5, 0.0, None, None), {
+        "features": "d31fafa58beb2fcfee5243a490196870ae413c887f78a753607b15ce9b4d6240",
+        "gt": "d26c5f527f722fc69d71f34ba14aa5f3289e3ea10add24d06ab43d8a70dac2a4",
+        "mask_logits": "8d51a3c3293dc537083ca67b68ec6d80666d075b0caf06e1a7eb0234b0133360",
+        "presence": "3be72e1bb7777e68563f53afda9c0af1deca37e5224ec55fefb1ee2a2ffed94a",
+        "embeddings": "c4f5aad3eecfab3bcde2bec956d76d39f0fd3f20c8389734da028a3953da83d8",
     }),
 }
 
