@@ -22,15 +22,14 @@ import sys
 from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
 from .embeddings import load_embeddings
-from .errors import SegfuseError
+from .errors import SegfuseError, check_int
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
                      _fuse_and_decode_rows, check_lambda_prior, write_pgm)
 from .grid import (DenseGrid, LabelMap, _read_rows, _write_rows, load_grid,
                    load_label_map, save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
-                    Aggregation, _write_prior, check_normalize_order, check_tau_s,
-                    check_threads)
+                    Aggregation, _write_prior, check_normalize_order, check_tau_s)
 from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
 from .synth import _SceneDraw, generate_scene
 
@@ -100,7 +99,7 @@ def _merge_settings(args) -> None:
         if value is not None:
             _SETTINGS[key][2](value)
     if "threads" in args:
-        check_threads(args.threads)
+        check_int("bad_threads", "threads", args.threads, 1)
     vars(args).update(merged)
 
 
@@ -233,8 +232,9 @@ def cmd_gen(args) -> int:
               os.path.join(out, "embeddings.cft1"))
     with _write_rows(features, DenseGrid, scene.feature_shape) as write_features, \
             _write_rows(logits, DenseGrid, scene.logit_shape) as write_logits:
-        presence = scene.draw(write_features, write_logits)
-    save_grid(DenseGrid(presence.reshape(-1, 1)),
+        for grid, _, block in scene.draw():
+            (write_features, write_logits)[grid](block)
+    save_grid(DenseGrid(scene.presence().reshape(-1, 1)),
               os.path.join(out, "presence.cft1"))
     save_label_map(LabelMap(scene.gt), os.path.join(out, "gt.cft1"))
     return 0

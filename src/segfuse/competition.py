@@ -23,13 +23,13 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _check_class_counts, _offsets,
                          canonical_vectors)
-from .errors import SegfuseError, check_choice
+from .errors import SegfuseError, check_choice, check_int
 from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, check_threads,
-                    log_prior_array, pooled_scores)
+from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, log_prior_array,
+                    pooled_scores)
 from .prompts import PromptBank
 from .synth import SyntheticScene
 
@@ -55,10 +55,8 @@ def _check_class_indices(classes: Sequence[int], n: int) -> list[int]:
     kept = list(classes)
     if not kept:
         raise SegfuseError("empty_class_subset", "class subset is empty")
-    bad = [ci for ci in kept if not 0 <= ci < n]
-    if bad:
-        raise SegfuseError("bad_class_index",
-                           f"class indices {bad} out of range 0..{n - 1}")
+    for ci in kept:
+        check_int("bad_class_index", "class index", ci, 0, n - 1)
     return kept
 
 
@@ -184,7 +182,7 @@ def run_sweep(scene: SyntheticScene, *,
     none.  `threads` is passed to `pooled_scores`.
     """
     check_choice("bad_excluded", "excluded", excluded, EXCLUDED_MODES)
-    check_threads(threads)
+    check_int("bad_threads", "threads", threads, 1)
     sources = ({"primary": scene.features} if feature_sources is None
                else dict(feature_sources))
     for name in sources:  # the CSV would split or break the row

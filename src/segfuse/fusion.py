@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, check_choice
+from .errors import SegfuseError, check_choice, check_int
 from .grid import _MAX_U32, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
@@ -87,10 +87,9 @@ class Background:
         if math.isnan(self.threshold):
             raise SegfuseError("bad_background_threshold",
                                "background threshold must not be NaN")
-        if self.index is not None and not 0 <= self.index <= _MAX_U32:
-            raise SegfuseError(
-                "bad_background_index",
-                f"background index must lie in 0..{_MAX_U32}, got {self.index}")
+        if self.index is not None:
+            check_int("bad_background_index", "background index", self.index,
+                      0, _MAX_U32)
 
 
 DEFAULT_LAMBDA = 0.7

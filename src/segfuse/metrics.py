@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SegfuseError
+from .errors import SegfuseError, check_int
 from .grid import _MAX_U32, LabelMap
 
 
@@ -13,14 +13,11 @@ class ConfusionMatrix:
 
     def __init__(self, num_classes: int, ignore_index: int | None = None):
         # no uint32 label names a class past _MAX_U32
-        if not 1 <= num_classes <= _MAX_U32 + 1:
-            raise SegfuseError("bad_class_count",
-                               f"num_classes must lie in 1..2**32, got {num_classes}")
+        check_int("bad_class_count", "num_classes", num_classes, 1, _MAX_U32 + 1)
         # it must name no class, and be a label that a uint32 map can hold
-        if ignore_index is not None and not num_classes <= ignore_index <= _MAX_U32:
-            raise SegfuseError(
-                "bad_ignore_index",
-                f"ignore_index {ignore_index} must lie in {num_classes}..{_MAX_U32}")
+        if ignore_index is not None:
+            check_int("bad_ignore_index", "ignore_index", ignore_index,
+                      num_classes, _MAX_U32)
         self.num_classes = num_classes
         self.ignore_index = ignore_index
         self.intersection = np.zeros(num_classes, dtype=np.int64)

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore, _check_class_counts
-from .errors import SegfuseError, check_choice
+from .errors import SegfuseError, check_choice, check_int
 from .grid import (DenseGrid, _all_finite, _row_tiles, _write_rows, bilinear_taps,
                    interpolate_axis, normalize_pixels_array)
 from .prompts import PromptBank
@@ -87,12 +87,6 @@ def check_tau_s(value: float) -> None:
 def check_normalize_order(value: str) -> None:
     """The one check on a normalization order: one of NORMALIZE_ORDERS."""
     check_choice("bad_normalize_order", "normalize_order", value, NORMALIZE_ORDERS)
-
-
-def check_threads(value: int) -> None:
-    """The one check on a worker-thread count: at least 1."""
-    if value < 1:
-        raise SegfuseError("bad_threads", f"threads must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -194,15 +188,14 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         out_h: int, out_w: int, normalize_order: str,
                         threads: int) -> None:
     check_normalize_order(normalize_order)
-    check_threads(threads)
+    check_int("bad_threads", "threads", threads, 1)
     if features.data.ndim != 3:
         raise SegfuseError("dim_mismatch", "features need 3 axes (H, W, D)")
     if features.channels != store.dim:
         raise SegfuseError("dim_mismatch", f"feature dim {features.channels} "
                                            f"!= embedding dim {store.dim}")
-    if out_h < 1 or out_w < 1:
-        raise SegfuseError("shape_mismatch",
-                           f"target dims must be >= 1, got {out_h}x{out_w}")
+    check_int("shape_mismatch", "out_h", out_h, 1)
+    check_int("shape_mismatch", "out_w", out_w, 1)
     if not _all_finite(features.data):
         raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
 

@@ -9,21 +9,22 @@ occupancy.  The `overlap` knob scales all evidence corruption (feature noise
 and mask-logit noise), so overlap=0 produces perfectly separable evidence.
 
 Scenes are drawn in bounded memory, along one path, `_SceneDraw`.  It
-checks every argument first: a scene whose arrays numpy cannot address at
-all fails with `bad_scene_size`, and one with a grid extent that a CFT1
-header cannot hold fails with `bad_extent`, before anything is drawn or
-allocated.  It then draws the small prompt embeddings and allocates the
+checks every argument first: a size or seed that is not an integer in range
+fails with `bad_scene_size` or `bad_scene_seed`, a scene whose arrays numpy
+cannot address at all with `bad_scene_size`, and one with a grid extent
+that a CFT1 header cannot hold with `bad_extent`, before anything is drawn
+or allocated.  It then draws the small prompt embeddings and allocates the
 uint32 ground truth, the first grid-sized allocation, so a scene too large
 for memory raises `MemoryError` there, which the CLI reports as
 `out_of_memory` with exit 1, before a caller has opened any output.
 `draw` computes the ground truth, the features and then the mask logits in
 float64 over the row blocks of `_row_tiles`, sized by the float64 bytes a
-block holds per row, and hands each feature block and each mask-logit
-block to one writer per grid, in row order.  `generate_scene` fills whole float32 arrays from those
-writers; `segfuse gen` appends the blocks to its output files, so it never
-holds the features or the `H x W x C` mask logits.  Every step is per pixel
-and the noise is drawn block by block in row order, features first, so the
-bytes do not depend on the block height or on where the blocks go.
+block holds per row, and yields each feature block and then each
+mask-logit block, in row order.  `generate_scene` fills whole float32
+arrays from those blocks; `segfuse gen` appends them to its output files,
+so it never holds the features or the `H x W x C` mask logits.  Every step
+is per pixel and the noise is drawn block by block in row order, features
+first, so the bytes do not depend on the block height or where they go.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
-from .errors import SegfuseError
+from .errors import SegfuseError, check_int
 from .fusion import EvidenceBundle
 from .grid import (DenseGrid, LabelMap, _check_extents, _row_tiles,
                    normalize_pixels_array)
@@ -106,7 +107,7 @@ class _SceneDraw:
 
     Construction checks every argument, draws the prompt embeddings and
     allocates the ground truth `gt`; `feature_shape` and `logit_shape` are
-    the extents of the two float32 grids that `draw` writes.
+    the extents of the two float32 grids whose blocks `draw` yields.
     """
 
     def __init__(self, seed: int, height: int, width: int, dim: int,
@@ -115,12 +116,13 @@ class _SceneDraw:
                  feature_width: int | None):
         fh = feature_height if feature_height is not None else height
         fw = feature_width if feature_width is not None else width
-        if min(height, width, fh, fw, dim, num_classes, synonyms_per_class) < 1:
-            raise SegfuseError("bad_scene_size", "scene dimensions must be >= 1")
+        for name, size in (("height", height), ("width", width),
+                           ("feature_height", fh), ("feature_width", fw),
+                           ("dim", dim), ("num_classes", num_classes)):
+            check_int("bad_scene_size", name, size, 1)
         # A prompt file holds at most MAX_SYNONYMS variants per class.
-        if synonyms_per_class > MAX_SYNONYMS:
-            raise SegfuseError("bad_scene_size", f"synonyms per class must be <= "
-                               f"{MAX_SYNONYMS}, got {synonyms_per_class}")
+        check_int("bad_scene_size", "synonyms_per_class", synonyms_per_class,
+                  1, MAX_SYNONYMS)
         # numpy refuses an array whose byte size overflows its index type with a
         # bare ValueError, before allocating anything.
         if 8 * max(num_classes * dim, height * width * num_classes,
@@ -133,17 +135,16 @@ class _SceneDraw:
         if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
             raise SegfuseError("bad_scene_noise",
                                f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
-        if seed < 0:
-            raise SegfuseError("bad_scene_seed", f"seed must be >= 0, got {seed}")
+        check_int("bad_scene_seed", "seed", seed, 0)
         self._rng = np.random.default_rng(seed)
         self._overlap = overlap
         self.embeddings, self.bank = _prompt_embeddings(
             self._rng, dim, num_classes, synonyms_per_class, drift)
         self.gt = np.empty((height, width), dtype=np.uint32)
 
-    def draw(self, write_features, write_logits) -> np.ndarray:
-        """Fill `gt`, pass every feature block and then every mask-logit block
-        to its writer in row order, and return the float32 presence logits."""
+    def draw(self):
+        """Fill `gt`, then yield `(grid, rows, block)` for every feature block
+        (grid 0) and then every mask-logit block (grid 1), in row order."""
         rng, gt, overlap = self._rng, self.gt, self._overlap
         height, width, num_classes = self.logit_shape
         fh, fw, dim = self.feature_shape
@@ -163,24 +164,16 @@ class _SceneDraw:
             if overlap > 0:
                 block += overlap * rng.standard_normal(block.shape) / np.sqrt(dim)
                 block, _ = normalize_pixels_array(block)
-            write_features(block)
+            yield 0, rows, block
         for rows in _row_tiles(height, width * num_classes * _NOISY_BLOCK_BYTES):
-            write_logits(_logit_rows(rng, gt[rows], num_classes, overlap))
+            yield 1, rows, _logit_rows(rng, gt[rows], num_classes, overlap)
 
-        occupancy = np.bincount(gt.ravel(), minlength=num_classes).astype(np.float64)
+    def presence(self) -> np.ndarray:
+        """The float32 presence logits of the class occupancy of a filled `gt`."""
+        height, width, num_classes = self.logit_shape
+        occupancy = np.bincount(self.gt.ravel(), minlength=num_classes).astype(float)
         total = float(height * width)
         return np.log((occupancy + 1.0) / (total - occupancy + 1.0)).astype(np.float32)
-
-
-def _filler(arr: np.ndarray):
-    """A writer that fills arr with blocks of whole rows, in order."""
-    filled = 0
-
-    def write(rows):
-        nonlocal filled
-        arr[filled:filled + len(rows)] = rows
-        filled += len(rows)
-    return write
 
 
 def generate_scene(seed: int, height: int, width: int, dim: int,
@@ -204,11 +197,12 @@ def generate_scene(seed: int, height: int, width: int, dim: int,
     """
     scene = _SceneDraw(seed, height, width, dim, num_classes, synonyms_per_class,
                        drift, overlap, feature_height, feature_width)
-    feats = np.empty(scene.feature_shape, dtype=np.float32)
-    logits = np.empty(scene.logit_shape, dtype=np.float32)
-    presence = scene.draw(_filler(feats), _filler(logits))
+    grids = (np.empty(scene.feature_shape, dtype=np.float32),
+             np.empty(scene.logit_shape, dtype=np.float32))
+    for grid, rows, block in scene.draw():
+        grids[grid][rows] = block
     return SyntheticScene(
         height=height, width=width, num_classes=num_classes,
-        features=DenseGrid(feats), gt=LabelMap(scene.gt),
-        evidence=EvidenceBundle(DenseGrid(logits), "logits", presence),
+        features=DenseGrid(grids[0]), gt=LabelMap(scene.gt),
+        evidence=EvidenceBundle(DenseGrid(grids[1]), "logits", scene.presence()),
         embeddings=scene.embeddings, bank=scene.bank)

@@ -96,9 +96,9 @@ def test_record_fields_are_pinned():
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# A code is the first argument of `SegfuseError` or `check_choice`, possibly
-# on the next line, or a code the CLI prints itself.
-RAISED = re.compile(r'(?:SegfuseError|check_choice)\(\s*"([a-z_]+)"\s*,'
+# A code is the first argument of `SegfuseError`, `check_choice` or
+# `check_int`, possibly on the next line, or a code the CLI prints itself.
+RAISED = re.compile(r'(?:SegfuseError|check_choice|check_int)\(\s*"([a-z_]+)"\s*,'
                     r'|segfuse: error: ([a-z_]+):')
 
 

@@ -77,10 +77,12 @@ def test_out_of_memory_scene_exit_1(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("flag", ["--feature-height", "--feature-width"])
 def test_gen_non_positive_feature_grid_exit_1(tmp_path, capsys, flag):
+    name = flag[2:].replace("-", "_")
     for value in ("0", "-2"):
         assert main(["gen", flag, value, "--out-dir", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err == (
-            "segfuse: error: bad_scene_size: scene dimensions must be >= 1\n")
+            f"segfuse: error: bad_scene_size: {name} must be an integer >= 1, "
+            f"got {value}\n")
 
 
 @pytest.mark.parametrize("flags, code", [

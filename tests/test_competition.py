@@ -121,7 +121,7 @@ def test_spec_validation():
 
 def test_target_class_out_of_range():
     scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)
-    for target in (3, -1):
+    for target in (3, -1, 0.5, True):
         with pytest.raises(SegfuseError) as err:
             select_competitors(scene.embeddings, scene.bank,
                                CompetitionSpec(target, 0.5))
@@ -178,7 +178,7 @@ def test_restrict_to_an_empty_subset_fails_with_a_code():
     assert err.value.code == "empty_class_subset"
 
 
-@pytest.mark.parametrize("bad", [-1, 4])
+@pytest.mark.parametrize("bad", [-1, 4, 2.0, True])
 def test_restrict_to_classes_rejects_out_of_range_index(bad):
     scene = generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3)
     with pytest.raises(SegfuseError) as err:
@@ -484,6 +484,10 @@ def test_empty_axis_rejected():
     ({"tau_values": [1e-7, 2e-7]}, "indistinct_sweep_values"),
     ({"p_values": [0.5, 0.5000001]}, "indistinct_sweep_values"),
     ({"lambda_values": [0.3, 0.7, 0.3000004]}, "indistinct_sweep_values"),
+    # in range, but not an integer
+    ({"target_class": 1.5}, "bad_class_index"),
+    ({"target_class": True}, "bad_class_index"),
+    ({"threads": 1.5}, "bad_threads"),
 ])
 def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
     scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)

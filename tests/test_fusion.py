@@ -194,7 +194,7 @@ def test_nan_background_threshold_rejected():
     assert err.value.code == "bad_background_threshold"
 
 
-@pytest.mark.parametrize("index", [-1, 2**32])
+@pytest.mark.parametrize("index", [-1, 2**32, 4.5, True])
 def test_background_index_must_fit_uint32(index):
     with pytest.raises(SegfuseError) as err:
         Background(-1.0, index)

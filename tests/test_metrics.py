@@ -106,11 +106,26 @@ def test_all_undefined_raises():
     # no uint32 label equals these
     (4, -1, "bad_ignore_index"),
     (4, 2**32, "bad_ignore_index"),
+    # in range, but not an integer
+    (4, 4.5, "bad_ignore_index"),
+    (4.5, None, "bad_class_count"),
+    (True, None, "bad_class_count"),
 ])
 def test_bad_matrix_settings_carry_codes(num_classes, ignore_index, code):
     with pytest.raises(SegfuseError) as err:
         ConfusionMatrix(num_classes, ignore_index=ignore_index)
     assert err.value.code == code
+
+
+def test_numpy_integer_settings_count_alike():
+    gt = LabelMap(np.array([[0, 1], [255, 3]], dtype=np.uint32))
+    pred = LabelMap(np.array([[0, 2], [1, 255]], dtype=np.uint32))
+    plain = ConfusionMatrix(4, ignore_index=255).accumulate(gt, pred)
+    wide = ConfusionMatrix(np.int64(4), ignore_index=np.uint32(255))
+    wide.accumulate(gt, pred)
+    for counts in ("intersection", "gt_pixels", "pred_pixels"):
+        assert np.array_equal(getattr(wide, counts), getattr(plain, counts))
+    assert plain.gt_pixels.sum() == 2
 
 
 def test_label_out_of_range():

@@ -537,7 +537,7 @@ def test_pooled_scores_pools_every_mode_from_one_build(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 1.5, True])
 def test_build_prior_rejects_non_positive_threads(threads):
     rng = np.random.default_rng(104)
     bank, store, feats = _scene_pieces(rng, 3, 3, 4, [1, 2])
@@ -1028,7 +1028,7 @@ def test_build_prior_counts_zero_pixels(caplog):
 def test_build_prior_rejects_bad_target():
     rng = np.random.default_rng(111)
     bank, store, feats = _scene_pieces(rng, 2, 2, 4, [1])
-    for out_h, out_w in ((0, 4), (4, 0), (-1, 2)):
+    for out_h, out_w in ((0, 4), (4, 0), (-1, 2), (4.5, 4), (4, 2.0)):
         with pytest.raises(SegfuseError) as err:
             build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h, out_w)
         assert err.value.code == "shape_mismatch"

@@ -86,7 +86,8 @@ def test_presence_tracks_occupancy_rank():
 @pytest.mark.parametrize("value", [0, -2])
 @pytest.mark.parametrize("flag", ["feature_height", "feature_width"])
 def test_feature_grid_size_validation(flag, value, overlap):
-    with pytest.raises(SegfuseError, match="scene dimensions must be >= 1") as err:
+    message = f"{flag} must be an integer >= 1, got {value}"
+    with pytest.raises(SegfuseError, match=message) as err:
         generate_scene(0, 4, 4, 4, 2, 1, 0.0, overlap, **{flag: value})
     assert err.value.code == "bad_scene_size"
 
@@ -115,6 +116,11 @@ def test_parameter_validation():
     # a CFT1 header cannot hold these extents
     ({"height": 2**32, "width": 1}, "bad_extent"),
     ({"feature_height": 2**32, "feature_width": 1}, "bad_extent"),
+    # in range, but not an integer
+    ({"seed": 1.5}, "bad_scene_seed"),
+    ({"seed": True}, "bad_scene_seed"),
+    ({"height": 4.5}, "bad_scene_size"),
+    ({"synonyms_per_class": 2.5}, "bad_scene_size"),
 ])
 def test_scene_arguments_carry_codes(changes, code):
     args = dict(seed=0, height=4, width=4, dim=4, num_classes=2,
@@ -122,6 +128,21 @@ def test_scene_arguments_carry_codes(changes, code):
     with pytest.raises(SegfuseError) as err:
         generate_scene(**{**args, **changes})
     assert err.value.code == code
+
+
+def test_numpy_integer_arguments_give_the_same_scene():
+    plain = generate_scene(1, 8, 8, 4, 3, 2, 0.2, 0.4, 5, 6)
+    wide = generate_scene(np.int64(1), np.int64(8), 8, np.int32(4), 3,
+                          np.uint8(2), 0.2, 0.4, np.int64(5), 6)
+    assert _digests(wide) == _digests(plain)
+
+
+def test_draw_yields_every_feature_row_then_every_logit_row(monkeypatch):
+    monkeypatch.setattr(grid_module, "_TILE_BYTES", 1)
+    scene = synth_module._SceneDraw(3, 7, 5, 4, 3, 2, 0.2, 0.4, 4, 6)
+    pairs = [(grid, rows.start, rows.stop) for grid, rows, _ in scene.draw()]
+    assert pairs == ([(0, r, r + 1) for r in range(4)]
+                     + [(1, r, r + 1) for r in range(7)])
 
 
 def test_bank_is_parse_clean():
