@@ -24,12 +24,12 @@ from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
 from .embeddings import load_embeddings
 from .errors import SegfuseError, check_int
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
-                     _fuse_and_decode_rows, check_lambda_prior, write_pgm)
+                     FusionConfig, _fuse_and_decode_rows, write_pgm)
 from .grid import (DenseGrid, LabelMap, _read_rows, _write_rows, load_grid,
                    load_label_map, save_grid, save_label_map)
 from .metrics import ConfusionMatrix, iou_report
 from .prior import (AGGREGATION_KINDS, DEFAULT_TAU, NORMALIZE_ORDERS,
-                    Aggregation, _write_prior, check_normalize_order, check_tau_s)
+                    Aggregation, _write_prior, check_normalize_order)
 from .prompts import _content_lines, _read_utf8, load_prompt_file, save_prompt_file
 from .synth import _SceneDraw, generate_scene
 
@@ -48,8 +48,8 @@ def _add_threads_option(sub):
 # The run settings: key -> (default, argparse keywords, library check).  A
 # command takes the flags of the keys it reads; a config file may set any key.
 _SETTINGS = {
-    "lambda_prior": (DEFAULT_LAMBDA, {"type": float}, check_lambda_prior),
-    "tau_s": (DEFAULT_TAU, {"type": float}, check_tau_s),
+    "lambda_prior": (DEFAULT_LAMBDA, {"type": float}, FusionConfig),
+    "tau_s": (DEFAULT_TAU, {"type": float}, lambda tau: Aggregation("lse", tau)),
     "aggregation": ("lse", {"help": f"one of {AGGREGATION_KINDS}"}, Aggregation),
     "background_threshold": (None, {"type": float}, Background),
     "normalize_order": ("both", {"help": f"one of {NORMALIZE_ORDERS}"},

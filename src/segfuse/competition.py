@@ -23,13 +23,12 @@ import numpy as np
 
 from .embeddings import (EmbeddingStore, _check_class_counts, _offsets,
                          canonical_vectors)
-from .errors import SegfuseError, check_choice, check_int
+from .errors import SegfuseError, check_choice, check_float, check_int
 from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
 from .grid import DenseGrid, LabelMap
 from .metrics import ConfusionMatrix, miou
-from .prior import (DEFAULT_TAU, Aggregation, check_tau_s, log_prior_array,
-                    pooled_scores)
+from .prior import DEFAULT_TAU, Aggregation, log_prior_array, pooled_scores
 from .prompts import PromptBank
 from .synth import SyntheticScene
 
@@ -44,9 +43,7 @@ class CompetitionSpec:
     selection: str = "easy"
 
     def __post_init__(self):
-        if not 0.0 <= self.ratio <= 1.0:
-            raise SegfuseError("bad_ratio",
-                               f"ratio must lie in [0, 1], got {self.ratio}")
+        check_float("bad_ratio", "ratio", self.ratio, 0.0, 1.0)
         check_choice("bad_selection", "selection", self.selection, SELECTION_MODES)
 
 
@@ -186,12 +183,12 @@ def run_sweep(scene: SyntheticScene, *,
     sources = ({"primary": scene.features} if feature_sources is None
                else dict(feature_sources))
     for name in sources:  # the CSV would split or break the row
-        if any(ch in name for ch in ",\r\n"):
+        if not isinstance(name, str) or any(ch in name for ch in ",\r\n"):
             raise SegfuseError("bad_alt_features",
-                               f"feature source name {name!r} holds a comma "
-                               "or a line break")
+                               f"feature source name {name!r} must be a string "
+                               "with no comma or line break")
     for tau in tau_values:  # max and average ignore tau_s, but it is still checked
-        check_tau_s(tau)
+        Aggregation("lse", tau)
     # Every competitor set is picked first, so a bad ratio, selection or
     # target fails before any pooled build.
     groups = [(p, selection, tuple(sorted(select_competitors(

@@ -24,12 +24,12 @@ through the `_row_tiles` the prior kernel uses too.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, check_choice, check_int
+from .errors import SegfuseError, check_choice, check_float, check_int
 from .grid import _MAX_U32, DenseGrid, LabelMap, _all_finite, _row_tiles
 
 PROB_EPS = 1e-6
@@ -84,9 +84,7 @@ class Background:
     index: int | None = None
 
     def __post_init__(self):
-        if math.isnan(self.threshold):
-            raise SegfuseError("bad_background_threshold",
-                               "background threshold must not be NaN")
+        check_float("bad_background_threshold", "background threshold", self.threshold)
         if self.index is not None:
             check_int("bad_background_index", "background index", self.index,
                       0, _MAX_U32)
@@ -95,20 +93,14 @@ class Background:
 DEFAULT_LAMBDA = 0.7
 
 
-def check_lambda_prior(value: float) -> None:
-    """The one check on a prior weight: finite and >= 0 (NaN fails too)."""
-    if not 0.0 <= value < math.inf:
-        raise SegfuseError("bad_lambda_prior",
-                           f"lambda_prior must be finite and >= 0, got {value}")
-
-
 @dataclass(frozen=True)
 class FusionConfig:
     lambda_prior: float = DEFAULT_LAMBDA
     background: Background | None = None
 
     def __post_init__(self):
-        check_lambda_prior(self.lambda_prior)
+        check_float("bad_lambda_prior", "lambda_prior", self.lambda_prior,
+                    0.0, sys.float_info.max)
 
 
 def _mask_logits(data: np.ndarray, kind: str) -> np.ndarray:

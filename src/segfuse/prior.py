@@ -47,8 +47,8 @@ import ctypes
 import glob
 import itertools
 import logging
-import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .embeddings import EmbeddingStore, _check_class_counts
-from .errors import SegfuseError, check_choice, check_int
+from .errors import SegfuseError, check_choice, check_float, check_int
 from .grid import (DenseGrid, _all_finite, _row_tiles, _write_rows, bilinear_taps,
                    interpolate_axis, normalize_pixels_array)
 from .prompts import PromptBank
@@ -71,17 +71,6 @@ NORMALIZE_ORDERS = ("before", "after", "both")
 # Cosines lie in [-1, 1], so |log prior| <= 2 / tau_s + ln(m_c) + ln C,
 # which rounds to a finite float32 for any tau_s at or above this.
 MIN_TAU = 2.0 / float(np.finfo(np.float32).max)
-
-
-def check_tau_s(value: float) -> None:
-    """The one check on a pooling temperature: finite and >= MIN_TAU.
-
-    NaN fails too.  An infinite temperature would pool every class to
-    log(m_c), whatever the features say.
-    """
-    if not MIN_TAU <= value < math.inf:
-        raise SegfuseError("bad_tau_s", f"tau_s must be finite and >= {MIN_TAU:.6g} "
-                                        f"(2 / float32 max), got {value}")
 
 
 def check_normalize_order(value: str) -> None:
@@ -98,8 +87,8 @@ class Aggregation:
 
     def __post_init__(self):
         check_choice("bad_aggregation", "aggregation", self.kind, AGGREGATION_KINDS)
-        if self.kind == "lse":
-            check_tau_s(self.tau_s)
+        if self.kind == "lse":  # an infinite tau_s would pool every class to log(m_c)
+            check_float("bad_tau_s", "tau_s", self.tau_s, MIN_TAU, sys.float_info.max)
         else:  # average and max ignore `tau_s`, so they compare equal
             object.__setattr__(self, "tau_s", DEFAULT_TAU)
 

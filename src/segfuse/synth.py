@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
-from .errors import SegfuseError, check_int
+from .errors import SegfuseError, check_float, check_int
 from .fusion import EvidenceBundle
 from .grid import (DenseGrid, LabelMap, _check_extents, _row_tiles,
                    normalize_pixels_array)
@@ -124,17 +124,16 @@ class _SceneDraw:
         check_int("bad_scene_size", "synonyms_per_class", synonyms_per_class,
                   1, MAX_SYNONYMS)
         # numpy refuses an array whose byte size overflows its index type with a
-        # bare ValueError, before allocating anything.
-        if 8 * max(num_classes * dim, height * width * num_classes,
-                   fh * fw * dim) > np.iinfo(np.intp).max:
+        # bare ValueError, before allocating anything; Python ints never wrap.
+        h, w, c, d = (int(size) for size in (height, width, num_classes, dim))
+        if 8 * max(c * d, h * w * c, int(fh) * int(fw) * d) > np.iinfo(np.intp).max:
             raise SegfuseError("bad_scene_size", "scene too large to address")
         self.feature_shape = (fh, fw, dim)
         self.logit_shape = (height, width, num_classes)
         _check_extents("features", self.feature_shape)
         _check_extents("mask logits", self.logit_shape)
-        if not (0.0 <= drift <= MAX_NOISE and 0.0 <= overlap <= MAX_NOISE):
-            raise SegfuseError("bad_scene_noise",
-                               f"drift and overlap must lie in [0, {MAX_NOISE:g}]")
+        check_float("bad_scene_noise", "drift", drift, 0.0, MAX_NOISE)
+        check_float("bad_scene_noise", "overlap", overlap, 0.0, MAX_NOISE)
         check_int("bad_scene_seed", "seed", seed, 0)
         self._rng = np.random.default_rng(seed)
         self._overlap = overlap

@@ -7,16 +7,19 @@ raises.
 """
 import dataclasses
 import inspect
+import math
 import pathlib
 import re
+import sys
 
+import numpy as np
 import pytest
 
 import segfuse
 from segfuse.competition import EXCLUDED_MODES, SELECTION_MODES
 from segfuse.fusion import EVIDENCE_KINDS
-from segfuse.prior import AGGREGATION_KINDS, NORMALIZE_ORDERS
-from segfuse.synth import SyntheticScene
+from segfuse.prior import AGGREGATION_KINDS, MIN_TAU, NORMALIZE_ORDERS
+from segfuse.synth import MAX_NOISE, SyntheticScene
 
 PUBLIC = {
     # data types and configuration
@@ -96,9 +99,9 @@ def test_record_fields_are_pinned():
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# A code is the first argument of `SegfuseError`, `check_choice` or
-# `check_int`, possibly on the next line, or a code the CLI prints itself.
-RAISED = re.compile(r'(?:SegfuseError|check_choice|check_int)\(\s*"([a-z_]+)"\s*,'
+# A code is the first argument of `SegfuseError` or of an `errors.check_*`
+# helper, possibly on the next line, or a code the CLI prints itself.
+RAISED = re.compile(r'\b(?:SegfuseError|check_\w+)\(\s*"([a-z_]+)"\s*,'
                     r'|segfuse: error: ([a-z_]+):')
 
 
@@ -152,3 +155,44 @@ def test_every_choice_fails_with_one_message(code):
         call()
     assert err.value.code == code
     assert str(err.value) == f"{code}: {name} must be one of {choices}, got '{value}'"
+
+
+# Each real-valued setting, sent a value through its library entry:
+# name -> (code, low, high, call).
+REALS = {
+    "tau_s": ("bad_tau_s", MIN_TAU, sys.float_info.max,
+              lambda value: segfuse.Aggregation("lse", value)),
+    "lambda_prior": ("bad_lambda_prior", 0.0, sys.float_info.max,
+                     segfuse.FusionConfig),
+    "background threshold": ("bad_background_threshold", -math.inf, math.inf,
+                             segfuse.Background),
+    "ratio": ("bad_ratio", 0.0, 1.0,
+              lambda value: segfuse.CompetitionSpec(0, value)),
+    "drift": ("bad_scene_noise", 0.0, MAX_NOISE,
+              lambda value: segfuse.generate_scene(0, 4, 4, 4, 2, 1, value, 0.0)),
+    "overlap": ("bad_scene_noise", 0.0, MAX_NOISE,
+                lambda value: segfuse.generate_scene(0, 4, 4, 4, 2, 1, 0.0, value)),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, math.nan],
+                         ids=["str", "bool", "none", "nan"])
+@pytest.mark.parametrize("name", REALS)
+def test_every_real_setting_fails_with_one_message(name, value):
+    code, low, high, call = REALS[name]
+    with pytest.raises(segfuse.SegfuseError) as err:
+        call(value)
+    assert err.value.code == code
+    assert str(err.value) == (f"{code}: {name} must be a real number in "
+                              f"[{low}, {high}], got {value!r}")
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_numpy_reals_compare_exactly(name):
+    code, low, high, call = REALS[name]
+    for value in (np.float32(0.5), np.float64(0.5), np.int64(1)):
+        call(value)
+    if high < math.inf:  # float32 must not round a finite bound up to inf
+        with pytest.raises(segfuse.SegfuseError) as err:
+            call(np.float32(np.inf))
+        assert err.value.code == code

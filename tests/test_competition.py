@@ -488,6 +488,10 @@ def test_empty_axis_rejected():
     ({"target_class": 1.5}, "bad_class_index"),
     ({"target_class": True}, "bad_class_index"),
     ({"threads": 1.5}, "bad_threads"),
+    # a source name must be a string; a bool is not a real setting
+    ({"feature_sources": {1: None}}, "bad_alt_features"),
+    ({"lambda_values": [True]}, "bad_lambda_prior"),
+    ({"p_values": [True]}, "bad_ratio"),
 ])
 def test_sweep_checks_every_setting_before_pooling(monkeypatch, changes, code):
     scene = generate_scene(1, 6, 6, 6, 3, 1, 0.0, 0.0)

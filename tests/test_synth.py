@@ -121,6 +121,9 @@ def test_parameter_validation():
     ({"seed": True}, "bad_scene_seed"),
     ({"height": 4.5}, "bad_scene_size"),
     ({"synonyms_per_class": 2.5}, "bad_scene_size"),
+    # numpy-integer sizes whose byte count wraps an int64
+    ({"height": np.int64(2**31), "width": np.int64(2**31),
+      "num_classes": np.int64(1024)}, "bad_scene_size"),
 ])
 def test_scene_arguments_carry_codes(changes, code):
     args = dict(seed=0, height=4, width=4, dim=4, num_classes=2,
