@@ -21,9 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import (EmbeddingStore, _check_class_counts, _offsets,
-                         canonical_vectors)
-from .errors import SegfuseError, check_choice, check_float, check_int
+from .embeddings import EmbeddingStore, _offsets, canonical_vectors
+from .errors import SegfuseError, check_choice, check_equal, check_float, check_int
 from .fusion import (DEFAULT_LAMBDA, EvidenceBundle, FusionConfig,
                      fuse_and_decode)
 from .grid import DenseGrid, LabelMap
@@ -54,7 +53,8 @@ def _check_class_indices(classes: Sequence[int], n: int) -> list[int]:
         raise SegfuseError("empty_class_subset", "class subset is empty")
     for ci in kept:
         check_int("bad_class_index", "class index", ci, 0, n - 1)
-    return kept
+    # as Python ints: numpy indexes with floats if a uint64 meets an int
+    return [int(ci) for ci in kept]
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,13 @@ class SweepRow:
     miou: float
 
 
+# The sweep CSV's columns, in order: a `SweepRow` field and its format.  The
+# axes come first, in `run_sweep`'s order, and `miou` last.
+_SWEEP_COLUMNS = (("p", "{:.6f}"), ("selection", "{}"), ("lambda_prior", "{:.6f}"),
+                  ("tau_s", "{:.6f}"), ("aggregation", "{}"),
+                  ("feature_source", "{}"), ("miou", "{:.6f}"))
+
+
 def select_competitors(store: EmbeddingStore, bank: PromptBank,
                        spec: CompetitionSpec) -> list[int]:
     """Target class plus the top ceil(p * (C - 1)) ranked negatives.
@@ -77,16 +84,17 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
     break toward the smaller class index.  The ceiling guarantees p=1 admits
     every negative and that the sets nest as p grows.
     """
-    _check_class_counts(store=store.num_classes, bank=bank.num_classes)
+    check_equal("shape_mismatch", "class counts", store=store.num_classes,
+                bank=bank.num_classes)
     n = bank.num_classes
-    _check_class_indices([spec.target_class], n)
+    target, = _check_class_indices([spec.target_class], n)
     canon = canonical_vectors(store).astype(np.float64)
-    sims = canon @ canon[spec.target_class]
+    sims = canon @ canon[target]
     # the stable sort keeps tied classes in index order
     order = np.argsort(-sims if spec.selection == "easy" else sims, kind="stable")
-    negatives = order[order != spec.target_class].tolist()
+    negatives = order[order != target].tolist()
     k = min(math.ceil(spec.ratio * (n - 1)), n - 1)
-    return [spec.target_class] + negatives[:k]
+    return [target] + negatives[:k]
 
 
 def _restrict_evidence(evidence: EvidenceBundle,
@@ -106,8 +114,8 @@ def restrict_to_classes(bank: PromptBank, store: EmbeddingStore,
 
     The store keeps the parent's unit rows as they are.
     """
-    _check_class_counts(store=store.num_classes, bank=bank.num_classes,
-                        evidence=evidence.mask_evidence.dims[2])
+    check_equal("shape_mismatch", "class counts", store=store.num_classes,
+                bank=bank.num_classes, evidence=evidence.mask_evidence.dims[2])
     kept = _check_class_indices(classes, bank.num_classes)
     sub_bank = PromptBank(tuple(bank.classes[ci] for ci in kept))
     spans = [store.offsets[ci] for ci in kept]
@@ -197,11 +205,9 @@ def run_sweep(scene: SyntheticScene, *,
     fusions = {lam: FusionConfig(lambda_prior=lam) for lam in lambda_values}
     # Every axis needs a value, and two distinct values that format_sweep_csv
     # prints alike would give rows no reader can tell apart.
-    for axis_name, axis, shown in (
-            ("p", p_values, "{:.6f}"), ("selection", selections, "{}"),
-            ("lambda_prior", lambda_values, "{:.6f}"),
-            ("tau_s", tau_values, "{:.6f}"), ("aggregation", aggregations, "{}"),
-            ("feature_source", sources, "{}")):
+    for (axis_name, shown), axis in zip(_SWEEP_COLUMNS, (
+            p_values, selections, lambda_values, tau_values, aggregations,
+            sources)):
         if len(axis) == 0:
             raise SegfuseError("empty_sweep_axis",
                                f"sweep axis '{axis_name}' is empty")
@@ -237,15 +243,14 @@ def run_sweep(scene: SyntheticScene, *,
     return rows
 
 
-SWEEP_CSV_HEADER = "p,selection,lambda_prior,tau_s,aggregation,feature_source,miou"
+SWEEP_CSV_HEADER = ",".join(name for name, _ in _SWEEP_COLUMNS)
 
 
 def format_sweep_csv(rows: Sequence[SweepRow]) -> str:
     lines = [SWEEP_CSV_HEADER]
     for r in rows:
-        lines.append(f"{r.p:.6f},{r.selection},{r.lambda_prior:.6f},"
-                     f"{r.tau_s:.6f},{r.aggregation},{r.feature_source},"
-                     f"{r.miou:.6f}")
+        lines.append(",".join(shown.format(getattr(r, name))
+                              for name, shown in _SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError
-from .grid import _all_finite, load_grid, normalize_pixels_array
+from .errors import SegfuseError, check_choice, check_equal, check_finite, check_int
+from .grid import load_grid, normalize_pixels_array
 from .prompts import PromptBank
 
 
@@ -38,26 +38,14 @@ def _offsets(counts) -> tuple[tuple[int, int], ...]:
     return tuple(zip(itertools.accumulate(counts, initial=0), counts))
 
 
-def _check_class_counts(**counts: int) -> None:
-    """The one check that a store, bank or evidence agree on the class count."""
-    if len(set(counts.values())) > 1:
-        raise SegfuseError("shape_mismatch", "class counts differ: " + ", ".join(
-            f"{name} has {n}" for name, n in counts.items()))
-
-
 def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
     """Build a store from an in-memory (total_synonyms, dim) row table."""
     rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise SegfuseError("bad_embedding_shape", f"need 2 axes, got {rows.ndim}")
-    if rows.shape[1] < 1:
-        raise SegfuseError("bad_embedding_dim", f"dim {rows.shape[1]} < 1")
-    if rows.shape[0] != bank.total_synonyms:
-        raise SegfuseError(
-            "row_count_mismatch",
-            f"{rows.shape[0]} embedding rows for {bank.total_synonyms} synonyms")
-    if not _all_finite(rows):
-        raise SegfuseError("nonfinite_values", "embedding rows hold NaN or Inf")
+    check_choice("bad_embedding_shape", "embedding axis count", rows.ndim, (2,))
+    check_int("bad_embedding_dim", "embedding dim", rows.shape[1], 1)
+    check_equal("row_count_mismatch", "row counts", embeddings=rows.shape[0],
+                synonyms=bank.total_synonyms)
+    check_finite("nonfinite_values", "embedding rows", rows)
     unit, zero_rows = normalize_pixels_array(rows)
     if zero_rows:
         raise SegfuseError("zero_norm_embedding", f"{zero_rows} rows have zero norm")

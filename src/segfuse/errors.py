@@ -1,6 +1,11 @@
-"""The package's one exception type, and its checks on choices, integers and reals."""
+"""The package's one exception type, and its five checks: on choices,
+integers, reals, sizes that must agree, and arrays that must be finite.
+
+Each check fails with the caller's code and one message form, so a message
+says what rule broke, not where the check sits."""
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -16,7 +21,7 @@ class SegfuseError(Exception):
 def check_choice(code: str, name: str, value, choices) -> None:
     """The one check that a setting `name` is one of `choices`; fails with `code`."""
     if value not in choices:
-        raise SegfuseError(code, f"{name} must be one of {choices}, got '{value}'")
+        raise SegfuseError(code, f"{name} must be one of {choices}, got {value!r}")
 
 
 def check_int(code: str, name: str, value, low: int, high: int | None = None) -> None:
@@ -30,11 +35,30 @@ def check_int(code: str, name: str, value, low: int, high: int | None = None) ->
 
 def check_float(code: str, name: str, value, low: float = -math.inf,
                 high: float = math.inf) -> None:
-    """The one check on a real-valued setting `name`: a real number, numpy's
-    too but not a bool, in [low, high] (NaN never is; `sys.float_info.max`
-    bounds a finite one); fails with `code`.  A numpy scalar is compared as
-    its exact Python value: float32 would round the bounds, even to inf."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not
-            low <= (value.item() if isinstance(value, np.generic) else value) <= high):
+    """The one check on a real-valued setting `name`: a Python or numpy int
+    or float, not a bool, and an int only if it fits a float64, in [low,
+    high] (NaN never is; `sys.float_info.max` bounds a finite one); fails
+    with `code`.  A numpy scalar is compared as its exact Python value:
+    float32 would round the bounds, even to inf."""
+    exact = value.item() if isinstance(value, np.generic) else value
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(exact, int) and abs(exact) > sys.float_info.max
+            or not low <= exact <= high):
         raise SegfuseError(code, f"{name} must be a real number in [{low}, {high}], "
                                  f"got {value!r}")
+
+
+def check_equal(code: str, what: str, **sizes) -> None:
+    """The one check that inputs agree: `sizes` maps each input's name to
+    its `what`, such as a class count or dims; fails with `code`."""
+    if len(set(sizes.values())) > 1:
+        raise SegfuseError(code, f"{what} differ: " + ", ".join(
+            f"{name} has {value}" for name, value in sizes.items()))
+
+
+def check_finite(code: str, name: str, arr: np.ndarray) -> None:
+    """The one NaN/Inf check, on the array `name`; fails with `code`.  min
+    and max propagate NaN, so a NaN fails as an infinity does."""
+    if arr.size and not (arr.min() > -np.inf and arr.max() < np.inf):
+        raise SegfuseError(code, f"{name} must hold no NaN or Inf")

@@ -29,8 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, check_choice, check_float, check_int
-from .grid import _MAX_U32, DenseGrid, LabelMap, _all_finite, _row_tiles
+from .errors import (SegfuseError, check_choice, check_equal, check_finite,
+                     check_float, check_int)
+from .grid import _MAX_U32, DenseGrid, LabelMap, _row_tiles
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
@@ -47,14 +48,12 @@ def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
     of probability evidence is checked per tile, where it is converted.
     """
     check_choice("bad_evidence_kind", "evidence kind", kind, EVIDENCE_KINDS)
-    if len(dims) != 3:
-        raise SegfuseError("shape_mismatch", "mask evidence needs 3 axes (H, W, C)")
+    check_choice("shape_mismatch", "mask evidence axis count", len(dims), (3,))
     c = dims[2]
     presence = (np.zeros(c, dtype=np.float32) if presence is None
                 else np.asarray(presence, dtype=np.float32).ravel())
-    if presence.shape[0] != c:
-        raise SegfuseError("shape_mismatch",
-                           f"presence has {presence.shape[0]} entries for {c} classes")
+    check_equal("shape_mismatch", "class counts", presence=presence.shape[0],
+                evidence=c)
     return presence
 
 
@@ -148,19 +147,14 @@ def _fuse_and_decode_rows(read, dims: tuple[int, ...], kind: str, presence,
     row order, so it can read two files in lockstep.
     """
     presence = _check_evidence(dims, kind, presence).astype(np.float64)
-    if prior_dims != dims:
-        raise SegfuseError("shape_mismatch",
-                           f"prior dims {prior_dims} != evidence dims {dims}")
+    check_equal("shape_mismatch", "dims", prior=prior_dims, evidence=dims)
     height, width, n_classes = dims
     background_index = None
-    if background is not None:
-        background_index = (background.index if background.index is not None
-                            else n_classes)
-        if background_index < n_classes:
-            raise SegfuseError(
-                "background_index_collision",
-                f"background index {background_index} collides with a foreground "
-                f"class (need >= {n_classes})")
+    if background is not None:  # it must name no foreground class
+        background_index = (n_classes if background.index is None
+                            else int(background.index))
+        check_int("background_index_collision", "background index",
+                  background_index, n_classes)
     labels = np.empty((height, width), dtype=np.uint32)
     for rows in _row_tiles(height, width * n_classes * _TILE_BYTES_PER_SCORE):
         scores = _fused_rows(*read(rows), kind, presence, lambda_prior)
@@ -169,8 +163,7 @@ def _fuse_and_decode_rows(read, dims: tuple[int, ...], kind: str, presence,
         # exactly where any of the pixel's scores is, and infinite on overflow.
         best = scores.reshape(-1)[tile_labels.ravel()
                                   + np.arange(0, scores.size, n_classes)]
-        if not _all_finite(best):
-            raise SegfuseError("nonfinite_scores", "best fused score is NaN or Inf")
+        check_finite("nonfinite_scores", "best fused scores", best)
         labels[rows] = tile_labels
         if background_index is not None:
             labels[rows][best.reshape(tile_labels.shape)
@@ -200,8 +193,8 @@ def fuse_and_decode(evidence: EvidenceBundle, prior: DenseGrid,
 
 def write_pgm(labels: LabelMap, path) -> None:
     """8-bit binary PGM export (class index as gray) for eyeballing; needs <= 256 labels."""
-    if labels.data.max(initial=0) > 255:
-        raise SegfuseError("pgm_label_overflow", "PGM export supports labels <= 255")
+    check_int("pgm_label_overflow", "PGM label", int(labels.data.max(initial=0)),
+              0, 255)
     h, w = labels.data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

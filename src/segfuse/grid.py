@@ -20,9 +20,9 @@ or a save is the one-block case of these, read straight into the array that
 is returned or written from the array's own memory, so there is one read
 path and one write path, and neither makes a full-size copy.  A failed
 write removes its output if that is a regular file.  `_row_tiles` is the
-one row tiling, which every blocked loop walks, `_all_finite` is the one
-NaN/Inf check, and `normalize_pixels_array` is the one unit-row rule, for
-features, scene rows and prompt embeddings alike.
+one row tiling, which every blocked loop walks, and `normalize_pixels_array`
+is the one unit-row rule, for features, scene rows and prompt embeddings
+alike.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError
+from .errors import SegfuseError, check_choice, check_finite, check_int
 
 MAGIC = b"CFT1"
 # Largest value a u32 holds: a CFT1 header extent, or a `LabelMap` label.
@@ -52,11 +52,6 @@ def _row_tiles(height: int, row_bytes: int) -> list[slice]:
     """In-order row slices covering 0..height; a function of the shape only."""
     step = max(1, min(height, _TILE_BYTES // row_bytes))  # rows per tile
     return [slice(r0, min(r0 + step, height)) for r0 in range(0, height, step)]
-
-
-def _all_finite(arr: np.ndarray) -> bool:
-    """True if arr holds no NaN or Inf; min and max propagate NaN, so it fails too."""
-    return arr.size == 0 or bool(arr.min() > -np.inf and arr.max() < np.inf)
 
 
 def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
@@ -89,22 +84,13 @@ class _Record:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(np.asarray(self.data), dtype=self.dtype)
-        if arr.ndim not in self.ndims:
-            raise SegfuseError("shape_mismatch",
-                               f"{self.noun} needs {_axis_counts(self)} axes, "
-                               f"got {arr.ndim}")
-        if any(e < 1 for e in arr.shape):
-            raise SegfuseError("shape_mismatch",
-                               f"{self.noun} extents must be >= 1, got {arr.shape}")
+        check_choice("shape_mismatch", f"{self.noun} axis count", arr.ndim, self.ndims)
+        check_int("shape_mismatch", f"{self.noun} extent", min(arr.shape), 1)
         self.data = arr
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape
-
-
-def _axis_counts(record) -> str:
-    return " or ".join(str(n) for n in record.ndims)
 
 
 @dataclass
@@ -140,18 +126,13 @@ def _read_header(f, path, record):
     if len(head) < 6 or head[:4] != MAGIC:
         raise SegfuseError("bad_magic", f"{path}: not a CFT1 file")
     dtype_code, ndim = head[4], head[5]
-    if dtype_code != record.code:
-        raise SegfuseError(
-            "bad_dtype", f"{path}: dtype code {dtype_code}, expected {record.code}")
-    if ndim not in record.ndims:
-        raise SegfuseError(
-            "bad_ndim", f"{path}: ndim {ndim}, expected {_axis_counts(record)}")
+    check_choice("bad_dtype", f"{path}: dtype code", dtype_code, (record.code,))
+    check_choice("bad_ndim", f"{path}: ndim", ndim, record.ndims)
     raw = f.read(4 * ndim)
     if len(raw) < 4 * ndim:
         raise SegfuseError("payload_truncated", f"{path}: header cut short")
     extents = struct.unpack("<" + "I" * ndim, raw)
-    if any(e == 0 for e in extents):
-        raise SegfuseError("bad_extent", f"{path}: zero extent in {extents}")
+    check_int("bad_extent", f"{path}: extent", min(extents), 1)
     return extents
 
 
@@ -213,9 +194,8 @@ class _RowReader:
             raise _payload_truncated(self._path, self._got, self._size)
         if not self._sized:
             arr = np.frombuffer(buf, dtype=self._dtype).reshape(shape)
-        if self._dtype.kind == "f" and not _all_finite(arr):
-            raise SegfuseError("nonfinite_values",
-                               f"{self._path}: payload has NaN/Inf")
+        if self._dtype.kind == "f":
+            check_finite("nonfinite_values", f"{self._path}: payload", arr)
         self._rows_left -= n
         if self._rows_left == 0 and self._f.read(1):
             raise _payload_excess(self._path)
@@ -231,9 +211,7 @@ def _read_rows(path, record):
 
 def _check_extents(path, extents):
     """Refuse extents that a CFT1 header cannot hold."""
-    if max(extents) > _MAX_U32:
-        raise SegfuseError(
-            "bad_extent", f"{path}: extent above {_MAX_U32} in {tuple(extents)}")
+    check_int("bad_extent", f"{path}: extent", int(max(extents)), 1, _MAX_U32)
 
 
 @contextlib.contextmanager

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SegfuseError, check_int
+from .errors import SegfuseError, check_equal, check_int
 from .grid import _MAX_U32, LabelMap
 
 
@@ -26,9 +26,7 @@ class ConfusionMatrix:
 
     def accumulate(self, gt: LabelMap, pred: LabelMap) -> "ConfusionMatrix":
         """Add one image pair; pixels labeled ignore_index on either side are skipped."""
-        if gt.dims != pred.dims:
-            raise SegfuseError("shape_mismatch",
-                               f"gt dims {gt.dims} != pred dims {pred.dims}")
+        check_equal("shape_mismatch", "dims", gt=gt.dims, pred=pred.dims)
         g = gt.data.ravel().astype(np.int64)
         p = pred.data.ravel().astype(np.int64)
         if self.ignore_index is not None:

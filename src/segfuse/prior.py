@@ -56,9 +56,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingStore, _check_class_counts
-from .errors import SegfuseError, check_choice, check_float, check_int
-from .grid import (DenseGrid, _all_finite, _row_tiles, _write_rows, bilinear_taps,
+from .embeddings import EmbeddingStore
+from .errors import check_choice, check_equal, check_finite, check_float, check_int
+from .grid import (_MAX_U32, DenseGrid, _row_tiles, _write_rows, bilinear_taps,
                    interpolate_axis, normalize_pixels_array)
 from .prompts import PromptBank
 
@@ -178,15 +178,13 @@ def _check_prior_inputs(features: DenseGrid, store: EmbeddingStore,
                         threads: int) -> None:
     check_normalize_order(normalize_order)
     check_int("bad_threads", "threads", threads, 1)
-    if features.data.ndim != 3:
-        raise SegfuseError("dim_mismatch", "features need 3 axes (H, W, D)")
-    if features.channels != store.dim:
-        raise SegfuseError("dim_mismatch", f"feature dim {features.channels} "
-                                           f"!= embedding dim {store.dim}")
-    check_int("shape_mismatch", "out_h", out_h, 1)
-    check_int("shape_mismatch", "out_w", out_w, 1)
-    if not _all_finite(features.data):
-        raise SegfuseError("nonfinite_values", "features hold NaN or Inf")
+    check_choice("dim_mismatch", "feature axis count", features.data.ndim, (3,))
+    check_equal("dim_mismatch", "dims", features=features.channels,
+                embeddings=store.dim)
+    # the size a CFT1 header, and so the `prior` command's output, can hold
+    check_int("shape_mismatch", "out_h", out_h, 1, _MAX_U32)
+    check_int("shape_mismatch", "out_w", out_w, 1, _MAX_U32)
+    check_finite("nonfinite_values", "features", features.data)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -417,7 +415,8 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     hold, and the caller's count comes back when the last of them ends.
     `bank` is only checked against the store's class count.
     """
-    _check_class_counts(store=store.num_classes, bank=bank.num_classes)
+    check_equal("shape_mismatch", "class counts", store=store.num_classes,
+                bank=bank.num_classes)
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     log_prior, = _tiled_kernel(features, store, (mode,), out_h, out_w,
                                normalize_order, threads, np.float32,

@@ -11,6 +11,7 @@ import math
 import pathlib
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -175,8 +176,11 @@ REALS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.5", True, None, math.nan],
-                         ids=["str", "bool", "none", "nan"])
+# A Fraction, and an int beyond float64, pass no real setting.
+@pytest.mark.parametrize("value", ["0.5", True, None, math.nan, Fraction(1, 2),
+                                   10**400, -10**400],
+                         ids=["str", "bool", "none", "nan", "fraction",
+                              "huge_int", "huge_negative_int"])
 @pytest.mark.parametrize("name", REALS)
 def test_every_real_setting_fails_with_one_message(name, value):
     code, low, high, call = REALS[name]
@@ -190,9 +194,86 @@ def test_every_real_setting_fails_with_one_message(name, value):
 @pytest.mark.parametrize("name", REALS)
 def test_numpy_reals_compare_exactly(name):
     code, low, high, call = REALS[name]
-    for value in (np.float32(0.5), np.float64(0.5), np.int64(1)):
+    for value in (np.float32(0.5), np.float64(0.5), np.int64(1), 1):
         call(value)
     if high < math.inf:  # float32 must not round a finite bound up to inf
         with pytest.raises(segfuse.SegfuseError) as err:
             call(np.float32(np.inf))
         assert err.value.code == code
+
+
+_TWO_CLASSES = segfuse.parse_prompt_file("a\nb\n")
+
+
+def _bad_payload(path):
+    segfuse.save_grid(segfuse.DenseGrid(np.array([[1.0, np.nan]])), path)
+    segfuse.load_grid(path)
+
+
+# Each check that inputs agree, or that an array is finite, sent inputs that
+# fail it through its library entry: id -> (code, message, call(path)).  On
+# the 3-class, 2-synonym, D4 scene every size but the one at fault agrees.
+AGREEMENTS = {
+    "prior_class_counts": (
+        "shape_mismatch", "class counts differ: store has 3, bank has 2",
+        lambda path: segfuse.build_prior(
+            _SCENE.features, _SCENE.embeddings, _TWO_CLASSES,
+            segfuse.Aggregation("lse"), 4, 4)),
+    "competitor_class_counts": (
+        "shape_mismatch", "class counts differ: store has 3, bank has 2",
+        lambda path: segfuse.select_competitors(
+            _SCENE.embeddings, _TWO_CLASSES, segfuse.CompetitionSpec(0, 1.0))),
+    "restrict_class_counts": (
+        "shape_mismatch",
+        "class counts differ: store has 3, bank has 3, evidence has 2",
+        lambda path: segfuse.restrict_to_classes(
+            _SCENE.bank, _SCENE.embeddings, segfuse.EvidenceBundle(
+                segfuse.DenseGrid(np.zeros((4, 4, 2)))), [0])),
+    "embedding_rows": (
+        "row_count_mismatch", "row counts differ: embeddings has 5, synonyms has 6",
+        lambda path: segfuse.store_from_array(np.ones((5, 4)), _SCENE.bank)),
+    "feature_dim": (
+        "dim_mismatch", "dims differ: features has 5, embeddings has 4",
+        lambda path: segfuse.pooled_scores(
+            segfuse.DenseGrid(np.ones((4, 4, 5))), _SCENE.embeddings,
+            (segfuse.Aggregation("lse"),), 4, 4)),
+    "presence_length": (
+        "shape_mismatch", "class counts differ: presence has 2, evidence has 3",
+        lambda path: segfuse.EvidenceBundle(_SCENE.evidence.mask_evidence,
+                                            presence=np.zeros(2))),
+    "prior_dims": (
+        "shape_mismatch", "dims differ: prior has (4, 5, 3), evidence has (4, 4, 3)",
+        lambda path: segfuse.fuse_and_decode(
+            _SCENE.evidence, segfuse.DenseGrid(np.zeros((4, 5, 3))),
+            segfuse.FusionConfig())),
+    "label_map_dims": (
+        "shape_mismatch", "dims differ: gt has (4, 4), pred has (4, 5)",
+        lambda path: segfuse.ConfusionMatrix(3).accumulate(
+            _SCENE.gt, segfuse.LabelMap(np.zeros((4, 5))))),
+    "payload": (
+        "nonfinite_values", "{path}: payload must hold no NaN or Inf", _bad_payload),
+    "embeddings": (
+        "nonfinite_values", "embedding rows must hold no NaN or Inf",
+        lambda path: segfuse.store_from_array(np.full((6, 4), np.inf),
+                                              _SCENE.bank)),
+    "features": (
+        "nonfinite_values", "features must hold no NaN or Inf",
+        lambda path: segfuse.build_prior(
+            segfuse.DenseGrid(np.full((4, 4, 4), -np.inf)), _SCENE.embeddings,
+            _SCENE.bank, segfuse.Aggregation("lse"), 4, 4)),
+    "best_fused_score": (
+        "nonfinite_scores", "best fused scores must hold no NaN or Inf",
+        lambda path: segfuse.fuse_and_decode(
+            _SCENE.evidence, segfuse.DenseGrid(np.full((4, 4, 3), np.nan)),
+            segfuse.FusionConfig())),
+}
+
+
+@pytest.mark.parametrize("site", AGREEMENTS)
+def test_every_agreement_and_finite_check_fails_with_one_message(site, tmp_path):
+    code, message, call = AGREEMENTS[site]
+    path = tmp_path / "grid.cft1"
+    with pytest.raises(segfuse.SegfuseError) as err:
+        call(path)
+    assert err.value.code == code
+    assert str(err.value) == f"{code}: {message.format(path=path)}"

@@ -1012,7 +1012,8 @@ def test_two_axis_evidence_is_reported_as_such(corpus_dir, tmp_path, capsys):
     template = _FUSE.replace("scene/mask_logits", "flat")
     assert main(template.format(d=corpus_dir, o=tmp_path).split()) == 1
     assert capsys.readouterr().err == (
-        "segfuse: error: shape_mismatch: mask evidence needs 3 axes (H, W, C)\n")
+        "segfuse: error: shape_mismatch: mask evidence axis count must be one "
+        "of (3,), got 2\n")
     assert not any(tmp_path.iterdir())
 
 

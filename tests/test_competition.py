@@ -130,10 +130,14 @@ def test_target_class_out_of_range():
 
 def test_restrict_to_classes_reindexes():
     # In the D16 scene, normalizing class 0's last row again moves its bits.
-    for scene, keep in ((generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3), [1, 3]),
-                        (generate_scene(3, 6, 6, 16, 8, 4, 0.2, 0.3), [5, 0])):
+    # A numpy unsigned index mixed with Python ints counts as its int.
+    for scene, given in ((generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3), [1, 3]),
+                         (generate_scene(3, 6, 6, 16, 8, 4, 0.2, 0.3), [5, 0]),
+                         (generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3),
+                          [np.uint64(1), 0])):
+        keep = [int(ci) for ci in given]
         bank, store, evidence = restrict_to_classes(
-            scene.bank, scene.embeddings, scene.evidence, keep)
+            scene.bank, scene.embeddings, scene.evidence, given)
         assert bank.num_classes == 2
         assert bank.classes == tuple(scene.bank.classes[ci] for ci in keep)
         assert store.num_vectors == bank.total_synonyms
@@ -169,6 +173,19 @@ def test_class_counts_must_agree():
         with pytest.raises(SegfuseError) as err:
             call()
         assert err.value.code == "shape_mismatch"
+
+
+def test_numpy_unsigned_target_counts_as_its_int():
+    # Mixed with Python ints, a uint64 would make numpy index with floats.
+    scene = generate_scene(5, 6, 6, 8, 4, 3, 0.2, 0.3)
+    for p in (0.0, 0.5, 1.0):
+        got = select_competitors(scene.embeddings, scene.bank,
+                                 CompetitionSpec(np.uint64(1), p))
+        assert got == select_competitors(scene.embeddings, scene.bank,
+                                         CompetitionSpec(1, p))
+        assert all(type(ci) is int for ci in got)
+    assert (run_sweep(scene, p_values=[0.5, 1.0], target_class=np.uint64(1))
+            == run_sweep(scene, p_values=[0.5, 1.0], target_class=1))
 
 
 def test_restrict_to_an_empty_subset_fails_with_a_code():

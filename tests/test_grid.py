@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 from segfuse import (DenseGrid, LabelMap, SegfuseError, load_grid, load_label_map,
                      save_grid, save_label_map)
 from segfuse.cli import main
-from segfuse.grid import (_TILE_BYTES, _all_finite, _read_rows, _row_tiles,
-                          _write_rows, bilinear_taps, interpolate_axis)
+from segfuse.errors import check_finite
+from segfuse.grid import (_TILE_BYTES, _read_rows, _row_tiles, _write_rows,
+                          bilinear_taps, interpolate_axis)
 
 import oracle
 from scenes import report_free_space
@@ -234,8 +235,14 @@ def test_nonfinite_value_ending_a_middle_slice_rejected(tmp_path, bad):
     (np.array([[np.inf], [1.0]], dtype=np.float32), False),
 ])
 def test_all_finite(values, finite):
-    assert _all_finite(values) is finite
+    # `check_finite` passes exactly the arrays np.isfinite calls finite.
     assert bool(np.isfinite(values).all()) is finite
+    if finite:
+        check_finite("nonfinite_values", "values", values)
+        return
+    with pytest.raises(SegfuseError) as err:
+        check_finite("nonfinite_values", "values", values)
+    assert str(err.value) == "nonfinite_values: values must hold no NaN or Inf"
 
 
 def test_short_read_after_size_check_is_truncated(tmp_path, monkeypatch):

@@ -1028,9 +1028,14 @@ def test_build_prior_counts_zero_pixels(caplog):
 def test_build_prior_rejects_bad_target():
     rng = np.random.default_rng(111)
     bank, store, feats = _scene_pieces(rng, 2, 2, 4, [1])
-    for out_h, out_w in ((0, 4), (4, 0), (-1, 2), (4.5, 4), (4, 2.0)):
+    # Sizes above a CFT1 extent fail before anything is allocated.
+    for out_h, out_w in ((0, 4), (4, 0), (-1, 2), (4.5, 4), (4, 2.0),
+                         (2**32, 4), (4, 10**30)):
         with pytest.raises(SegfuseError) as err:
             build_prior(feats, store, bank, Aggregation("lse", 0.1), out_h, out_w)
+        assert err.value.code == "shape_mismatch"
+        with pytest.raises(SegfuseError) as err:
+            pooled_scores(feats, store, (Aggregation("lse", 0.1),), out_h, out_w)
         assert err.value.code == "shape_mismatch"
 
 
