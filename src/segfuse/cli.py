@@ -22,7 +22,7 @@ import sys
 from .competition import (EXCLUDED_MODES, SELECTION_MODES, run_sweep,
                           write_sweep_csv)
 from .embeddings import load_embeddings
-from .errors import SegfuseError, check_int
+from .errors import SegfuseError, check_choice, check_int
 from .fusion import (DEFAULT_LAMBDA, EVIDENCE_KINDS, Background,
                      FusionConfig, _fuse_and_decode_rows, write_pgm)
 from .grid import (DenseGrid, LabelMap, _read_rows, _write_rows, load_grid,
@@ -71,8 +71,7 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise SegfuseError("bad_config_line", f"line {lineno}: expected key = value")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _SETTINGS:
-            raise SegfuseError("unknown_config_key", f"line {lineno}: '{key}'")
+        check_choice("unknown_config_key", f"line {lineno}: key", key, tuple(_SETTINGS))
         try:
             values[key] = _SETTINGS[key][1].get("type", str)(value)
         except ValueError:

@@ -49,8 +49,7 @@ class CompetitionSpec:
 def _check_class_indices(classes: Sequence[int], n: int) -> list[int]:
     """The one check on a class subset: not empty, each index in 0..n-1."""
     kept = list(classes)
-    if not kept:
-        raise SegfuseError("empty_class_subset", "class subset is empty")
+    check_int("empty_class_subset", "class subset size", len(kept), 1)
     for ci in kept:
         check_int("bad_class_index", "class index", ci, 0, n - 1)
     # as Python ints: numpy indexes with floats if a uint64 meets an int
@@ -100,7 +99,7 @@ def select_competitors(store: EmbeddingStore, bank: PromptBank,
 def _restrict_evidence(evidence: EvidenceBundle,
                        kept: Sequence[int]) -> EvidenceBundle:
     return EvidenceBundle(
-        DenseGrid(np.ascontiguousarray(evidence.mask_evidence.data[:, :, kept])),
+        DenseGrid(np.take(evidence.mask_evidence.data, kept, axis=2)),
         evidence.evidence_kind,
         evidence.presence[kept])
 
@@ -208,9 +207,8 @@ def run_sweep(scene: SyntheticScene, *,
     for (axis_name, shown), axis in zip(_SWEEP_COLUMNS, (
             p_values, selections, lambda_values, tau_values, aggregations,
             sources)):
-        if len(axis) == 0:
-            raise SegfuseError("empty_sweep_axis",
-                               f"sweep axis '{axis_name}' is empty")
+        check_int("empty_sweep_axis", f"sweep axis '{axis_name}' value count",
+                  len(axis), 1)
         printed = {}
         for value in axis:
             first = printed.setdefault(shown.format(value), value)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SegfuseError, check_choice, check_equal, check_finite, check_int
-from .grid import load_grid, normalize_pixels_array
+from .grid import _real_array, load_grid, normalize_pixels_array
 from .prompts import PromptBank
 
 
@@ -40,7 +40,7 @@ def _offsets(counts) -> tuple[tuple[int, int], ...]:
 
 def store_from_array(rows: np.ndarray, bank: PromptBank) -> EmbeddingStore:
     """Build a store from an in-memory (total_synonyms, dim) row table."""
-    rows = np.asarray(rows)
+    rows = _real_array("embedding table", rows)
     check_choice("bad_embedding_shape", "embedding axis count", rows.ndim, (2,))
     check_int("bad_embedding_dim", "embedding dim", rows.shape[1], 1)
     check_equal("row_count_mismatch", "row counts", embeddings=rows.shape[0],

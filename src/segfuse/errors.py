@@ -2,7 +2,10 @@
 integers, reals, sizes that must agree, and arrays that must be finite.
 
 Each check fails with the caller's code and one message form, so a message
-says what rule broke, not where the check sits."""
+says what rule broke, not where the check sits.  Every range, count and
+membership check in the package is one of these five; a parse or structure
+failure, such as a bad magic number or a line that does not parse, raises
+`SegfuseError` with its own words."""
 import math
 import numbers
 import sys

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (SegfuseError, check_choice, check_equal, check_finite,
-                     check_float, check_int)
-from .grid import _MAX_U32, DenseGrid, LabelMap, _row_tiles
+from .errors import check_choice, check_equal, check_finite, check_float, check_int
+from .grid import _MAX_U32, DenseGrid, LabelMap, _real_array, _row_tiles
 
 PROB_EPS = 1e-6
 # Bytes per score live at a fused tile's peak: the caller's previous float32
@@ -51,7 +50,8 @@ def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
     check_choice("shape_mismatch", "mask evidence axis count", len(dims), (3,))
     c = dims[2]
     presence = (np.zeros(c, dtype=np.float32) if presence is None
-                else np.asarray(presence, dtype=np.float32).ravel())
+                else np.asarray(_real_array("presence", presence),
+                                dtype=np.float32).ravel())
     check_equal("shape_mismatch", "class counts", presence=presence.shape[0],
                 evidence=c)
     return presence
@@ -76,7 +76,8 @@ class Background:
 
     `index` defaults to C, the first index past the foreground classes, and
     must fit a uint32 label.  A threshold of -inf rejects nothing and +inf
-    rejects everything; NaN is refused, because no score compares below it.
+    rejects everything, and so does one beyond float32's range of the same
+    sign; NaN is refused, because no score compares below it.
     """
 
     threshold: float
@@ -109,10 +110,10 @@ def _mask_logits(data: np.ndarray, kind: str) -> np.ndarray:
     """
     if kind == "logits":
         return data
-    # Written so that NaN, which fails every comparison, is rejected.
-    if not (data.min() >= 0.0 and data.max() <= 1.0):
-        raise SegfuseError("probability_out_of_range",
-                           "probability evidence must lie in [0, 1]")
+    # min and max propagate NaN, which lies in no range.
+    for bound in (data.min(), data.max()):
+        check_float("probability_out_of_range", "probability evidence",
+                    float(bound), 0.0, 1.0)
     p = data.astype(np.float64)
     np.clip(p, PROB_EPS, 1.0 - PROB_EPS, out=p)
     odds = 1.0 - p
@@ -166,8 +167,11 @@ def _fuse_and_decode_rows(read, dims: tuple[int, ...], kind: str, presence,
         check_finite("nonfinite_scores", "best fused scores", best)
         labels[rows] = tile_labels
         if background_index is not None:
-            labels[rows][best.reshape(tile_labels.shape)
-                         < background.threshold] = background_index
+            # A threshold beyond float32's range compares as +-inf, its
+            # float32 cast, and the cast's overflow warning says nothing more.
+            with np.errstate(over="ignore"):
+                labels[rows][best.reshape(tile_labels.shape)
+                             < background.threshold] = background_index
     return LabelMap(labels)
 
 

@@ -60,10 +60,11 @@ def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
     Zero-norm vectors map to the zero vector and are counted, not rejected:
     padded feature regions produce them routinely, and a caller that must
     refuse them, such as an embedding store, checks the count.  The copy is
-    normalized in place over bounded row blocks, so the only full-size array
-    is the one returned.
+    C-ordered whatever the input's layout, so the row view below is the
+    copy itself; it is normalized in place over bounded row blocks, so the
+    only full-size array is the one returned.
     """
-    feats = np.array(feats, dtype=np.float64)
+    feats = np.array(feats, dtype=np.float64, order="C")
     rows = feats.reshape(-1, feats.shape[-1])
     zero_pixels = 0
     for tile in _row_tiles(rows.shape[0], rows.shape[1] * 8):
@@ -75,6 +76,14 @@ def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
     return feats, zero_pixels
 
 
+def _real_array(name, value) -> np.ndarray:
+    """`value` as an array of bools, ints or floats; strings, objects and
+    complex numbers fail with `bad_dtype`."""
+    arr = np.asarray(value)
+    check_choice("bad_dtype", f"{name} dtype kind", arr.dtype.kind, ("b", "i", "u", "f"))
+    return arr
+
+
 class _Record:
     """The one rule of a CFT1 record type, on its arrays and its file headers.
 
@@ -83,7 +92,7 @@ class _Record:
     """
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=self.dtype)
+        arr = np.ascontiguousarray(_real_array(self.noun, self.data), dtype=self.dtype)
         check_choice("shape_mismatch", f"{self.noun} axis count", arr.ndim, self.ndims)
         check_int("shape_mismatch", f"{self.noun} extent", min(arr.shape), 1)
         self.data = arr
@@ -115,10 +124,22 @@ class DenseGrid(_Record):
 
 @dataclass
 class LabelMap(_Record):
-    """Per-pixel class indices (uint32, H x W)."""
+    """Per-pixel class indices (uint32, H x W); a label that a uint32 cannot
+    hold exactly fails with `label_out_of_range`."""
 
     data: np.ndarray
     code, dtype, ndims, noun = 2, np.dtype("<u4"), (2,), "label map"
+
+    def __post_init__(self):
+        self.data = given = np.asarray(self.data)
+        if given.dtype == self.dtype:  # a uint32 map is not scanned
+            return super().__post_init__()
+        with np.errstate(invalid="ignore"):  # NaN or a wide float casts to junk
+            super().__post_init__()
+        changed = self.data != given
+        if changed.any():
+            check_int("label_out_of_range", "label", given[changed][0].item(),
+                      0, _MAX_U32)
 
 
 def _read_header(f, path, record):

@@ -32,10 +32,8 @@ class ConfusionMatrix:
         if self.ignore_index is not None:
             keep = (g != self.ignore_index) & (p != self.ignore_index)
             g, p = g[keep], p[keep]
-        if g.size and (g.max() >= self.num_classes or p.max() >= self.num_classes):
-            raise SegfuseError(
-                "label_out_of_range",
-                f"labels must be < {self.num_classes} or == ignore_index")
+        check_int("label_out_of_range", "counted label",
+                  int(max(g.max(initial=0), p.max(initial=0))), 0, self.num_classes - 1)
         n = self.num_classes
         self.intersection += np.bincount(g[g == p], minlength=n)
         self.gt_pixels += np.bincount(g, minlength=n)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SegfuseError
+from .errors import SegfuseError, check_int
 
 MAX_SYNONYMS = 10
 
@@ -62,10 +62,8 @@ def parse_prompt_file(text: str) -> PromptBank:
         for tok in tokens:
             if tok and tok not in synonyms:
                 synonyms.append(tok)
-        if len(synonyms) > MAX_SYNONYMS:
-            raise SegfuseError(
-                "too_many_synonyms",
-                f"line {lineno}: {len(synonyms)} distinct tokens, cap is {MAX_SYNONYMS}")
+        check_int("too_many_synonyms", f"line {lineno}: distinct token count",
+                  len(synonyms), 1, MAX_SYNONYMS)
         if canonical in seen_canonical:
             raise SegfuseError(
                 "duplicate_canonical",
@@ -73,8 +71,7 @@ def parse_prompt_file(text: str) -> PromptBank:
                 f"{seen_canonical[canonical]}")
         seen_canonical[canonical] = lineno
         classes.append(tuple(synonyms))
-    if not classes:
-        raise SegfuseError("empty_prompt_file", "no classes found")
+    check_int("empty_prompt_file", "class count", len(classes), 1)
     return PromptBank(tuple(classes))
 
 

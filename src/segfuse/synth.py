@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, canonical_vectors, store_from_array
-from .errors import SegfuseError, check_float, check_int
+from .errors import check_float, check_int
 from .fusion import EvidenceBundle
 from .grid import (DenseGrid, LabelMap, _check_extents, _row_tiles,
                    normalize_pixels_array)
@@ -126,8 +126,8 @@ class _SceneDraw:
         # numpy refuses an array whose byte size overflows its index type with a
         # bare ValueError, before allocating anything; Python ints never wrap.
         h, w, c, d = (int(size) for size in (height, width, num_classes, dim))
-        if 8 * max(c * d, h * w * c, int(fh) * int(fw) * d) > np.iinfo(np.intp).max:
-            raise SegfuseError("bad_scene_size", "scene too large to address")
+        check_int("bad_scene_size", "scene byte count", 8 * max(
+            c * d, h * w * c, int(fh) * int(fw) * d), 0, np.iinfo(np.intp).max)
         self.feature_shape = (fh, fw, dim)
         self.logit_shape = (height, width, num_classes)
         _check_extents("features", self.feature_shape)

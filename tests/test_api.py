@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import segfuse
+from segfuse.cli import _read_config
 from segfuse.competition import EXCLUDED_MODES, SELECTION_MODES
 from segfuse.fusion import EVIDENCE_KINDS
 from segfuse.prior import AGGREGATION_KINDS, MIN_TAU, NORMALIZE_ORDERS
@@ -277,3 +278,119 @@ def test_every_agreement_and_finite_check_fails_with_one_message(site, tmp_path)
         call(path)
     assert err.value.code == code
     assert str(err.value) == f"{code}: {message.format(path=path)}"
+
+
+def _config_file(path, text):
+    path.write_text(text, encoding="utf-8")
+    return _read_config(path)
+
+
+def _probabilities(value):
+    evidence = np.full((4, 4, 3), 0.5)
+    evidence[-1, -1, -1] = value
+    return segfuse.fuse_and_decode(
+        segfuse.EvidenceBundle(segfuse.DenseGrid(evidence), "probabilities"),
+        segfuse.DenseGrid(np.zeros((4, 4, 3))), segfuse.FusionConfig())
+
+
+_KINDS = "('b', 'i', 'u', 'f')"
+
+# Each range, count or membership check, sent a value out of bounds through
+# its entry: id -> (code, message, call(path)).  The library's array intake
+# rows come last: numpy would mangle each of those values.
+BOUNDS = {
+    "config_key": (
+        "unknown_config_key",
+        "line 2: key must be one of ('lambda_prior', 'tau_s', 'aggregation', "
+        "'background_threshold', 'normalize_order'), got 'speed'",
+        lambda path: _config_file(path, "tau_s = 0.1\nspeed = 11\n")),
+    "synonyms_per_line": (
+        "too_many_synonyms",
+        "line 1: distinct token count must be an integer in 1..10, got 11",
+        lambda path: segfuse.parse_prompt_file(",".join("abcdefghijk") + "\n")),
+    "prompt_classes": (
+        "empty_prompt_file", "class count must be an integer >= 1, got 0",
+        lambda path: segfuse.parse_prompt_file("# no class\n\n")),
+    "class_subset": (
+        "empty_class_subset", "class subset size must be an integer >= 1, got 0",
+        lambda path: segfuse.restrict_to_classes(
+            _SCENE.bank, _SCENE.embeddings, _SCENE.evidence, [])),
+    "sweep_axis": (
+        "empty_sweep_axis",
+        "sweep axis 'lambda_prior' value count must be an integer >= 1, got 0",
+        lambda path: segfuse.run_sweep(_SCENE, p_values=[1.0], lambda_values=[])),
+    "counted_label": (
+        "label_out_of_range", "counted label must be an integer in 0..2, got 3",
+        lambda path: segfuse.ConfusionMatrix(3, 4).accumulate(
+            _SCENE.gt, segfuse.LabelMap(np.full((4, 4), 3)))),
+    "scene_bytes": (
+        "bad_scene_size",
+        f"scene byte count must be an integer in 0..{np.iinfo(np.intp).max}, "
+        f"got {8 * 2**62 * 1024}",
+        lambda path: segfuse.generate_scene(0, 2**31, 2**31, 4, 1024, 1, 0.0, 0.0)),
+    "probability_max": (
+        "probability_out_of_range",
+        "probability evidence must be a real number in [0.0, 1.0], got 1.5",
+        lambda path: _probabilities(1.5)),
+    "probability_min": (
+        "probability_out_of_range",
+        "probability evidence must be a real number in [0.0, 1.0], got -0.25",
+        lambda path: _probabilities(-0.25)),
+    "probability_nan": (
+        "probability_out_of_range",
+        "probability evidence must be a real number in [0.0, 1.0], got nan",
+        lambda path: _probabilities(math.nan)),
+    "string_grid": (
+        "bad_dtype", f"grid dtype kind must be one of {_KINDS}, got 'U'",
+        lambda path: segfuse.DenseGrid(np.array([[["a"]]]))),
+    "complex_grid": (
+        "bad_dtype", f"grid dtype kind must be one of {_KINDS}, got 'c'",
+        lambda path: segfuse.DenseGrid(np.ones((2, 2), dtype=complex))),
+    "string_embeddings": (
+        "bad_dtype", f"embedding table dtype kind must be one of {_KINDS}, got 'U'",
+        lambda path: segfuse.store_from_array(np.full((6, 4), "x"), _SCENE.bank)),
+    "object_embeddings": (
+        "bad_dtype", f"embedding table dtype kind must be one of {_KINDS}, got 'O'",
+        lambda path: segfuse.store_from_array(np.full((6, 4), None), _SCENE.bank)),
+    "string_presence": (
+        "bad_dtype", f"presence dtype kind must be one of {_KINDS}, got 'U'",
+        lambda path: segfuse.EvidenceBundle(_SCENE.evidence.mask_evidence,
+                                            presence=["a", "b", "c"])),
+    "none_presence": (
+        "bad_dtype", f"presence dtype kind must be one of {_KINDS}, got 'O'",
+        lambda path: segfuse.EvidenceBundle(_SCENE.evidence.mask_evidence,
+                                            presence=[None, 1.0, 2.0])),
+    "string_labels": (
+        "bad_dtype", f"label map dtype kind must be one of {_KINDS}, got 'U'",
+        lambda path: segfuse.LabelMap(np.array([["1"]]))),
+    "negative_label": (
+        "label_out_of_range", "label must be an integer in 0..4294967295, got -1",
+        lambda path: segfuse.LabelMap(np.array([[-1, 2]]))),
+    "fractional_label": (
+        "label_out_of_range", "label must be an integer in 0..4294967295, got 1.7",
+        lambda path: segfuse.LabelMap(np.array([[1.7, 2.0]]))),
+    "wide_label": (
+        "label_out_of_range",
+        "label must be an integer in 0..4294967295, got 8589934592",
+        lambda path: segfuse.LabelMap(np.array([[2**33, 1]]))),
+    "nan_label": (
+        "label_out_of_range", "label must be an integer in 0..4294967295, got nan",
+        lambda path: segfuse.LabelMap(np.array([[1.0, math.nan]]))),
+}
+
+
+@pytest.mark.parametrize("site", BOUNDS)
+def test_every_bound_fails_with_one_message(site, tmp_path):
+    code, message, call = BOUNDS[site]
+    with pytest.raises(segfuse.SegfuseError) as err:
+        call(tmp_path / "run.conf")
+    assert err.value.code == code
+    assert str(err.value) == f"{code}: {message}"
+
+
+def test_whole_number_labels_of_any_real_dtype_pass():
+    for labels in ([[0, 4294967295]], [[0.0, 4294967295.0]], [[True, False]],
+                   np.array([[7, 0]], dtype=np.uint64)):
+        held = segfuse.LabelMap(labels).data
+        assert held.dtype == np.uint32
+        assert np.array_equal(held, np.asarray(labels))

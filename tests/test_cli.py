@@ -392,6 +392,13 @@ def test_fuse_background_saturating_threshold(tmp_path):
     assert (labels.data == 4).all()
 
 
+def test_fuse_threshold_beyond_float32_warns_nothing(tmp_path, capsys):
+    _, _, labels_path = _full_chain(
+        tmp_path, extra_fuse_args=("--background-threshold", "1e300"))
+    assert capsys.readouterr().err == ""
+    assert (load_label_map(labels_path).data == 4).all()
+
+
 @pytest.mark.parametrize("extra, code", [
     (("--lambda-prior", "inf"), "bad_lambda_prior"),
     (("--lambda-prior", "nan"), "bad_lambda_prior"),

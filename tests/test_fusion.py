@@ -172,6 +172,16 @@ def test_background_threshold_plus_inf_rejects_everything():
     assert (labels.data == 2).all()
 
 
+# float32 cannot hold these thresholds: they compare as +-inf, with no warning.
+@pytest.mark.parametrize("threshold", [1e300, 10**300, -1e300, -10**300],
+                         ids=["1e300", "10**300", "-1e300", "-10**300"])
+def test_threshold_beyond_float32_compares_as_infinity(threshold):
+    values = np.random.default_rng(13).standard_normal((4, 4, 3))
+    labels = _decode(values, Background(threshold))
+    want = np.full((4, 4), 3) if threshold > 0 else _decode(values).data
+    assert np.array_equal(labels.data, want)
+
+
 def test_background_rejection_threshold():
     values = np.zeros((1, 2, 2), dtype=np.float32)
     values[0, 0] = [3.0, 1.0]   # confident pixel

@@ -94,6 +94,18 @@ def test_normalize_pixels_block_size_is_irrelevant(monkeypatch):
         assert zeros == 1
 
 
+@pytest.mark.parametrize("layout", [np.asfortranarray,
+                                    lambda a: a.transpose(1, 0, 2)],
+                         ids=["fortran", "transposed"])
+def test_normalize_pixels_ignores_memory_layout(layout):
+    feats = layout(np.random.default_rng(47).standard_normal((6, 5, 4)))
+    out, zeros = normalize_pixels_array(feats)
+    want, _ = normalize_pixels_array(np.ascontiguousarray(feats))
+    assert zeros == 0
+    assert out.tobytes() == want.tobytes()
+    assert np.allclose((out * out).sum(axis=-1), 1.0)
+
+
 # --- aggregation -------------------------------------------------------------
 
 def test_lse_singleton_is_scaled_score():

@@ -222,7 +222,7 @@ def test_fuse_probability_out_of_range_in_last_row_writes_no_labels(
                            "probabilities")) == 1
     assert _error_lines(capsys) == [
         "segfuse: error: probability_out_of_range: "
-        "probability evidence must lie in [0, 1]"]
+        "probability evidence must be a real number in [0.0, 1.0], got 1.5"]
     assert not out.exists()
 
 
