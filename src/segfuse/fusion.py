@@ -50,8 +50,7 @@ def _check_evidence(dims: tuple[int, ...], kind: str, presence) -> np.ndarray:
     check_choice("shape_mismatch", "mask evidence axis count", len(dims), (3,))
     c = dims[2]
     presence = (np.zeros(c, dtype=np.float32) if presence is None
-                else np.asarray(_real_array("presence", presence),
-                                dtype=np.float32).ravel())
+                else _real_array("presence", presence, np.float32).ravel())
     check_equal("shape_mismatch", "class counts", presence=presence.shape[0],
                 evidence=c)
     return presence

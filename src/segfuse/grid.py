@@ -35,11 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SegfuseError, check_choice, check_finite, check_int
+from .errors import SegfuseError, check_choice, check_finite, check_float, check_int
 
 MAGIC = b"CFT1"
 # Largest value a u32 holds: a CFT1 header extent, or a `LabelMap` label.
 _MAX_U32 = 2**32 - 1
+# Largest finite float32: the magnitude a library array may have to become a grid.
+_MAX_F32 = float(np.finfo(np.float32).max)
 
 # Read size for inputs without a file size, such as pipes and FIFOs.
 _STREAM_CHUNK = 1 << 20
@@ -76,12 +78,29 @@ def normalize_pixels_array(feats: np.ndarray) -> tuple[np.ndarray, int]:
     return feats, zero_pixels
 
 
-def _real_array(name, value) -> np.ndarray:
-    """`value` as an array of bools, ints or floats; strings, objects and
-    complex numbers fail with `bad_dtype`."""
-    arr = np.asarray(value)
+def _real_array(name, value, dtype=None) -> np.ndarray:
+    """`value` as an array of bools, ints or floats, cast to `dtype` if given.
+
+    A ragged nesting fails with `shape_mismatch`; strings, objects and
+    complex numbers with `bad_dtype`; a finite value that a cast to a float
+    `dtype` would make infinite with `value_out_of_range`.  An array already
+    of `dtype` is neither cast nor scanned.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # how numpy refuses an inhomogeneous shape
+        raise SegfuseError("shape_mismatch", f"{name} is a ragged nesting of sequences")
     check_choice("bad_dtype", f"{name} dtype kind", arr.dtype.kind, ("b", "i", "u", "f"))
-    return arr
+    if dtype is None or arr.dtype == dtype:
+        return arr
+    with np.errstate(over="ignore"):  # an overflow is found below
+        cast = arr.astype(dtype, order="C")
+    if cast.dtype.kind == "f":
+        grown = np.isinf(cast) & np.isfinite(arr)
+        if grown.any():
+            check_float("value_out_of_range", f"{name} value", arr[grown][0].item(),
+                        -_MAX_F32, _MAX_F32)
+    return cast
 
 
 class _Record:
@@ -92,7 +111,7 @@ class _Record:
     """
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(_real_array(self.noun, self.data), dtype=self.dtype)
+        arr = np.ascontiguousarray(_real_array(self.noun, self.data, self.dtype))
         check_choice("shape_mismatch", f"{self.noun} axis count", arr.ndim, self.ndims)
         check_int("shape_mismatch", f"{self.noun} extent", min(arr.shape), 1)
         self.data = arr
@@ -131,7 +150,7 @@ class LabelMap(_Record):
     code, dtype, ndims, noun = 2, np.dtype("<u4"), (2,), "label map"
 
     def __post_init__(self):
-        self.data = given = np.asarray(self.data)
+        self.data = given = _real_array(self.noun, self.data)
         if given.dtype == self.dtype:  # a uint32 map is not scanned
             return super().__post_init__()
         with np.errstate(invalid="ignore"):  # NaN or a wide float casts to junk

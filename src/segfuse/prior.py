@@ -30,14 +30,15 @@ for every mode it is given, and stops before the log-softmax, so several
 modes share one similarity build.  The product
 blocks and then the tiles run on one pool of up to `threads` threads, with
 numpy's OpenBLAS held at one thread for the whole call, so no BLAS thread
-competes with the pool.  The finished tiles go to one sink in row order:
-`build_prior` and `pooled_scores` fill arrays, and the `prior` command
-writes each tile to its output file, so it never holds the log prior.  At
-most `2 * threads` finished tiles wait for the sink.  `_row_tiles` cuts the
-blocks and tiles from the shapes alone, each product row is one
-single-threaded BLAS call, and all work after the products is elementwise
-per output pixel, so the output bytes depend on neither the tile height nor
-the thread count, of the pool or of BLAS.
+competes with the pool.  Each finished tile goes to the caller's sink, on
+the calling thread and in row order, with at most `2 * threads` waiting:
+`build_prior` and `pooled_scores` copy them into arrays made at the first
+tile, after the float64 feature copy is freed, and the `prior` command
+writes each to its output file, so it never holds the log prior.
+`_row_tiles` cuts the blocks and tiles from the shapes alone, each product
+row is one single-threaded BLAS call, and all work after the products is
+elementwise per output pixel, so the output bytes depend on neither the
+tile height nor the thread count, of the pool or of BLAS.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ import numpy as np
 
 from .embeddings import EmbeddingStore
 from .errors import check_choice, check_equal, check_finite, check_float, check_int
-from .grid import (_MAX_U32, DenseGrid, _row_tiles, _write_rows, bilinear_taps,
-                   interpolate_axis, normalize_pixels_array)
+from .grid import (_MAX_F32, _MAX_U32, DenseGrid, _row_tiles, _write_rows,
+                   bilinear_taps, interpolate_axis, normalize_pixels_array)
 from .prompts import PromptBank
 
 logger = logging.getLogger(__name__)
@@ -70,7 +71,7 @@ AGGREGATION_KINDS = ("lse", "average", "max")
 NORMALIZE_ORDERS = ("before", "after", "both")
 # Cosines lie in [-1, 1], so |log prior| <= 2 / tau_s + ln(m_c) + ln C,
 # which rounds to a finite float32 for any tau_s at or above this.
-MIN_TAU = 2.0 / float(np.finfo(np.float32).max)
+MIN_TAU = 2.0 / _MAX_F32
 
 
 def check_normalize_order(value: str) -> None:
@@ -303,10 +304,9 @@ def _map_in_order(fn, items, pool, workers: int, consume) -> None:
 
 def _tiled_kernel(features: DenseGrid, store: EmbeddingStore,
                   modes: tuple[Aggregation, ...], out_h: int, out_w: int,
-                  normalize_order: str, threads: int, dtype, finish,
-                  sink=None) -> list[np.ndarray] | None:
-    """`finish(pooled scores)` as `dtype` for each of `modes`, over tiles of
-    whole output rows.
+                  normalize_order: str, threads: int, finish, sink) -> None:
+    """`sink(rows, values)` for each tile of whole output rows, in row order,
+    `values` holding `finish(pooled scores)` for each of `modes`.
 
     This is the one kernel behind `build_prior`, `pooled_scores` and the
     `prior` command.  It makes the (out_h, out_w) float64 norms of the
@@ -315,11 +315,8 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore,
     rows, and each row tile is one call that only blends and divides its
     rows once, then pools and finishes them once per mode.  Blocks and tiles
     run on one pool of up to `threads` workers, with BLAS at one thread for
-    the whole call.  The finished tiles go to `sink(rows, values)` in row
-    order, `values` holding one array per mode, and the kernel returns None.
-    Without a sink each tile fills its own rows of one (out_h, out_w, C)
-    array per mode, allocated once the features are no longer needed, so no
-    finished tile waits, and the kernel returns those arrays.
+    the whole call.  The sink runs on the calling thread, and at most
+    `2 * threads` finished tiles wait for it.
     """
     with _one_blas_thread():
         zero_pixels = 0
@@ -357,18 +354,11 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore,
                 # On an identity grid `sims` is a view of `sims_src`.  Writing
                 # it in place is safe: no other tile reads these rows.
                 sims /= divisor[rows]
-            values = []
-            for i, mode in enumerate(modes):
-                # Only the last mode may overwrite `sims`, so every mode pools
-                # the same scores.
-                value = finish(_pool_tile(sims, groups, positions, mode,
-                                          i == len(modes) - 1)).astype(
-                                              dtype, copy=False)
-                if out is None:
-                    values.append(value)
-                else:
-                    out[i][rows] = value
-            return values
+            # Only the last mode may overwrite `sims`, so every mode pools the
+            # same scores.
+            return [finish(_pool_tile(sims, groups, positions, mode,
+                                      i == len(modes) - 1))
+                    for i, mode in enumerate(modes)]
 
         # The budgets cover the float64 similarities of one row: source rows
         # for the product blocks, output rows for the tiles.
@@ -379,18 +369,30 @@ def _tiled_kernel(features: DenseGrid, store: EmbeddingStore,
         with ThreadPoolExecutor(workers) as pool:
             _map_in_order(product, blocks, pool, workers, lambda rows, _: None)
             del src
-            out = None
-            if sink is None:
-                out = [np.empty((out_h, out_w, store.num_classes), dtype=dtype)
-                       for _ in modes]
-
-                def sink(rows, values):
-                    pass
-
             _map_in_order(tile, tiles, pool, workers, sink)
     if zero_pixels:
         logger.warning("%d zero-norm feature pixels mapped to the zero vector",
                        zero_pixels)
+
+
+def _log_prior32(pooled: np.ndarray) -> np.ndarray:
+    """The float32 log prior of pooled scores, as a sweep makes it too."""
+    return log_prior_array(pooled).astype(np.float32)
+
+
+def _arrays(features: DenseGrid, store: EmbeddingStore, modes, out_h: int,
+            out_w: int, *settings) -> list[np.ndarray]:
+    """`_tiled_kernel(..., *settings, sink)` into one (out_h, out_w, C) array
+    per mode in the finish's dtype, made at the first tile, after `del src`."""
+    out = []
+
+    def fill(rows: slice, values: list[np.ndarray]) -> None:
+        if not out:
+            out.extend(np.empty((out_h,) + v.shape[1:], v.dtype) for v in values)
+        for arr, value in zip(out, values):
+            arr[rows] = value
+
+    _tiled_kernel(features, store, modes, out_h, out_w, *settings, fill)
     return out
 
 
@@ -409,19 +411,18 @@ def build_prior(features: DenseGrid, store: EmbeddingStore, bank: PromptBank,
     the exact norm of each resized feature vector, taken from neighbour Gram
     maps; the result equals the resize-first order up to float64 rounding.
     Up to `threads` row tiles run at once; the output bytes never depend on
-    it.  During the call numpy's OpenBLAS runs at one thread, and that
-    setting is process-global: numpy on the caller's other threads gets
-    one-thread BLAS until the call returns.  Overlapping calls share one
-    hold, and the caller's count comes back when the last of them ends.
-    `bank` is only checked against the store's class count.
+    it, and the output is allocated at the first finished tile, after the
+    float64 feature copy is freed.  During the call numpy's OpenBLAS runs at
+    one thread, and that setting is process-global: numpy on the caller's
+    other threads gets one-thread BLAS until the call returns.  Overlapping
+    calls share one hold, and the caller's count comes back when the last of
+    them ends.  `bank` is only checked against the store's class count.
     """
     check_equal("shape_mismatch", "class counts", store=store.num_classes,
                 bank=bank.num_classes)
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
-    log_prior, = _tiled_kernel(features, store, (mode,), out_h, out_w,
-                               normalize_order, threads, np.float32,
-                               log_prior_array)
-    return DenseGrid(log_prior)
+    return DenseGrid(_arrays(features, store, (mode,), out_h, out_w,
+                             normalize_order, threads, _log_prior32)[0])
 
 
 def pooled_scores(features: DenseGrid, store: EmbeddingStore,
@@ -431,17 +432,16 @@ def pooled_scores(features: DenseGrid, store: EmbeddingStore,
     """Float64 (out_h, out_w, C) pooled class scores before the log-softmax,
     one array per mode of `modes`, in order.
 
-    Same inputs but the bank, kernel and `threads` as `build_prior`, and
-    the same process-global one-thread BLAS during the call, one hold
-    shared by overlapping calls until the last of them ends.  The
-    similarities are built once and pooled once per mode.  A class's pooled
-    score depends only on its own synonyms, so a caller comparing class
-    subsets slices columns of one full array and log-softmaxes each slice.
+    Same inputs but the bank, kernel, `threads`, first-tile allocation and
+    process-global one-thread BLAS as `build_prior`, one hold shared by
+    overlapping calls until the last of them ends.  The similarities are
+    built once and pooled once per mode.  A class's pooled score depends
+    only on its own synonyms, so a caller comparing class subsets slices
+    columns of one full array and log-softmaxes each slice.
     """
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
-    return _tiled_kernel(features, store, tuple(modes), out_h, out_w,
-                         normalize_order, threads, np.float64,
-                         lambda pooled: pooled)
+    return _arrays(features, store, tuple(modes), out_h, out_w,
+                   normalize_order, threads, lambda pooled: pooled)
 
 
 def _write_prior(features: DenseGrid, store: EmbeddingStore,
@@ -456,5 +456,4 @@ def _write_prior(features: DenseGrid, store: EmbeddingStore,
     _check_prior_inputs(features, store, out_h, out_w, normalize_order, threads)
     with _write_rows(path, DenseGrid, (out_h, out_w, store.num_classes)) as write:
         _tiled_kernel(features, store, (mode,), out_h, out_w, normalize_order,
-                      threads, np.float32, log_prior_array,
-                      lambda rows, values: write(values[0]))
+                      threads, _log_prior32, lambda rows, values: write(values[0]))

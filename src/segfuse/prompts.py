@@ -37,8 +37,9 @@ def _content_lines(text: str):
 
 
 def _read_utf8(path) -> str:
+    """The text of a UTF-8 prompt or config file, without a leading BOM."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             return f.read()
     except UnicodeDecodeError as err:
         raise SegfuseError("bad_encoding", f"{path}: not UTF-8 text ({err})")

@@ -294,6 +294,7 @@ def _probabilities(value):
 
 
 _KINDS = "('b', 'i', 'u', 'f')"
+_F32 = f"[{-float(np.finfo(np.float32).max)}, {float(np.finfo(np.float32).max)}]"
 
 # Each range, count or membership check, sent a value out of bounds through
 # its entry: id -> (code, message, call(path)).  The library's array intake
@@ -376,6 +377,27 @@ BOUNDS = {
     "nan_label": (
         "label_out_of_range", "label must be an integer in 0..4294967295, got nan",
         lambda path: segfuse.LabelMap(np.array([[1.0, math.nan]]))),
+    "ragged_grid": (
+        "shape_mismatch", "grid is a ragged nesting of sequences",
+        lambda path: segfuse.DenseGrid([[1.0], [1.0, 2.0]])),
+    "ragged_labels": (
+        "shape_mismatch", "label map is a ragged nesting of sequences",
+        lambda path: segfuse.LabelMap([[1], [1, 2]])),
+    "ragged_embeddings": (
+        "shape_mismatch", "embedding table is a ragged nesting of sequences",
+        lambda path: segfuse.store_from_array([[1.0], [1.0, 2.0]], _SCENE.bank)),
+    "ragged_presence": (
+        "shape_mismatch", "presence is a ragged nesting of sequences",
+        lambda path: segfuse.EvidenceBundle(_SCENE.evidence.mask_evidence,
+                                            presence=[[1.0], [1.0, 2.0]])),
+    "wide_grid_value": (
+        "value_out_of_range", f"grid value must be a real number in {_F32}, got 1e+300",
+        lambda path: segfuse.DenseGrid(np.array([[1e300, 1.0]]))),
+    "wide_presence": (
+        "value_out_of_range",
+        f"presence value must be a real number in {_F32}, got -1e+300",
+        lambda path: segfuse.EvidenceBundle(_SCENE.evidence.mask_evidence,
+                                            presence=[1.0, -1e300, 1e300])),
 }
 
 

@@ -677,6 +677,17 @@ def test_non_utf8_config_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_may_start_with_a_bom(tmp_path):
+    text = "# settings\nlambda_prior = 0.5\ntau_s = 0.25\naggregation = max\n"
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    settings = cli_module._read_config(plain)
+    assert settings == {"lambda_prior": 0.5, "tau_s": 0.25, "aggregation": "max"}
+    assert cli_module._read_config(marked) == settings
+
+
 def _prior_argv(scene_dir, out):
     return ["prior", "--features", str(scene_dir / "features.cft1"),
             "--embeddings", str(scene_dir / "embeddings.cft1"),

@@ -717,8 +717,7 @@ def _blas_threads_in_sink(monkeypatch, get_threads):
         rows_out.append(values[0])
 
     prior_module._tiled_kernel(feats, store, (Aggregation("lse"),), 24, 24,
-                               "both", 2, np.float32,
-                               log_prior_array, sink)
+                               "both", 2, prior_module._log_prior32, sink)
     return np.concatenate(rows_out).tobytes(), seen
 
 
@@ -739,8 +738,8 @@ def test_kernel_restores_the_callers_blas_threads():
 
         with pytest.raises(OSError, match="sink full"):
             prior_module._tiled_kernel(feats, store, (Aggregation("max"),),
-                                       12, 12, "both", 2, np.float32,
-                                       log_prior_array, failing_sink)
+                                       12, 12, "both", 2,
+                                       prior_module._log_prior32, failing_sink)
         assert get_threads() == want
     finally:
         set_threads(caller)
@@ -776,7 +775,7 @@ def test_overlapping_kernel_calls_restore_the_callers_blas_threads(monkeypatch):
 
     def kernel(sink):
         prior_module._tiled_kernel(feats, store, (Aggregation("lse"),), 24, 24,
-                                   "both", 2, np.float32, log_prior_array, sink)
+                                   "both", 2, prior_module._log_prior32, sink)
 
     def call_a():
         try:
@@ -918,22 +917,30 @@ def test_build_prior_holds_no_full_resolution_similarities():
 
 
 def test_build_prior_frees_the_features_before_the_output():
-    """At most one float64 feature copy, and never beside the output."""
+    """At most one float64 feature copy, and never beside the output: the
+    float32 log prior of `build_prior` or the float64 scores of
+    `pooled_scores`, both made at the first finished tile."""
     rng = np.random.default_rng(149)
     in_h, in_w, out_h, out_w, dim = 64, 64, 256, 256, 512
     bank, store, feats = _scene_pieces(rng, in_h, in_w, dim, [3] * 100)
-    out_bytes = out_h * out_w * store.num_classes * 4
+    mode = Aggregation("lse", 0.1)
+    builds = {  # output bytes per score -> build
+        4: lambda order: build_prior(feats, store, bank, mode, out_h, out_w,
+                                     normalize_order=order),
+        8: lambda order: pooled_scores(feats, store, (mode,), out_h, out_w,
+                                       normalize_order=order)}
     feature_copy = in_h * in_w * dim * 8
-    # the output, the feature-resolution similarities and a few tile budgets
-    bound = (out_bytes + in_h * in_w * store.num_vectors * 8
-             + 4 * grid_module._TILE_BYTES)
-    # 12 MiB below the output beside two feature copies (57.1 MiB here)
-    assert bound <= out_bytes + 2 * feature_copy - 12 * 2**20
-    for order in ("before", "both"):
-        peak = traced_peak(lambda: build_prior(
-            feats, store, bank, Aggregation("lse", 0.1), out_h, out_w,
-            normalize_order=order))
-        assert peak < bound, order
+    for score_bytes, build in builds.items():
+        out_bytes = out_h * out_w * store.num_classes * score_bytes
+        # the output, the feature-resolution similarities and a few tile
+        # budgets
+        bound = (out_bytes + in_h * in_w * store.num_vectors * 8
+                 + 4 * grid_module._TILE_BYTES)
+        # 12 MiB below the output beside two feature copies (57 or 82 MiB)
+        assert bound <= out_bytes + 2 * feature_copy - 12 * 2**20
+        for order in ("before", "both"):
+            peak = traced_peak(lambda: build(order))
+            assert peak < bound, (score_bytes, order)
 
 
 def test_build_prior_normalize_orders():

@@ -75,6 +75,17 @@ def test_non_utf8_prompt_file_rejected(tmp_path):
     assert str(path) in str(err.value)
 
 
+def test_prompt_file_may_start_with_a_bom(tmp_path):
+    text = "cat, kitty\ndog\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    bank = load_prompt_file(plain)
+    assert bank.classes == (("cat", "kitty"), ("dog",))
+    assert load_prompt_file(marked) == bank
+
+
 def test_stray_commas_dropped():
     bank = parse_prompt_file("sofa,, couch,\n")
     assert bank.classes[0] == ("sofa", "couch")
